@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 input or validation problem, 2 numerical
 failure.  All numeric output uses 12 significant digits; randomness
 enters only through --seed.  GRAPHREACT_THREADS caps the Monte Carlo
-worker threads.
+worker threads; ``main`` builds its parser once per process, so it reads
+GRAPHREACT_THREADS once, at its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -20,7 +22,6 @@ from . import mc as mc_mod
 from .document import load_document, parse_document, prepare
 from .errors import DocumentError, GraphReactError, PreconditionError, SingularSystemError
 from .feynman_kac import evaluate_at, solve_survival
-from .graph import validate
 from .kac import KappaSpec, conversion, rational_form
 from .harmonic import green_matrix, hitting_split
 
@@ -39,9 +40,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_problem(path: str, need_injection: bool = True):
     parsed = parse_document(load_document(path))
-    problems = validate(parsed.graph)
-    if problems:
-        raise DocumentError("invalid graph: " + "; ".join(problems))
+    if parsed.graph.violations:
+        raise DocumentError("invalid graph: " + "; ".join(parsed.graph.violations))
     g, w, start = prepare(parsed)
     if need_injection and start is None:
         raise DocumentError("document has no injection point")
@@ -64,9 +64,8 @@ def cmd_validate(args) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    problems = validate(parsed.graph)
-    if problems:
-        for p in problems:
+    if parsed.graph.violations:
+        for p in parsed.graph.violations:
             print(p)
         return 1
     print("OK")
@@ -97,6 +96,8 @@ def cmd_sweep(args) -> int:
     g, w, start = _load_problem(args.path)
     if args.steps < 2:
         raise DocumentError("steps must be >= 2")
+    if not (math.isfinite(args.kappa_min) and math.isfinite(args.kappa_max)):
+        raise DocumentError("kappa-min and kappa-max must be finite")
     if not (args.kappa_min < args.kappa_max):
         raise DocumentError("kappa-min must be < kappa-max")
     if args.spacing == "geometric":
@@ -269,10 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; those are input errors
         return 0 if exc.code in (0, None) else 1
@@ -281,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SingularSystemError as exc:
+    except (SingularSystemError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except GraphReactError as exc:

@@ -5,9 +5,11 @@ edge-affine, equals 1 at the exits, and at every other vertex satisfies
 
     sum over half-edges e out of v of p_v(e) * (F(t(e)) - F(v)) / l_e = kappa_v F(v)
 
-with kappa_v zero at inert vertices.  That is one small linear system in
-the vertex values, assembled and solved here with no reference to the
-Green-matrix route, so the two can be checked against each other.
+with kappa_v zero at inert vertices.  That is one linear system in the
+vertex values: the flux matrix that harmonic assembles for the Green
+solve, with the killing term on the diagonal.  It is solved here with no
+reference to the Green matrix itself, so the two routes can be checked
+against each other.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from . import algebra
 from .errors import PreconditionError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
+from .harmonic import _flux_laplacian
 from .kac import KappaSpec
 
 
@@ -46,31 +49,20 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
     """
     require_valid(g)
     active = g.active_vertices
-    exits = set(g.exit_vertices)
-    kappa_of = {vid: 0.0 for vid in g.vertex_ids}
-    kappa_of.update(dict(zip(active, ks.values(active))))
+    kappa = dict(zip(active, ks.values(active)))
+    fixed = {vid: 1.0 for vid in g.exit_vertices}
+    fixed.update({c: 0.0 for c, kv in kappa.items() if math.isinf(kv)})
 
-    idx = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    n = len(idx)
-    a = np.zeros((n, n))
-    b = np.zeros(n)
-    for vid in g.vertex_ids:
-        i = idx[vid]
-        kv = kappa_of[vid]
-        if vid in exits:
-            a[i, i] = 1.0
-            b[i] = 1.0
-        elif math.isinf(kv):
-            a[i, i] = 1.0
-        else:
-            for he in g.out_edges[vid]:
-                coeff = w.at(vid, he.edge) / g.edges[he.edge].length
-                a[i, idx[he.target]] += coeff
-                a[i, i] -= coeff
-            a[i, i] -= kv
+    a, idx = _flux_laplacian(g, w, fixed)
+    b = np.zeros(len(idx))
+    for vid, value in fixed.items():
+        b[idx[vid]] = value
+    for c, kv in kappa.items():
+        if c not in fixed:
+            a[idx[c], idx[c]] -= kv
 
     sol = algebra.solve_many(a, b)
-    return SurvivalField(g, {vid: float(sol[idx[vid]]) for vid in g.vertex_ids})
+    return SurvivalField(g, {vid: float(sol[i]) for vid, i in idx.items()})
 
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:

@@ -126,6 +126,11 @@ class MetricGraph:
                 out[w].append(HalfEdge(k, w, u))
         return {v: tuple(h) for v, h in out.items()}
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """``validate(self)``, computed once: the graph never changes."""
+        return tuple(validate(self))
+
     def half_edges(self) -> Iterator[HalfEdge]:
         for hs in self.out_edges.values():
             yield from hs
@@ -222,9 +227,8 @@ def validate(g: MetricGraph) -> list[str]:
 
 
 def require_valid(g: MetricGraph) -> None:
-    problems = validate(g)
-    if problems:
-        raise PreconditionError("invalid graph: " + "; ".join(problems))
+    if g.violations:
+        raise PreconditionError("invalid graph: " + "; ".join(g.violations))
 
 
 def derive_weights(g: MetricGraph) -> EdgeWeights:

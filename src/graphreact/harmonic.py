@@ -7,14 +7,14 @@ functional at a vertex v is
 
     rho_v(F) = sum over half-edges e out of v of p_v(e) * (F(t(e)) - F(v)) / l_e,
 
-and the two solves below differ only in where Dirichlet data is imposed
-and where a unit of flux is injected.
+and one assembly of these functionals serves every vertex system in the
+package: the Green solve here and the survival solve in feynman_kac.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -64,84 +64,83 @@ def vertex_flux(
     return total
 
 
-def _flux_row(
-    g: MetricGraph, w: EdgeWeights, idx: dict[str, int], a: np.ndarray, vid: str
-) -> None:
-    i = idx[vid]
-    for he in g.out_edges[vid]:
-        coeff = w.at(vid, he.edge) / g.edges[he.edge].length
-        a[i, idx[he.target]] += coeff
-        a[i, i] -= coeff
+def _flux_laplacian(
+    g: MetricGraph, w: EdgeWeights, fixed: Collection[str]
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Matrix whose row v is rho_v as a linear form in the vertex values,
+    with an identity row at each vertex of ``fixed`` so that the
+    right-hand side sets its value; also returns the vertex-to-row index."""
+    idx = {vid: i for i, vid in enumerate(g.vertex_ids)}
+    a = np.zeros((len(idx), len(idx)))
+    for vid, i in idx.items():
+        if vid in fixed:
+            a[i, i] = 1.0
+            continue
+        for he in g.out_edges[vid]:
+            coeff = w.at(vid, he.edge) / g.edges[he.edge].length
+            a[i, idx[he.target]] += coeff
+            a[i, i] -= coeff
+    return a, idx
 
 
-def hitting_split(
+def _green(g: MetricGraph, w: EdgeWeights) -> tuple[GreenMatrix, np.ndarray, dict[str, int]]:
+    """The Green matrix, plus the expected local times at the active
+    vertices (columns) from every vertex (rows) and the row index.
+
+    For each active vertex c, solve the edge-affine problem vanishing on
+    all exits with zero flux everywhere except rho_c = -1; by optional
+    stopping its value at a vertex is the expected local time at c.
+    """
+    active = g.active_vertices
+    a, idx = _flux_laplacian(g, w, set(g.exit_vertices))
+    b = np.zeros((len(idx), len(active)))
+    for j, c in enumerate(active):
+        b[idx[c], j] = -1.0
+    f = algebra.solve_many(a, b)
+    return GreenMatrix(active, f[[idx[c] for c in active], :]), f, idx
+
+
+def green_and_split(
     g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str
-) -> HittingSplit:
-    """First-hit distribution over active vertices, from start point x.
+) -> tuple[GreenMatrix, HittingSplit]:
+    """The Green matrix and the first-hit split from x, from one solve.
 
-    Solves, for each active vertex c, the edge-affine problem with value
-    1 at c, value 0 at the other active vertices and at all exits, and
-    zero flux elsewhere.  The solution evaluated at x is the probability
-    of first hitting the active set at c before exiting; their sum is
-    ``alpha_inf``.
+    A walk from x collects local time on the active set only after its
+    first hit there, so G[x, A] = H_x . G[A, A], where H_x[c] is the
+    probability that c is the first active vertex hit before any exit.
+    A small solve against G[A, A] gives H_x; its sum is ``alpha_inf``.
     """
     require_valid(g)
     start = resolve_vertex(g, x)
     active = g.active_vertices
     if not active:
-        return HittingSplit(0.0, np.zeros(0), ())
-
-    exits = set(g.exit_vertices)
-    boundary = exits | set(active)
-    idx = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    n = len(idx)
-    a = np.zeros((n, n))
-    b = np.zeros((n, len(active)))
-    for vid in g.vertex_ids:
-        if vid in boundary:
-            a[idx[vid], idx[vid]] = 1.0
-        else:
-            _flux_row(g, w, idx, a, vid)
-    for j, c in enumerate(active):
-        b[idx[c], j] = 1.0
-
-    u = algebra.solve_many(a, b)
-    u_at_x = u[idx[start], :]
-    alpha_inf = float(u_at_x.sum())
+        return GreenMatrix((), np.zeros((0, 0))), HittingSplit(0.0, np.zeros(0), ())
+    gm, f, idx = _green(g, w)
+    zero = HittingSplit(0.0, np.zeros(len(active)), active)
+    if start in active:
+        return gm, HittingSplit(1.0, np.eye(len(active))[active.index(start)], active)
+    if start in g.exit_vertices:
+        return gm, zero
+    h = algebra.solve_many(gm.entries.T, f[idx[start], :])
+    alpha_inf = float(h.sum())
     if alpha_inf <= 0.0:
-        return HittingSplit(0.0, np.zeros(len(active)), active)
-    return HittingSplit(alpha_inf, u_at_x / alpha_inf, active)
+        return gm, zero
+    return gm, HittingSplit(alpha_inf, h / alpha_inf, active)
+
+
+def hitting_split(
+    g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str
+) -> HittingSplit:
+    """First-hit distribution over active vertices, from start point x."""
+    return green_and_split(g, w, x)[1]
 
 
 def green_matrix(g: MetricGraph, w: EdgeWeights) -> GreenMatrix:
-    """Local-time matrix over the active vertices.
-
-    For each active vertex c, solve the edge-affine problem vanishing on
-    all exits with zero flux everywhere except rho_c = -1; by optional
-    stopping the solution's value at another active vertex is exactly
-    the expected local time there.
-    """
+    """Local-time matrix over the active vertices."""
     require_valid(g)
-    active = g.active_vertices
-    if not active:
+    if not g.active_vertices:
         raise PreconditionError("graph has no active vertices")
-
-    exits = set(g.exit_vertices)
-    idx = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    n = len(idx)
-    a = np.zeros((n, n))
-    b = np.zeros((n, len(active)))
-    for vid in g.vertex_ids:
-        if vid in exits:
-            a[idx[vid], idx[vid]] = 1.0
-        else:
-            _flux_row(g, w, idx, a, vid)
-    for j, c in enumerate(active):
-        b[idx[c], j] = -1.0
-
-    f = algebra.solve_many(a, b)
-    rows = [idx[c] for c in active]
-    return GreenMatrix(active, f[rows, :])
+    return _green(g, w)[0]
 
 
 def mean_local_time(g: MetricGraph, w: EdgeWeights, c: str) -> float:

@@ -7,9 +7,10 @@ the survival probabilities started on the active set solve
     (I + G M_kappa) psi = 1,
 
 with M_kappa the diagonal of site strengths.  Conversion from an
-arbitrary start point combines that with the first-hit split, and by
-Cramer's rule each survival entry is also a ratio of determinants,
-which yields the closed rational form of the conversion curve in kappa.
+arbitrary start point combines that with the first-hit split.  For
+uniform kappa the eigendecomposition of G makes the whole curve a
+mixture of single-site curves L kappa / (1 + L kappa), one per
+eigenvalue L, which yields its closed rational form in kappa.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 
 from . import algebra
 from .algebra import Polynomial, RationalForm
-from .errors import PreconditionError
+from .errors import PreconditionError, SingularSystemError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
-from .harmonic import GreenMatrix, green_matrix, hitting_split
+from .harmonic import GreenMatrix, green_and_split, green_matrix
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ class ConversionResult:
 def _finite_values(gm: GreenMatrix, ks: KappaSpec) -> np.ndarray:
     values = ks.values(gm.active)
     if not np.all(np.isfinite(values)):
-        raise PreconditionError("kappa must be finite here; infinity is handled "
-                                "symbolically by conversion")
+        raise PreconditionError("kappa must be finite here; conversion handles a uniform "
+                                "infinity, and solve_survival infinite sites")
     return values
 
 
@@ -124,36 +125,23 @@ def conversion(
 ) -> ConversionResult:
     """Conversion probability from start point x at strengths ks.
 
-    Uniform kappa goes through the determinant ratios; per-site kappa
-    through the linear system.  Uniform infinity is handled symbolically
-    (alpha equals the hitting probability alpha_inf).
+    Finite kappa, uniform or per site, goes through the survival solve on
+    the active set.  Uniform infinity is handled symbolically (alpha
+    equals the hitting probability alpha_inf).
     """
-    hs = hitting_split(g, w, x)
+    gm, hs = green_and_split(g, w, x)
     sites = hs.active
     if not sites:
         return ConversionResult(0.0, 1.0, 0.0, (), (), ())
 
-    if ks.is_uniform:
-        kappa = ks.uniform
-        if kappa == 0.0:
-            ratios = np.ones(len(sites))
-        elif math.isinf(kappa):
-            ratios = np.zeros(len(sites))
-        else:
-            gm = green_matrix(g, w)
-            ratios = np.array([survival_det(gm, ks, j) for j in range(len(sites))])
+    if ks.is_uniform and ks.uniform == 0.0:
+        ratios = np.ones(len(sites))
+    elif ks.is_uniform and math.isinf(ks.uniform):
+        ratios = np.zeros(len(sites))
     else:
-        if not all(math.isfinite(v) for v in ks.per_site.values()):
-            raise PreconditionError(
-                "per-site kappa with infinite entries is not supported here; "
-                "use the survival-field solver"
-            )
-        gm = green_matrix(g, w)
         ratios = survival_on_active(gm, ks)
 
-    if hs.alpha_inf == 0.0:
-        alpha = 0.0
-    elif ks.is_uniform and ks.uniform == 0.0:
+    if hs.alpha_inf == 0.0 or (ks.is_uniform and ks.uniform == 0.0):
         alpha = 0.0
     else:
         alpha = hs.alpha_inf * (1.0 - float(hs.p @ ratios))
@@ -167,29 +155,45 @@ def conversion(
     )
 
 
+def _running_products(lam: np.ndarray) -> list[np.ndarray]:
+    """Ascending coefficients of prod_{k < i} (1 + t lam_k), i = 0..len(lam)."""
+    out = [np.ones(1, dtype=complex)]
+    for value in lam:
+        out.append(np.convolve(out[-1], (1.0, value)))
+    return out
+
+
 def rational_form(
     g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str
 ) -> RationalForm:
     """Conversion as an explicit ratio of polynomials in kappa.
 
-    Denominator: det(I + kappa G).  Numerator: alpha_inf times the
-    difference between the denominator and the p-weighted determinant
-    polynomials of the row-subtracted matrices.  Both have degree at
-    most the number of active sites; the numerator vanishes at 0.
+    With G = V diag(lambda) V^-1 and c = (p V) * (V^-1 1), whose entries
+    sum to 1, the curve is a mixture of single-site curves:
+
+        alpha = alpha_inf * sum_i c_i kappa lambda_i / (1 + kappa lambda_i).
+
+    The denominator is prod_i (1 + kappa lambda_i) = det(I + kappa G); the
+    numerator, alpha_inf * sum_i c_i lambda_i kappa prod_{k != i} (1 +
+    kappa lambda_k), comes from prefix and suffix products, which stay
+    accurate where dividing the denominator by each factor does not.
+    Explicit weights on cycles can make the spectrum complex; the
+    coefficients are then real up to roundoff and their real parts kept.
     """
-    hs = hitting_split(g, w, x)
+    gm, hs = green_and_split(g, w, x)
     if not hs.active:
         return RationalForm(Polynomial(), Polynomial((1.0,)))
-    gm = green_matrix(g, w)
-    den = algebra.det_poly(gm.entries)
-    num = den
-    for j, pj in enumerate(hs.p):
-        num = num - float(pj) * algebra.det_poly(algebra.row_subtracted(gm.entries, j))
-    num = hs.alpha_inf * num
-    # the constant term is alpha_inf * (1 - sum p_j) = 0 up to roundoff
-    if num.coeffs:
-        num = Polynomial((0.0, *num.coeffs[1:]))
-    return RationalForm(num, den)
+    lam, vecs = np.linalg.eig(gm.entries)
+    try:
+        c = (hs.p @ vecs) * np.linalg.solve(vecs, np.ones(len(lam)))
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("Green matrix is not diagonalizable") from None
+    prefix, suffix = _running_products(lam), _running_products(lam[::-1])
+    m = len(lam)
+    num = sum(c[i] * lam[i] * np.convolve(prefix[i], suffix[m - 1 - i]) for i in range(m))
+    return RationalForm(
+        Polynomial((0.0, *(hs.alpha_inf * num.real))), Polynomial(tuple(prefix[m].real))
+    )
 
 
 def chain_alpha_recursive(lengths: Sequence[float], kappa: float) -> float:

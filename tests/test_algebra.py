@@ -142,3 +142,9 @@ def test_rational_form_normalization():
     assert f(0.0) == f.numerator(0.0) == 0.0
     with pytest.raises(PreconditionError):
         RationalForm(Polynomial((1.0,)), Polynomial((0.0, 1.0)))
+
+
+def test_non_finite_residual_raises():
+    # a NaN residual must fail the RTOL check, not pass it
+    with pytest.raises(SingularSystemError, match="residual"):
+        solve_linear(np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2))

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -303,3 +305,60 @@ def test_round_trip_preserves_weights_and_dimension():
     g1, w1, _ = prepare(parsed)
     g2, w2, _ = prepare(again)
     assert w1.p == w2.p
+
+
+def test_cli_convert_validates_once(tmp_path, capsys, monkeypatch):
+    import graphreact.graph as graph_mod
+
+    calls = []
+    original = graph_mod.validate
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graph_mod, "validate", counting)
+    path = _write(tmp_path, path_site_doc())
+    assert main(["convert", path, "--kappa", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_cli_sweep_rejects_infinite_kappa_range(tmp_path, capsys):
+    path = _write(tmp_path, path_site_doc())
+    args = ["sweep", path, "--kappa-min", "0", "--kappa-max", "inf", "--steps", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning on the grid fails the test
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "Traceback" not in err
+
+
+def test_cli_arithmetic_failure_exits_two(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "interval_zone.json").read_text())
+    path = _write(tmp_path, doc)
+    args = ["diffuse", path, "--k", "1e9", "--delta", "1", "--diffusion", "1",
+            "--h-list", "0.01"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rational_long_uniform_chain(tmp_path, capsys):
+    ids = ["v0"] + [f"c{j}" for j in range(1, 161)] + ["a"]
+    doc = {
+        "vertices": [{"id": i, "role": "active" if i.startswith("c") else "inert"}
+                     for i in ids[:-1]] + [{"id": "a", "role": "exit"}],
+        "edges": [{"from": u, "to": v, "length": 1.0, "radius": 1.0}
+                  for u, v in zip(ids, ids[1:])],
+        "dimension": 3,
+        "injection": {"vertex": "v0"},
+    }
+    assert main(["rational", _write(tmp_path, doc)]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.strip().split("\n"))
+    num = [float(c) for c in rows["numerator"].split(",")]
+    den = [float(c) for c in rows["denominator"].split(",")]
+    assert len(den) == 161
+    assert all(math.isfinite(c) for c in num + den)

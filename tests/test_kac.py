@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from graphreact import (
+    Edge,
+    EdgeWeights,
     GreenMatrix,
     KappaSpec,
+    MetricGraph,
     PreconditionError,
+    Vertex,
     chain_alpha_recursive,
     conversion,
     derive_weights,
@@ -283,3 +287,59 @@ def test_conversion_breakdown_accounting():
     recon = res.alpha_inf * (1.0 - sum(res.breakdown))
     assert res.alpha == pytest.approx(recon, abs=1e-12)
     assert 0.0 <= res.alpha <= res.alpha_inf + 1e-12
+
+
+def test_uniform_conversion_long_chain_large_kappa():
+    # the determinant ratios this once went through overflowed to NaN here
+    gaps = tuple(np.random.default_rng(0).uniform(0.5, 1.5, 161))
+    g, start, _ = chain_graph(gaps)
+    w = derive_weights(g)
+    ks = KappaSpec.constant(100.0)
+    alpha = conversion(g, w, start, ks).alpha
+    assert math.isfinite(alpha)
+    assert alpha == pytest.approx(1.0 - solve_survival(g, w, ks)[start], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "gaps, kappas",
+    [
+        (np.random.default_rng(1).uniform(0.5, 1.5, 41), np.geomspace(0.01, 10.0, 25)),
+        ((1.0,) * 14, np.geomspace(0.01, 10.0, 25)),
+        (np.random.default_rng(2).uniform(0.5, 1.5, 161), np.geomspace(0.01, 1.0, 25)),
+    ],
+    ids=["chain40", "chain13-uniform", "chain160"],
+)
+def test_rational_form_matches_conversion_on_long_chains(gaps, kappas):
+    g, start, _ = chain_graph(tuple(float(x) for x in gaps))
+    w = derive_weights(g)
+    form = rational_form(g, w, start)
+    assert form.denominator.degree == len(gaps) - 1
+    for kappa in kappas:
+        res = conversion(g, w, start, KappaSpec.constant(float(kappa)))
+        assert form(float(kappa)) == pytest.approx(res.alpha, abs=1e-9)
+
+
+def _explicit_weight_ring(seed: int, n: int):
+    """Ring of n vertices, every other one active, with an exit leaf and
+    a start leaf, and random explicit weight rows at every vertex."""
+    rng = np.random.default_rng(seed)
+    vertices = [Vertex(f"r{i}", "active" if i % 2 == 0 else "inert") for i in range(n)]
+    vertices += [Vertex("a", "exit"), Vertex("s")]
+    edges = [Edge((f"r{i}", f"r{(i + 1) % n}"), float(rng.uniform(0.3, 1.8))) for i in range(n)]
+    edges += [Edge(("r1", "a"), 1.0), Edge(("r3", "s"), 0.7)]
+    g = MetricGraph(tuple(vertices), tuple(edges))
+    p = {}
+    for vid, hs in g.out_edges.items():
+        raw = rng.uniform(0.1, 1.0, len(hs))
+        for h, x in zip(hs, raw / raw.sum()):
+            p[(vid, h.edge)] = float(x)
+    return g, EdgeWeights(p), "s"
+
+
+def test_rational_form_matches_conversion_with_complex_spectrum():
+    g, w, start = _explicit_weight_ring(1, 16)
+    assert np.any(np.abs(np.linalg.eigvals(green_matrix(g, w).entries).imag) > 1e-6)
+    form = rational_form(g, w, start)
+    for kappa in np.geomspace(0.01, 10.0, 25):
+        res = conversion(g, w, start, KappaSpec.constant(float(kappa)))
+        assert form(float(kappa)) == pytest.approx(res.alpha, abs=1e-9)
