@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 1 input or validation problem, 2 numerical
 failure.  All numeric output uses 12 significant digits; randomness
-enters only through --seed.  GRAPHREACT_THREADS caps the Monte Carlo
-worker threads; ``main`` builds its parser once per process, so it reads
-GRAPHREACT_THREADS once, at its first call.
+enters only through --seed.  ``main`` builds its parser once per process.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -154,12 +151,11 @@ def cmd_mc(args) -> int:
         trajectories=args.n,
         seed=args.seed,
         step_cap=args.cap,
-        threads=args.threads,
     )
     est = mc_mod.simulate(g, w, KappaSpec.constant(kappa), start, cfg)
     sys.stdout.write(mc_mod.estimate_csv(kappa, est, cfg))
     if est.biased:
-        print(f"warning: {est.capped} trajectories hit the step cap; "
+        print(f"warning: {est.capped} trajectories hit the transition cap; "
               "the estimate is biased", file=sys.stderr)
     return 0
 
@@ -186,9 +182,7 @@ def cmd_compare(args) -> int:
     ks = KappaSpec.constant(kappa)
     res = conversion(g, w, start, ks)
     psi_fk = evaluate_at(solve_survival(g, w, ks), start)
-    cfg = mc_mod.SimConfig(
-        step=args.delta, trajectories=args.n, seed=args.seed, threads=args.threads
-    )
+    cfg = mc_mod.SimConfig(step=args.delta, trajectories=args.n, seed=args.seed)
     est = mc_mod.simulate(g, w, ks, start, cfg)
     ok = abs(est.mean - res.psi) <= 4.0 * est.standard_error
     print("method,alpha,psi,se,status")
@@ -207,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="reaction probabilities on metric graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads_default = int(os.environ.get("GRAPHREACT_THREADS", "1"))
 
     p = sub.add_parser("validate", help="check a graph document")
     p.add_argument("path")
@@ -245,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, default=5_000_000)
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--cap", type=int, default=5_000_000,
+                   help="most vertex transitions per trajectory (default 5000000)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("diffuse", help="diffuse-zone collapse table, CSV")
@@ -264,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--n", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=threads_default)
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -233,9 +233,7 @@ def placement_leading_coeff(g: MetricGraph, w: EdgeWeights) -> float:
         raise PreconditionError("placement coefficient is defined for chains only")
     if len(g.exit_vertices) != 1:
         raise PreconditionError("chain must have exactly one exit")
-    active = g.active_vertices
-    if not active:
+    if not g.active_vertices:
         raise PreconditionError("chain has no active vertices")
-    den = algebra.det_poly(green_matrix(g, w).entries)
-    c = len(active)
-    return den.coeffs[c] if len(den.coeffs) > c else 0.0
+    # the top coefficient of det(I + tG) is det(G)
+    return algebra.det(green_matrix(g, w).entries)

@@ -1,30 +1,48 @@
-"""Monte Carlo survival estimates on the embedded grid chain.
+"""Monte Carlo survival estimates from the grid walk's vertex-visit chain.
 
 The graph Brownian motion observed on a spatial grid is a simple chain:
 interior grid points step to either neighbor with probability 1/2, and
-a vertex moves to the first grid point of edge e with probability
-proportional to p_v(e)/step_e.  One visit to a vertex accrues an
-exponentially distributed amount of local time there with mean
+a vertex v moves to the first grid point of edge e with probability
+q_e = m_v p_v(e)/step_e, where
 
-    m_v = 1 / sum over edges of p_v(e)/step_e,
+    m_v = 1 / sum over edges of p_v(e)/step_e
 
-independent of the exit direction, so killing at rate kappa per unit
-local time contributes an exact factor 1/(1 + kappa*m_v) per visit.
-Each trajectory therefore carries the product of those factors over its
-visits to active vertices, and the sample mean of the product is an
-unbiased estimate of the survival probability at any grid node; no
-Bernoulli killing and no step-size extrapolation are involved.
+is the mean local time that one visit to v accrues.  That local time is
+exponential and independent of the exit direction, so killing at rate
+kappa per unit local time contributes an exact factor
+f_v = 1/(1 + kappa*m_v) per visit.  Each trajectory carries the product
+of those factors over its visits to active vertices, and the sample mean
+of the product is an unbiased estimate of the survival probability at
+any grid node; no Bernoulli killing and no step-size extrapolation are
+involved.
 
-Randomness: per-trajectory SplitMix64 streams.  Trajectory i at step t
-draws mix64(key_i + (t+1)*GAMMA) with key_i derived from the master
-seed and i, so results are bit-identical for a given (seed, N, step)
-no matter how trajectories are blocked or scheduled.
+Only vertex visits change the product, so the walk is sampled at its
+vertices alone.  Started at node 1 of an edge with n_e substeps, the
+simple walk reaches the far end before coming back with probability
+1/n_e (gambler's ruin).  From v, an excursion therefore leaves by edge e
+with probability q_e/n_e and otherwise returns to v.  The number R of
+returns before the walk leaves is geometric, and the edge it leaves by
+has probability proportional to p_v(e)/l_e, independent of R and of the
+step.  A vertex transition takes two draws: R, which gives the factor
+f_v**R, and the edge, whose far vertex u gives f_u on arrival.  A start
+at interior node j of an edge reaches the edge's second endpoint first
+with probability j/n_e.  The products have exactly the law of the
+step-by-step walk, and no interior step is simulated.
+
+Randomness: per-trajectory SplitMix64 streams.  Draw k of trajectory i
+is mix64(key_i + (k+1)*GAMMA), with key_i derived from the master seed
+and i.  Vertex transition t takes draws 2t (returns) and 2t+1 (edge); the
+first move from an interior start takes draw 0 alone.  Results are
+bit-identical for a given (seed, N, step), however the trajectories are
+blocked.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +53,9 @@ from .kac import KappaSpec
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_BLOCK = 1 << 17
+_BLOCK = 1 << 17  # trajectories per block, which bounds memory
+_CHUNK = 1 << 12  # edge draws made at once, shared by the walkers still out
+_COMPACT = 4  # drop the absorbed walkers once they are a quarter
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -53,28 +73,42 @@ def _stream_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     return _mix64(base ^ _mix64((idx + np.uint64(1)) * _GAMMA))
 
 
+def _draws(keys: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """Draws ks of every stream, one row per k: mix64(key + (k+1)*GAMMA)."""
+    counters = (np.asarray(ks, dtype=np.uint64) + np.uint64(1)) * _GAMMA
+    return _mix64(keys[None, :] + counters[:, None])
+
+
+def _uniform(bits: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits of each word."""
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters: target grid step, trajectory count, seed."""
+    """Simulation parameters: target grid step, trajectory count, seed.
+
+    ``step_cap`` caps the vertex transitions of one trajectory.
+    """
 
     step: float
     trajectories: int
     seed: int
     step_cap: int = 5_000_000
-    threads: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise PreconditionError(f"step must be positive, got {self.step!r}")
         if self.trajectories < 1:
             raise PreconditionError("need at least one trajectory")
-        if self.step_cap < 1 or self.threads < 1:
-            raise PreconditionError("step_cap and threads must be >= 1")
+        if self.step_cap < 1:
+            raise PreconditionError("step_cap must be >= 1")
 
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Mean and standard error of the survival product, plus step stats."""
+    """Mean and standard error of the survival product, plus the vertex
+    transitions per trajectory."""
 
     mean: float
     standard_error: float
@@ -85,33 +119,34 @@ class SimEstimate:
 
     @property
     def biased(self) -> bool:
-        """True when some trajectories hit the step cap before absorbing."""
+        """True when some trajectories hit the transition cap before absorbing."""
         return self.capped > 0
 
 
 @dataclass(frozen=True, eq=False)
 class GridChain:
-    """Embedded chain of the graph diffusion on a spatial grid.
+    """Vertex-visit chain of the graph diffusion on a spatial grid.
 
-    Vertex nodes come first (in graph vertex order), then the interior
-    nodes of each edge, source to target.  ``excursion_mean[i]`` is the
-    mean local time per visit, used only at active vertex nodes.
+    Grid nodes are numbered vertices first (in graph vertex order), then
+    the interior nodes of each edge, source to target; only the vertices
+    carry tables, one row each with a column per half-edge.  ``cum`` is
+    the cumulative leave distribution and ``nbr`` the far vertices;
+    ``stay[v]`` is the probability that an excursion from v returns to v,
+    and ``excursion_mean[v]`` the mean local time per visit.
     """
 
     graph: MetricGraph
     step: float
     substeps: tuple[int, ...]
     deltas: tuple[float, ...]
-    nbr: np.ndarray
     cum: np.ndarray
+    nbr: np.ndarray
+    stay: np.ndarray
     absorbing: np.ndarray
     excursion_mean: np.ndarray
     vertex_node: dict[str, int]
     edge_base: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return self.nbr.shape[0]
+    size: int
 
     def node_index(self, x: PointOnGraph | str, tol: float = 1e-9) -> int:
         """Grid node at a point; errors if the point is off-grid."""
@@ -142,105 +177,63 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     """Subdivide every edge into equal steps close to the target step.
 
     Edge e gets n_e = max(1, round(l_e/step)) substeps of size l_e/n_e.
-    Exit vertices absorb; all other nodes get their one-step transition
-    distribution.
+    Exit vertices absorb; every other vertex gets its leave tables and
+    its return probability.
     """
     require_valid(g)
-    min_len = min(e.length for e in g.edges)
-    if not (0 < step <= min_len):
+    lengths = [e.length for e in g.edges]
+    if not (0 < step <= min(lengths)):
         raise PreconditionError(
-            f"step {step!r} must be in (0, min edge length {min_len}]"
+            f"step {step!r} must be in (0, min edge length {min(lengths)}]"
         )
 
-    substeps = tuple(max(1, int(math.floor(e.length / step + 0.5))) for e in g.edges)
-    deltas = tuple(e.length / n for e, n in zip(g.edges, substeps))
-
+    substeps = tuple(max(1, int(math.floor(length / step + 0.5))) for length in lengths)
     vertex_node = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    pos = len(vertex_node)
-    edge_base = []
-    for n in substeps:
-        edge_base.append(pos)
-        pos += n - 1
-    size = pos
+    nv = len(vertex_node)
 
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(size)]
+    # the half-edges out of the non-exit vertices, vertex by vertex
     exits = set(g.exit_vertices)
+    hs = [h for vid in g.vertex_ids if vid not in exits for h in g.out_edges[vid]]
+    row = np.fromiter((vertex_node[h.source] for h in hs), np.intp, len(hs))
+    far = np.fromiter((vertex_node[h.target] for h in hs), np.intp, len(hs))
+    edge = np.fromiter((h.edge for h in hs), np.intp, len(hs))
+    # p_v(e)/l_e: the rate p_v(e)/step_e into edge e times the chance 1/n_e
+    # of crossing it
+    leave = np.fromiter((w.at(h.source, h.edge) for h in hs), float, len(hs))
+    leave /= np.array(lengths)[edge]
+    n = np.array(substeps)[edge]
+    degree = np.bincount(row, minlength=nv)
+    rate = np.bincount(row, leave * n, nv)
+    inv_rate = np.divide(1.0, rate, out=np.zeros(nv), where=degree > 0)
 
-    def first_node_along(k: int, from_source: bool) -> int:
-        u, v = g.edges[k].endpoints
-        if substeps[k] == 1:
-            return vertex_node[v if from_source else u]
-        return edge_base[k] + (0 if from_source else substeps[k] - 2)
-
-    for k in range(len(g.edges)):
-        u, v = g.edges[k].endpoints
-        chain = (
-            [vertex_node[u]]
-            + [edge_base[k] + i for i in range(substeps[k] - 1)]
-            + [vertex_node[v]]
-        )
-        for i in range(1, len(chain) - 1):
-            neighbors[chain[i]].append((chain[i - 1], 0.5))
-            neighbors[chain[i]].append((chain[i + 1], 0.5))
-
-    excursion_mean = np.zeros(size)
-    for vid, i in vertex_node.items():
-        if vid in exits:
-            continue
-        rates = []
-        for he in g.out_edges[vid]:
-            rate = w.at(vid, he.edge) / deltas[he.edge]
-            from_source = he.source == g.edges[he.edge].endpoints[0]
-            rates.append((first_node_along(he.edge, from_source), rate))
-        total = sum(r for _, r in rates)
-        excursion_mean[i] = 1.0 / total
-        for node, r in rates:
-            neighbors[i].append((node, r / total))
-    for k, d in enumerate(deltas):
-        # interior excursion mean equals the local step; only vertices
-        # can be active so this is informational
-        for i in range(substeps[k] - 1):
-            excursion_mean[edge_base[k] + i] = d
-
-    maxdeg = max(max((len(nb) for nb in neighbors), default=1), 1)
-    nbr = np.zeros((size, maxdeg), dtype=np.int64)
-    cum = np.ones((size, maxdeg))
-    absorbing = np.zeros(size, dtype=bool)
-    for i, nb in enumerate(neighbors):
-        if not nb:
-            absorbing[i] = True
-            nbr[i, :] = i
-            continue
-        acc = 0.0
-        for col, (node, prob) in enumerate(nb):
-            acc += prob
-            nbr[i, col] = node
-            cum[i, col] = acc
-        cum[i, len(nb) - 1] = 1.0  # exact top so u < 1 cannot fall off the row
-        nbr[i, len(nb):] = nb[-1][0]
+    width = int(degree.max())
+    col = np.arange(len(hs)) - (np.cumsum(degree) - degree)[row]
+    p = np.zeros((nv, width))
+    p[row, col] = leave / np.bincount(row, leave, nv)[row]
+    nbr = np.zeros((nv, width), dtype=np.intp)
+    nbr[row, col] = far
 
     return GridChain(
         graph=g,
         step=step,
         substeps=substeps,
-        deltas=deltas,
+        deltas=tuple(length / n for length, n in zip(lengths, substeps)),
+        # exact top from the last half-edge on, so that u < 1 stays in the row
+        cum=np.where(np.arange(width) >= degree[:, None] - 1, 1.0, p.cumsum(axis=1)),
         nbr=nbr,
-        cum=cum,
-        absorbing=absorbing,
-        excursion_mean=excursion_mean,
+        stay=np.bincount(row, leave * (n - 1), nv) * inv_rate,
+        absorbing=degree == 0,
+        excursion_mean=inv_rate,
         vertex_node=vertex_node,
-        edge_base=tuple(edge_base),
+        edge_base=tuple(itertools.accumulate((n - 1 for n in substeps[:-1]), initial=nv)),
+        size=nv + sum(substeps) - len(substeps),
     )
 
 
 def _visit_factors(grid: GridChain, ks: KappaSpec) -> np.ndarray:
-    g = grid.graph
-    factor = np.ones(grid.size)
-    active = g.active_vertices
-    if not active:
-        return factor
-    values = ks.values(active)
-    for vid, kappa in zip(active, values):
+    factor = np.ones(len(grid.vertex_node))
+    active = grid.graph.active_vertices
+    for vid, kappa in zip(active, ks.values(active) if active else ()):
         i = grid.vertex_node[vid]
         factor[i] = 0.0 if math.isinf(kappa) else 1.0 / (1.0 + kappa * grid.excursion_mean[i])
     return factor
@@ -257,99 +250,104 @@ def _simulate_block(
     weights_out: np.ndarray,
     steps_out: np.ndarray,
 ) -> int:
-    n = hi - lo
+    nv = len(factor)
     keys = _stream_keys(seed, lo, hi)
-    if grid.absorbing[start] or factor[start] == 0.0:
-        weights_out[lo:hi] = factor[start]
-        steps_out[lo:hi] = 0
-        return 0
-
-    state = np.full(n, start, dtype=np.int64)
-    weight = np.full(n, factor[start])
-    local = np.arange(n)
-    capped = 0
+    local = np.arange(hi - lo)
     t = 0
-    gamma = int(_GAMMA)
-    scale = 2.0**-64
-    plain_factors = bool(np.all(factor == 1.0))
-    zero_factors = bool(np.any(factor == 0.0))
-    while local.size:
-        if t >= cap:
-            weights_out[lo + local] = weight
-            steps_out[lo + local] = t
-            capped = local.size
+    if start >= nv:
+        # interior node j of edge k: the second endpoint first w.p. j/n_k
+        k = bisect.bisect_right(grid.edge_base, start) - 1
+        j = start - grid.edge_base[k] + 1
+        a, b = (grid.vertex_node[v] for v in grid.graph.edges[k].endpoints)
+        state = np.where(_uniform(_draws(keys, [0])[0]) * grid.substeps[k] < j, b, a)
+        t = 1
+    else:
+        state = np.full(hi - lo, start)
+
+    # the tables get one more vertex, the sink, where absorbed walkers
+    # wait until the next compaction
+    width = grid.nbr.shape[1]
+    sink = nv
+    fac = np.append(factor, 1.0)
+    stop = np.append(grid.absorbing | (factor == 0.0), False)
+    active = np.append(factor < 1.0, False)
+    killing = bool(active.any())
+    with np.errstate(divide="ignore"):
+        inv_log_stay = np.append(1.0 / np.log(grid.stay), 0.0)  # -0.0 where stay is 0
+    cum = [np.append(c, 1.0) for c in grid.cum.T[:-1]]
+    nbr = np.append(grid.nbr.ravel(), np.full(width, sink))
+
+    def retire(state, weight, local) -> int:
+        """Record and park the walkers that reached an absorbing vertex."""
+        hit = stop[state]
+        if not hit.any():
+            return 0
+        fin = hit.nonzero()[0]
+        weights_out[lo + local[fin]] = weight[fin] * fac[state[fin]]
+        steps_out[lo + local[fin]] = t
+        state[fin] = sink
+        return fin.size
+
+    weight = np.ones(hi - lo)
+    parked = retire(state, weight, local)
+    draws = np.empty((0, hi - lo))
+    while True:
+        if parked and (_COMPACT * parked >= state.size or t >= cap):
+            kept = state != sink
+            local, state, weight, keys = local[kept], state[kept], weight[kept], keys[kept]
+            draws, parked = draws[:, kept], 0
+        if not local.size or t >= cap:
             break
-        counter = np.uint64(((t + 1) * gamma) & _MASK64)
-        u = _mix64(keys + counter).astype(np.float64)
-        u *= scale
-        col = (u[:, None] >= grid.cum[state]).sum(axis=1)
-        nxt = grid.nbr[state, col]
-        if not plain_factors:
-            weight *= factor[nxt]
-        state = nxt
+        if not len(draws):
+            # the edge draws k = 2t+1 of the next transitions, a row each
+            span = min(max(1, _CHUNK // local.size), cap - t)
+            draws = _uniform(_draws(keys, range(2 * t + 1, 2 * (t + span), 2)))
+        if killing:
+            # leaving an active vertex: its visit and R returns, with
+            # R = floor(log(1-u)/log(stay)) from draw k = 2t
+            i = active[state].nonzero()[0]
+            if i.size:
+                at = state[i]
+                log_u = np.log(1.0 - _uniform(_draws(keys[i], [2 * t])[0]))
+                weight[i] *= fac[at] ** (np.floor(log_u * inv_log_stay[at]) + 1.0)
+        u, draws = draws[0], draws[1:]
+        idx = state * width
+        for column in cum:
+            idx += u >= column[state]
+        state = nbr[idx]
         t += 1
-        done = grid.absorbing[nxt]
-        if zero_factors:
-            done = done | (weight == 0.0)
-        if done.any():
-            fin = local[done]
-            weights_out[lo + fin] = weight[done]
-            steps_out[lo + fin] = t
-            keep = ~done
-            local = local[keep]
-            state = state[keep]
-            weight = weight[keep]
-            keys = keys[keep]
-    return capped
+        parked += retire(state, weight, local)
+    # a capped walker's running product counts the visit it is on
+    weights_out[lo + local] = weight * fac[state]
+    steps_out[lo + local] = t
+    return local.size
 
 
 def estimate_survival(
     grid: GridChain, ks: KappaSpec, x: PointOnGraph | str, cfg: SimConfig
 ) -> SimEstimate:
-    """Run cfg.trajectories embedded-chain walks from x and average the
-    per-visit survival products.
+    """Run cfg.trajectories walks from x and average the per-visit
+    survival products.
 
     Deterministic for a given (seed, trajectories, grid): trajectory i
     always consumes its own SplitMix64 stream, and the reduction is a
-    single pairwise sum over the per-trajectory results in index order,
-    so the thread count cannot change any bit of the estimate.
-    Trajectories hitting the step cap contribute their running product
-    and are counted in ``capped``.
+    single pairwise sum over the per-trajectory results in index order.
+    Trajectories hitting the transition cap contribute their running
+    product and are counted in ``capped``.
     """
     start = grid.node_index(x)
     factor = _visit_factors(grid, ks)
     n = cfg.trajectories
     weights = np.empty(n)
     steps = np.zeros(n, dtype=np.int64)
-
-    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-    if cfg.threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            capped = sum(
-                pool.map(
-                    lambda span: _simulate_block(
-                        grid, factor, start, cfg.seed, span[0], span[1],
-                        cfg.step_cap, weights, steps,
-                    ),
-                    blocks,
-                )
-            )
-    else:
-        capped = sum(
-            _simulate_block(
-                grid, factor, start, cfg.seed, lo, hi, cfg.step_cap, weights, steps
-            )
-            for lo, hi in blocks
-        )
-
-    mean = float(np.mean(weights))
-    if n > 1:
-        se = float(np.std(weights, ddof=1) / math.sqrt(n))
-    else:
-        se = 0.0
+    capped = sum(
+        _simulate_block(grid, factor, start, cfg.seed, lo, min(lo + _BLOCK, n),
+                        cfg.step_cap, weights, steps)
+        for lo in range(0, n, _BLOCK)
+    )
     return SimEstimate(
-        mean=mean,
-        standard_error=se,
+        mean=float(np.mean(weights)),
+        standard_error=float(np.std(weights, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
         trajectories=n,
         capped=capped,
         steps_mean=float(np.mean(steps)),

@@ -281,19 +281,6 @@ def test_cli_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_thread_env_var_sets_default(monkeypatch):
-    from graphreact.cli import build_parser
-
-    monkeypatch.setenv("GRAPHREACT_THREADS", "4")
-    args = build_parser().parse_args(
-        ["mc", "g.json", "--kappa", "1", "--delta", "0.1", "--n", "10", "--seed", "1"]
-    )
-    assert args.threads == 4
-    monkeypatch.delenv("GRAPHREACT_THREADS")
-    args = build_parser().parse_args(["compare", "g.json", "--kappa", "1"])
-    assert args.threads == 1
-
-
 def test_round_trip_preserves_weights_and_dimension():
     doc = path_site_doc()
     doc["dimension"] = 2

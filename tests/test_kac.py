@@ -343,3 +343,11 @@ def test_rational_form_matches_conversion_with_complex_spectrum():
     for kappa in np.geomspace(0.01, 10.0, 25):
         res = conversion(g, w, start, KappaSpec.constant(float(kappa)))
         assert form(float(kappa)) == pytest.approx(res.alpha, abs=1e-9)
+
+
+def test_placement_leading_coeff_twenty_site_chain():
+    # det(G) = 2^20 on a uniform 20-site chain; the Vandermonde fit of
+    # det(I + tG) read 1047163.56 here
+    g, _, _ = chain_graph((1.0,) * 21)
+    got = placement_leading_coeff(g, derive_weights(g))
+    assert got == pytest.approx(2.0**20, rel=1e-9)

@@ -95,8 +95,8 @@ def test_bit_identical_reruns_and_thread_invariance():
     g, start = star_graph(3, exit_len=1.0, leaf_lengths=(1.0, 1.0))
     w = derive_weights(g)
     runs = []
-    for threads in (1, 1, 3):
-        cfg = SimConfig(step=0.25, trajectories=20_000, seed=123, threads=threads)
+    for _ in range(3):
+        cfg = SimConfig(step=0.25, trajectories=20_000, seed=123)
         runs.append(simulate(g, w, KappaSpec.constant(2.0), start, cfg))
     assert runs[0].mean == runs[1].mean == runs[2].mean
     assert runs[0].standard_error == runs[1].standard_error == runs[2].standard_error
@@ -175,3 +175,69 @@ def test_per_site_kappa_supported():
     exact = solve_survival(g, w, ks)[start]
     est = simulate(g, w, ks, start, SimConfig(0.25, 30_000, 6))
     assert abs(est.mean - exact) <= 4.0 * est.standard_error
+
+
+def test_uniform_stays_below_one():
+    from graphreact.mc import _uniform
+
+    u = _uniform(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert u[0] == 0.0
+    assert u[1] < 1.0
+    assert 1.0 - u[1] > 0.0
+
+
+def test_vertex_transitions_do_not_grow_with_refinement():
+    # returns to a vertex are one draw, so the transition count per
+    # trajectory does not depend on the step
+    g, start = path_graph()
+    w = derive_weights(g)
+    for step in (0.25, 0.02):
+        est = simulate(g, w, KappaSpec.constant(1.0), start, SimConfig(step, 20_000, 17))
+        assert est.steps_mean < 20
+        assert est.capped == 0
+        assert abs(est.mean - 1.0 / 3.0) <= 4.0 * est.standard_error
+
+
+def test_parallel_edges_with_different_substeps():
+    # an active vertex joined to the next by edges of 1 and 4 substeps
+    from graphreact import solve_survival
+
+    g = MetricGraph(
+        (Vertex("v0"), Vertex("c", "active"), Vertex("b", "active"), Vertex("a", "exit")),
+        (
+            Edge(("v0", "c"), 1.0),
+            Edge(("c", "b"), 0.25),
+            Edge(("c", "b"), 1.0),
+            Edge(("b", "a"), 1.0),
+        ),
+    )
+    w = derive_weights(g)
+    grid = build_grid(g, w, 0.25)
+    assert grid.substeps == (4, 1, 4, 4)
+    ks = KappaSpec.per_vertex({"c": 1.5, "b": 0.7})
+    exact = solve_survival(g, w, ks)["v0"]
+    est = estimate_survival(grid, ks, "v0", SimConfig(0.25, 40_000, 31))
+    assert abs(est.mean - exact) <= 4.0 * est.standard_error
+
+
+def test_off_center_interior_start():
+    # node 1 of 4 on the edge c-a: the exit end is reached first w.p. 1/4
+    from graphreact import solve_survival, split_at
+
+    g, _ = path_graph()
+    x = PointOnGraph.on_edge(1, 0.25)
+    g2, mid = split_at(g, x)
+    exact = solve_survival(g2, derive_weights(g2), KappaSpec.constant(2.0))[mid]
+    est = simulate(g, derive_weights(g), KappaSpec.constant(2.0), x, SimConfig(0.25, 40_000, 8))
+    assert abs(est.mean - exact) <= 4.0 * est.standard_error
+
+
+def test_capped_product_counts_the_current_visit():
+    # one transition takes every walker from v0 to the site c, where one
+    # visit has mean local time 1/(2*0.5/0.25) = 0.25
+    g, start = path_graph()
+    cfg = SimConfig(step=0.25, trajectories=100, seed=4, step_cap=1)
+    est = simulate(g, derive_weights(g), KappaSpec.constant(1.0), start, cfg)
+    assert est.capped == 100
+    assert est.steps_max == 1
+    assert est.mean == pytest.approx(1.0 / 1.25, rel=1e-12)
