@@ -18,9 +18,9 @@ from . import diffuse as diffuse_mod
 from . import mc as mc_mod
 from .document import load_document, parse_document, prepare
 from .errors import DocumentError, GraphReactError, PreconditionError, SingularSystemError
-from .feynman_kac import evaluate_at, solve_survival
-from .kac import KappaSpec, conversion, rational_form
-from .harmonic import green_matrix, hitting_split
+from .feynman_kac import evaluate_at, solve_survival, survival_field
+from .kac import KappaSpec, conversion, conversion_from_split, rational_form
+from .harmonic import flux_coefficients, green_and_split, green_matrix, hitting_split
 
 
 def _fmt(x: float) -> str:
@@ -95,20 +95,23 @@ def cmd_sweep(args) -> int:
         raise DocumentError("steps must be >= 2")
     if not (math.isfinite(args.kappa_min) and math.isfinite(args.kappa_max)):
         raise DocumentError("kappa-min and kappa-max must be finite")
-    if not (args.kappa_min < args.kappa_max):
-        raise DocumentError("kappa-min must be < kappa-max")
+    if not (0 <= args.kappa_min < args.kappa_max):
+        raise DocumentError("need 0 <= kappa-min < kappa-max")
     if args.spacing == "geometric":
         if args.kappa_min <= 0:
             raise DocumentError("geometric spacing needs kappa-min > 0")
         grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
     else:
         grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
+    # the kappa-free work once: the Green solve, the split, the flux coefficients
+    gm, hs = green_and_split(g, w, start)
+    coeff = flux_coefficients(g, w)
     lines = ["kappa,alpha,psi,method"]
     for kappa in grid:
         ks = KappaSpec.constant(float(kappa))
-        res = conversion(g, w, start, ks)
+        res = conversion_from_split(gm, hs, ks)
         lines.append(f"{kappa:.12g},{_fmt(res.alpha)},{_fmt(res.psi)},kac")
-        psi = evaluate_at(solve_survival(g, w, ks), start)
+        psi = evaluate_at(survival_field(g, coeff, ks), start)
         lines.append(f"{kappa:.12g},{_fmt(1.0 - psi)},{_fmt(psi)},fk")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -185,7 +185,7 @@ def solve_diffuse(
             seg_base[(k, s)] = pos
             pos += 2
     size = nv + 2 * n_seg
-    a = np.zeros((size, size))
+    entries: list[tuple[int, int, float]] = []  # (row, column, value); repeats add up
     b = np.zeros(size)
     mu = zone.mu
 
@@ -200,28 +200,26 @@ def solve_diffuse(
         u, v = g.edges[k].endpoints
         r = next(rows)
         av, _bv = seg_cols(k, 0)
-        a[r, av] = 1.0
-        a[r, idx[u]] = -1.0
+        entries += [(r, av, 1.0), (r, idx[u], -1.0)]
         for s in range(len(segs) - 1):
             av, bv = seg_cols(k, s)
             an, bn = seg_cols(k, s + 1)
             cva, cvb = _end_value_coeffs(segs[s], mu)
             csa, csb = _end_slope_coeffs(segs[s], mu)
             r = next(rows)
-            a[r, av], a[r, bv], a[r, an] = cva, cvb, -1.0
+            entries += [(r, av, cva), (r, bv, cvb), (r, an, -1.0)]
             r = next(rows)
-            a[r, av], a[r, bv], a[r, bn] = csa, csb, -1.0
+            entries += [(r, av, csa), (r, bv, csb), (r, bn, -1.0)]
         av, bv = seg_cols(k, len(segs) - 1)
         cva, cvb = _end_value_coeffs(segs[-1], mu)
         r = next(rows)
-        a[r, av], a[r, bv] = cva, cvb
-        a[r, idx[v]] = -1.0
+        entries += [(r, av, cva), (r, bv, cvb), (r, idx[v], -1.0)]
 
     # vertices: Dirichlet at exits, conservative flux elsewhere
     for vid in g.vertex_ids:
         r = next(rows)
         if vid in exits:
-            a[r, idx[vid]] = 1.0
+            entries.append((r, idx[vid], 1.0))
             b[r] = 1.0
             continue
         for he in g.out_edges[vid]:
@@ -229,13 +227,14 @@ def solve_diffuse(
             segs = layout[he.edge]
             if g.edges[he.edge].endpoints[0] == vid:
                 _, bv = seg_cols(he.edge, 0)
-                a[r, bv] += p
+                entries.append((r, bv, p))
             else:
                 av, bv = seg_cols(he.edge, len(segs) - 1)
                 csa, csb = _end_slope_coeffs(segs[-1], mu)
-                a[r, av] -= p * csa
-                a[r, bv] -= p * csb
+                entries += [(r, av, -p * csa), (r, bv, -p * csb)]
 
+    i, j, val = zip(*entries)
+    a = algebra.Triplets(np.array(i), np.array(j), np.array(val, dtype=float), size)
     sol = algebra.solve_many(a, b)
     vertex_values = {vid: float(sol[idx[vid]]) for vid in g.vertex_ids}
     segments = {

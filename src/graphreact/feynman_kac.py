@@ -14,7 +14,6 @@ against each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import algebra
 from .errors import PreconditionError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
-from .harmonic import _flux_laplacian
+from .harmonic import flux_coefficients, flux_system, vertex_mask
 from .kac import KappaSpec
 
 
@@ -48,21 +47,19 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
     equation with the killing term on the diagonal.
     """
     require_valid(g)
+    return survival_field(g, flux_coefficients(g, w), ks)
+
+
+def survival_field(g: MetricGraph, coeff: np.ndarray, ks: KappaSpec) -> SurvivalField:
+    """solve_survival on a valid graph from its flux coefficients, which a
+    kappa sweep computes once."""
     active = g.active_vertices
-    kappa = dict(zip(active, ks.values(active)))
-    fixed = {vid: 1.0 for vid in g.exit_vertices}
-    fixed.update({c: 0.0 for c, kv in kappa.items() if math.isinf(kv)})
-
-    a, idx = _flux_laplacian(g, w, fixed)
-    b = np.zeros(len(idx))
-    for vid, value in fixed.items():
-        b[idx[vid]] = value
-    for c, kv in kappa.items():
-        if c not in fixed:
-            a[idx[c], idx[c]] -= kv
-
-    sol = algebra.solve_many(a, b)
-    return SurvivalField(g, {vid: float(sol[i]) for vid, i in idx.items()})
+    kappa = np.zeros(len(g.vertex_ids))
+    kappa[[g.vertex_index[c] for c in active]] = ks.values(active)
+    exits = vertex_mask(g, g.exit_vertices)
+    sol = algebra.solve_many(flux_system(g, coeff, exits | np.isinf(kappa), kappa),
+                             exits.astype(float))
+    return SurvivalField(g, dict(zip(g.vertex_ids, sol.tolist())))
 
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import PreconditionError
 
@@ -55,6 +57,27 @@ class HalfEdge:
 
     def reverse(self) -> HalfEdge:
         return HalfEdge(self.edge, self.target, self.source)
+
+
+@dataclass(frozen=True, eq=False)
+class HalfEdgeTable:
+    """Every half-edge of a graph as array rows, grouped by source vertex
+    in vertex order (the order of ``MetricGraph.half_edges``).
+
+    ``source`` and ``target`` are vertex rows (positions in
+    ``vertex_ids``), ``edge`` the edge index and ``length`` its length;
+    ``keys`` are the (source id, edge index) pairs that key EdgeWeights.
+    ``rows`` and ``cols`` are the entries of a vertex system: (source,
+    target) for every half-edge, then (v, v) for every vertex row.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    edge: np.ndarray
+    length: np.ndarray
+    keys: tuple[tuple[str, int], ...]
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,6 +150,30 @@ class MetricGraph:
         return {v: tuple(h) for v, h in out.items()}
 
     @cached_property
+    def vertex_index(self) -> dict[str, int]:
+        """Vertex id to row: its position in ``vertex_ids``."""
+        return {vid: i for i, vid in enumerate(self.vertex_ids)}
+
+    @cached_property
+    def half_edge_table(self) -> HalfEdgeTable:
+        """The half-edges as arrays; needs a valid graph."""
+        hs = tuple(self.half_edges())
+        index = self.vertex_index
+        source, target, edge = np.array(
+            [(index[h.source], index[h.target], h.edge) for h in hs], dtype=np.intp
+        ).reshape(-1, 3).T
+        every = np.arange(len(index))
+        return HalfEdgeTable(
+            source=source,
+            target=target,
+            edge=edge,
+            length=np.array([e.length for e in self.edges], dtype=float)[edge],
+            keys=tuple((h.source, h.edge) for h in hs),
+            rows=np.concatenate((source, every)),
+            cols=np.concatenate((target, every)),
+        )
+
+    @cached_property
     def violations(self) -> tuple[str, ...]:
         """``validate(self)``, computed once: the graph never changes."""
         return tuple(validate(self))
@@ -141,11 +188,11 @@ class MetricGraph:
     def vertices_with_role(self, role: str) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices if v.role == role)
 
-    @property
+    @cached_property
     def active_vertices(self) -> tuple[str, ...]:
         return self.vertices_with_role("active")
 
-    @property
+    @cached_property
     def exit_vertices(self) -> tuple[str, ...]:
         return self.vertices_with_role("exit")
 
@@ -167,6 +214,14 @@ class EdgeWeights:
             raise PreconditionError(
                 f"no weight for vertex {vertex_id!r} on edge {edge_index}"
             ) from None
+
+    def along(self, keys: Sequence[tuple[str, int]]) -> np.ndarray:
+        """The weights at (vertex id, edge index) pairs, as an array."""
+        try:
+            return np.fromiter(map(self.p.__getitem__, keys), float, len(keys))
+        except KeyError as exc:
+            self.at(*exc.args[0])  # raises PreconditionError naming the pair
+            raise
 
 
 def validate(g: MetricGraph) -> list[str]:

@@ -8,7 +8,11 @@ functional at a vertex v is
     rho_v(F) = sum over half-edges e out of v of p_v(e) * (F(t(e)) - F(v)) / l_e,
 
 and one assembly of these functionals serves every vertex system in the
-package: the Green solve here and the survival solve in feynman_kac.
+package: the Green solve here, the survival solve in feynman_kac and the
+leave tables of mc.  It reads the graph's cached half-edge table: the
+coefficients p_v(e)/l_e are one array per weight table, and a system is
+a Triplets list of entries, factored with SuperLU above the size at
+which that beats dense LU (algebra.SPARSE_MIN_ORDER).
 """
 
 from __future__ import annotations
@@ -64,40 +68,48 @@ def vertex_flux(
     return total
 
 
-def _flux_laplacian(
-    g: MetricGraph, w: EdgeWeights, fixed: Collection[str]
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Matrix whose row v is rho_v as a linear form in the vertex values,
-    with an identity row at each vertex of ``fixed`` so that the
-    right-hand side sets its value; also returns the vertex-to-row index."""
-    idx = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    a = np.zeros((len(idx), len(idx)))
-    for vid, i in idx.items():
-        if vid in fixed:
-            a[i, i] = 1.0
-            continue
-        for he in g.out_edges[vid]:
-            coeff = w.at(vid, he.edge) / g.edges[he.edge].length
-            a[i, idx[he.target]] += coeff
-            a[i, i] -= coeff
-    return a, idx
+def flux_coefficients(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
+    """p_v(e)/l_e for every half-edge, in the order of g.half_edge_table."""
+    t = g.half_edge_table
+    return w.along(t.keys) / t.length
 
 
-def _green(g: MetricGraph, w: EdgeWeights) -> tuple[GreenMatrix, np.ndarray, dict[str, int]]:
+def flux_system(
+    g: MetricGraph, coeff: np.ndarray, fixed: np.ndarray, kill: np.ndarray | float = 0.0
+) -> algebra.Triplets:
+    """Matrix whose row v is rho_v - kill[v] as a linear form in the vertex
+    values, with an identity row at each vertex where the boolean mask
+    ``fixed`` is set, so that the right-hand side sets its value.
+    ``coeff`` is flux_coefficients(g, w)."""
+    t = g.half_edge_table
+    n = len(fixed)
+    c = np.where(fixed[t.source], 0.0, coeff)
+    diag = np.where(fixed, 1.0, -np.bincount(t.source, c, n) - kill)
+    return algebra.Triplets(t.rows, t.cols, np.concatenate((c, diag)), n)
+
+
+def vertex_mask(g: MetricGraph, vertices: Collection[str]) -> np.ndarray:
+    """Boolean vector over the vertex rows, set at ``vertices``."""
+    mask = np.zeros(len(g.vertex_ids), dtype=bool)
+    mask[[g.vertex_index[v] for v in vertices]] = True
+    return mask
+
+
+def _green(g: MetricGraph, w: EdgeWeights) -> tuple[GreenMatrix, np.ndarray]:
     """The Green matrix, plus the expected local times at the active
-    vertices (columns) from every vertex (rows) and the row index.
+    vertices (columns) from every vertex (rows, in vertex order).
 
     For each active vertex c, solve the edge-affine problem vanishing on
     all exits with zero flux everywhere except rho_c = -1; by optional
     stopping its value at a vertex is the expected local time at c.
     """
     active = g.active_vertices
-    a, idx = _flux_laplacian(g, w, set(g.exit_vertices))
-    b = np.zeros((len(idx), len(active)))
-    for j, c in enumerate(active):
-        b[idx[c], j] = -1.0
+    rows = [g.vertex_index[c] for c in active]
+    b = np.zeros((len(g.vertex_ids), len(active)))
+    b[rows, np.arange(len(active))] = -1.0
+    a = flux_system(g, flux_coefficients(g, w), vertex_mask(g, g.exit_vertices))
     f = algebra.solve_many(a, b)
-    return GreenMatrix(active, f[[idx[c] for c in active], :]), f, idx
+    return GreenMatrix(active, f[rows, :]), f
 
 
 def green_and_split(
@@ -115,13 +127,13 @@ def green_and_split(
     active = g.active_vertices
     if not active:
         return GreenMatrix((), np.zeros((0, 0))), HittingSplit(0.0, np.zeros(0), ())
-    gm, f, idx = _green(g, w)
+    gm, f = _green(g, w)
     zero = HittingSplit(0.0, np.zeros(len(active)), active)
     if start in active:
         return gm, HittingSplit(1.0, np.eye(len(active))[active.index(start)], active)
     if start in g.exit_vertices:
         return gm, zero
-    h = algebra.solve_many(gm.entries.T, f[idx[start], :])
+    h = algebra.solve_many(gm.entries.T, f[g.vertex_index[start], :])
     alpha_inf = float(h.sum())
     if alpha_inf <= 0.0:
         return gm, zero

@@ -25,7 +25,7 @@ from . import algebra
 from .algebra import Polynomial, RationalForm
 from .errors import PreconditionError, SingularSystemError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
-from .harmonic import GreenMatrix, green_and_split, green_matrix
+from .harmonic import GreenMatrix, HittingSplit, green_and_split, green_matrix
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,17 @@ def _finite_values(gm: GreenMatrix, ks: KappaSpec) -> np.ndarray:
 
 def survival_on_active(gm: GreenMatrix, ks: KappaSpec) -> np.ndarray:
     """Survival probabilities started on the active set: solve
-    (I + G M_kappa) psi = 1."""
+    (I + G M_kappa) psi = 1.
+
+    The columns are scaled by s_j = 1/max(1, kappa_j), so the solve is
+    (S + G diag(min(kappa_j, 1))) y = 1 with psi = S y, and no entry
+    overflows at huge finite kappa.
+    """
     values = _finite_values(gm, ks)
-    n = len(gm.active)
-    a = np.eye(n) + gm.entries * values[None, :]
-    return algebra.solve_many(a, np.ones(n))
+    s = 1.0 / np.maximum(values, 1.0)
+    a = gm.entries * np.minimum(values, 1.0)
+    a.flat[:: len(s) + 1] += s
+    return s * algebra.solve_many(a, np.ones(len(s)))
 
 
 def survival_det(gm: GreenMatrix, ks: KappaSpec, j: int) -> float:
@@ -129,7 +135,12 @@ def conversion(
     the active set.  Uniform infinity is handled symbolically (alpha
     equals the hitting probability alpha_inf).
     """
-    gm, hs = green_and_split(g, w, x)
+    return conversion_from_split(*green_and_split(g, w, x), ks)
+
+
+def conversion_from_split(gm: GreenMatrix, hs: HittingSplit, ks: KappaSpec) -> ConversionResult:
+    """conversion from a Green matrix and first-hit split already solved
+    for, which a kappa sweep does once."""
     sites = hs.active
     if not sites:
         return ConversionResult(0.0, 1.0, 0.0, (), (), ())

@@ -73,13 +73,15 @@ def random_graph(
     max_extra: int = 2,
     max_active: int = 3,
     random_radii: bool = False,
+    min_core: int = 2,
 ) -> tuple[MetricGraph, str]:
-    """Random connected graph with <= 8 vertices, 1-2 exits, 1-3 active.
+    """Random connected graph with <= 8 vertices, 1-2 exits, 1-3 active,
+    by default.
 
     Core vertices form a random tree plus a few extra (possibly
     parallel) edges; exits attach as fresh leaves so their degree is 1.
     """
-    n_core = int(rng.integers(2, max_core + 1))
+    n_core = int(rng.integers(min_core, max_core + 1))
     pairs: list[tuple[str, str]] = []
     for i in range(1, n_core):
         parent = int(rng.integers(0, i))

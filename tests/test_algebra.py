@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from graphreact import algebra
 from graphreact import (
     Polynomial,
     PreconditionError,
@@ -148,3 +149,52 @@ def test_non_finite_residual_raises():
     # a NaN residual must fail the RTOL check, not pass it
     with pytest.raises(SingularSystemError, match="residual"):
         solve_linear(np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2))
+
+
+def _sparse_system(rng, n, extra=3):
+    """Triplets of order n above the sparse crossover: a diagonally
+    dominant band plus a few random entries, repeats included."""
+    rows = np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1),
+                           rng.integers(0, n, extra * n)])
+    cols = np.concatenate([np.arange(n), np.arange(n - 1), np.arange(1, n),
+                           rng.integers(0, n, extra * n)])
+    vals = np.concatenate([np.full(n, 4.0 + extra), -np.ones(2 * n - 2),
+                           rng.uniform(-1.0, 1.0, extra * n)])
+    return algebra.Triplets(rows, cols, vals, n)
+
+
+def test_triplets_dense_adds_repeats():
+    t = algebra.Triplets(np.array([0, 1, 0]), np.array([1, 0, 1]),
+                         np.array([2.0, 3.0, 0.5]), 2)
+    assert np.array_equal(t.dense(), [[0.0, 2.5], [3.0, 0.0]])
+    assert len(t) == 2 and t.shape == (2, 2)
+
+
+def test_sparse_solve_residual_contract():
+    rng = np.random.default_rng(12)
+    n = algebra.SPARSE_MIN_ORDER + 50
+    for _ in range(5):
+        t = _sparse_system(rng, n)
+        b = rng.standard_normal((n, 3))
+        x = algebra.solve_many(t, b)
+        resid = np.max(np.abs(t.dense() @ x - b), axis=0)
+        assert np.all(resid <= 1e-10 * (1.0 + np.max(np.abs(b), axis=0)))
+        assert np.allclose(x, algebra.solve_many(t.dense(), b), rtol=0, atol=1e-12)
+
+
+def test_sparse_singular_raises():
+    n = algebra.SPARSE_MIN_ORDER + 10
+    t = _sparse_system(np.random.default_rng(13), n)
+    keep = t.rows != 5  # row 5 all zero
+    singular = algebra.Triplets(t.rows[keep], t.cols[keep], t.vals[keep], n)
+    with pytest.raises(SingularSystemError, match="singular"):
+        algebra.solve_many(singular, np.ones(n))
+
+
+def test_sparse_non_finite_entries_raise():
+    n = algebra.SPARSE_MIN_ORDER + 10
+    t = _sparse_system(np.random.default_rng(14), n)
+    vals = t.vals.copy()
+    vals[n + 3] = np.nan
+    with pytest.raises(SingularSystemError):
+        algebra.solve_many(algebra.Triplets(t.rows, t.cols, vals, n), np.ones(n))

@@ -132,3 +132,16 @@ def test_per_site_infinite_dirichlet():
     assert f[sites[0]] == 0.0
     # everything behind the absorbing site is dead
     assert f[start] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cross_method_agreement_2000_vertex_tree():
+    # far above the sparse crossover: both routes factor with SuperLU
+    rng = np.random.default_rng(2000)
+    g, start = random_graph(rng, max_core=1998, min_core=1998, max_extra=0,
+                            max_active=6, random_radii=True)
+    w = derive_weights(g)
+    sites = g.active_vertices
+    for ks in (KappaSpec.constant(2.5),
+               KappaSpec.per_vertex({s: float(rng.uniform(0.1, 10.0)) for s in sites})):
+        alpha_kac = conversion(g, w, start, ks).alpha
+        assert abs(alpha_kac - (1.0 - solve_survival(g, w, ks)[start])) <= 1e-9

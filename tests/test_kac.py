@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,3 +352,28 @@ def test_placement_leading_coeff_twenty_site_chain():
     g, _, _ = chain_graph((1.0,) * 21)
     got = placement_leading_coeff(g, derive_weights(g))
     assert got == pytest.approx(2.0**20, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["path_site", "chain_m3", "ygraph"])
+def test_huge_finite_kappa_matches_survival_field(name):
+    # I + G kappa overflowed to inf here, and the solve failed with residual nan
+    from graphreact import load_document, parse_document, prepare
+
+    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+    g, w, start = prepare(parse_document(load_document(str(path))))
+    sites = g.active_vertices
+    for ks in (KappaSpec.constant(1e308),
+               KappaSpec.per_vertex(dict.fromkeys(sites, 1e308)),
+               KappaSpec.per_vertex({s: 1e308 if i % 2 else 0.7 for i, s in enumerate(sites)})):
+        alpha = conversion(g, w, start, ks).alpha
+        assert alpha == pytest.approx(1.0 - solve_survival(g, w, ks)[start], abs=1e-9)
+
+
+def test_conversion_uniform_400_site_chain_matches_recursion():
+    # 402 vertices: the Green solve goes through the sparse factorization
+    gaps = (1.0,) * 401
+    g, start, _ = chain_graph(gaps)
+    w = derive_weights(g)
+    for kappa in (1e-3, 0.02, 0.3):
+        alpha = conversion(g, w, start, KappaSpec.constant(kappa)).alpha
+        assert alpha == pytest.approx(chain_alpha_recursive(gaps, 2.0 * kappa), abs=1e-9)
