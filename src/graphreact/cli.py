@@ -100,7 +100,10 @@ def cmd_sweep(args) -> int:
     if args.spacing == "geometric":
         if args.kappa_min <= 0:
             raise DocumentError("geometric spacing needs kappa-min > 0")
-        grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
+        # near the largest float, 10**log10(kappa_max) can round past it;
+        # geomspace then sets both ends to the exact inputs
+        with np.errstate(over="ignore"):
+            grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
     else:
         grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
     # the kappa-free work once: the Green solve, the split, the flux coefficients

@@ -157,18 +157,21 @@ class MetricGraph:
     @cached_property
     def half_edge_table(self) -> HalfEdgeTable:
         """The half-edges as arrays; needs a valid graph."""
-        hs = tuple(self.half_edges())
         index = self.vertex_index
-        source, target, edge = np.array(
-            [(index[h.source], index[h.target], h.edge) for h in hs], dtype=np.intp
-        ).reshape(-1, 3).T
+        ends = np.fromiter((index[v] for e in self.edges for v in e.endpoints), np.intp,
+                           2 * len(self.edges)).reshape(-1, 2)
+        # edge k gives half-edges 2k (first endpoint out) and 2k+1; a stable
+        # sort by source keeps each vertex's half-edges in edge order
+        order = np.argsort(ends.ravel(), kind="stable")
+        source, target = ends.ravel()[order], ends[:, ::-1].ravel()[order]
+        edge = order // 2
         every = np.arange(len(index))
         return HalfEdgeTable(
             source=source,
             target=target,
             edge=edge,
             length=np.array([e.length for e in self.edges], dtype=float)[edge],
-            keys=tuple((h.source, h.edge) for h in hs),
+            keys=tuple(zip(map(self.vertex_ids.__getitem__, source.tolist()), edge.tolist())),
             rows=np.concatenate((source, every)),
             cols=np.concatenate((target, every)),
         )

@@ -9,10 +9,11 @@ functional at a vertex v is
 
 and one assembly of these functionals serves every vertex system in the
 package: the Green solve here, the survival solve in feynman_kac and the
-leave tables of mc.  It reads the graph's cached half-edge table: the
-coefficients p_v(e)/l_e are one array per weight table, and a system is
-a Triplets list of entries, factored with SuperLU above the size at
-which that beats dense LU (algebra.SPARSE_MIN_ORDER).
+leave tables of mc.  flux_coefficients gives every p_v(e)/l_e as one
+array, in the order of the graph's cached half-edge table, and
+flux_system turns it into a Triplets list of entries, which algebra
+factors with SuperLU above the size at which that beats dense LU
+(algebra.SPARSE_MIN_ORDER).
 """
 
 from __future__ import annotations

@@ -10,11 +10,13 @@ import math
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from graphreact.cli import main
 
-FIXTURES = sorted(str(p) for p in (Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURES = sorted(str(p) for p in FIXTURE_DIR.glob("*.json"))
+FIXTURE = str(FIXTURE_DIR / "chain_m3.json")  # three sites: the kac solve is 3x3
 
 KAPPAS = st.one_of(
     st.sampled_from([0.0, 1e-300, 1e308, math.inf, -1.0, -1.7e308, 1.7e308, math.nan]),
@@ -52,6 +54,15 @@ def _alphas(command: str, out: str) -> list[float]:
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(calls())
+@example(["convert", FIXTURE, "--kappa=0"])
+@example(["convert", FIXTURE, "--kappa=1e-300"])
+@example(["convert", FIXTURE, "--kappa=1e308"])
+@example(["convert", FIXTURE, "--kappa=inf"])
+@example(["sweep", FIXTURE, "--kappa-min=0", "--kappa-max=1e308", "--steps=4"])
+@example(["sweep", FIXTURE, "--kappa-min=1e-300", "--kappa-max=1.7976931348623157e308",
+          "--steps=2", "--spacing", "geometric"])
+@example(["sweep", FIXTURE, "--kappa-min=0", "--kappa-max=inf", "--steps=3"])
+@example(["sweep", FIXTURE, "--kappa-min=-1.7e308", "--kappa-max=1.7e308", "--steps=3"])
 def test_cli_never_warns_and_prints_alphas_in_unit_interval(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
