@@ -138,7 +138,9 @@ def conversion(
     return conversion_from_split(*green_and_split(g, w, x), ks)
 
 
-def conversion_from_split(gm: GreenMatrix, hs: HittingSplit, ks: KappaSpec) -> ConversionResult:
+def conversion_from_split(
+    gm: GreenMatrix, hs: HittingSplit, ks: KappaSpec
+) -> ConversionResult:
     """conversion from a Green matrix and first-hit split already solved
     for, which a kappa sweep does once."""
     sites = hs.active
