@@ -49,18 +49,24 @@ RTOL = 1e-10
 SPARSE_MIN_ORDER = 150
 
 
+@functools.cache
+def _lapack():
+    """LAPACK's dgetrf and dgetrs, imported once, at the first factorization."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    return dgetrf, dgetrs
+
+
 def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU factorization with partial pivoting (LAPACK dgetrf).
 
     Returns (lu, piv) in LAPACK's packed form, piv 0-based.  Raises on an
     exactly zero pivot.
     """
-    from scipy.linalg.lapack import dgetrf
-
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError(f"matrix must be square, got shape {a.shape}")
-    lu, piv, info = dgetrf(a)
+    lu, piv, info = _lapack()[0](a)
     if info > 0:
         raise SingularSystemError(
             f"matrix is singular to working precision at pivot column {info - 1}"
@@ -69,9 +75,7 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from scipy.linalg.lapack import dgetrs
-
-    return dgetrs(lu, piv, b)[0]
+    return _lapack()[1](lu, piv, b)[0]
 
 
 @dataclass(frozen=True, eq=False)

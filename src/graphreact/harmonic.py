@@ -8,12 +8,13 @@ functional at a vertex v is
     rho_v(F) = sum over half-edges e out of v of p_v(e) * (F(t(e)) - F(v)) / l_e,
 
 and one assembly of these functionals serves every vertex system in the
-package: the Green solve here, the survival solve in feynman_kac and the
-leave tables of mc.  flux_coefficients gives every p_v(e)/l_e as one
-array, in the order of the graph's cached half-edge table, and
-flux_system turns it into a Triplets list of entries, which algebra
-factors with SuperLU above the size at which that beats dense LU
-(algebra.SPARSE_MIN_ORDER).
+package: the Green solve here and the survival solve in feynman_kac.
+flux_coefficients gives every p_v(e)/l_e as one array, in the order of
+the graph's cached half-edge table, and flux_system turns it into a
+Triplets list of entries, which algebra factors with SuperLU above the
+size at which that beats dense LU (algebra.SPARSE_MIN_ORDER).
+mc.build_grid reads p_v(e)/l_e on its own: built from the table, its
+set-up on the small graphs it is used on measured slower.
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
-from .harmonic import flux_coefficients, vertex_mask
 from .kac import KappaSpec
 
 _MASK64 = (1 << 64) - 1
@@ -193,19 +192,22 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     nv = len(vertex_node)
 
     # the half-edges out of the non-exit vertices, vertex by vertex
-    t = g.half_edge_table
-    out = ~vertex_mask(g, g.exit_vertices)[t.source]
-    row, far, edge = t.source[out], t.target[out], t.edge[out]
+    exits = set(g.exit_vertices)
+    hs = [h for vid in g.vertex_ids if vid not in exits for h in g.out_edges[vid]]
+    row = np.fromiter((vertex_node[h.source] for h in hs), np.intp, len(hs))
+    far = np.fromiter((vertex_node[h.target] for h in hs), np.intp, len(hs))
+    edge = np.fromiter((h.edge for h in hs), np.intp, len(hs))
     # p_v(e)/l_e: the rate p_v(e)/step_e into edge e times the chance 1/n_e
     # of crossing it
-    leave = flux_coefficients(g, w)[out]
+    leave = np.fromiter((w.at(h.source, h.edge) for h in hs), float, len(hs))
+    leave /= np.array(lengths)[edge]
     n = np.array(substeps)[edge]
     degree = np.bincount(row, minlength=nv)
     rate = np.bincount(row, leave * n, nv)
     inv_rate = np.divide(1.0, rate, out=np.zeros(nv), where=degree > 0)
 
     width = int(degree.max())
-    col = np.arange(len(row)) - (np.cumsum(degree) - degree)[row]
+    col = np.arange(len(hs)) - (np.cumsum(degree) - degree)[row]
     p = np.zeros((nv, width))
     p[row, col] = leave / np.bincount(row, leave, nv)[row]
     nbr = np.zeros((nv, width), dtype=np.intp)
