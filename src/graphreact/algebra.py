@@ -23,11 +23,10 @@ whose Green solve has n-2 right-hand columns:
     300    2.20 / 0.71    2.63 / 1.09    13.7 / 6.07
     500    6.36 / 0.76    6.75 / 1.15    40.4 / 22.9
 
-The diffuse systems on chains, of order 144, 284 and 564, took 0.71 /
-0.75, 2.04 / 1.36 and 13.2 / 3.34.  Chains break even near 100 unknowns,
-diffuse systems near 150, trees near 190 and graphs with chords near
-210; at 150 a tree or a graph with chords loses at most 0.25 ms and a
-chain gains 0.45 ms.  scipy is imported at the first
+Chains break even near 100 unknowns, trees near 190 and graphs with
+chords near 210; at 150 a tree or a graph with chords loses at most
+0.25 ms and a chain gains 0.45 ms.  The diffuse-zone solve is a vertex
+system of the same form.  scipy is imported at the first
 factorization: loading it more than doubles the start-up time of
 commands that factor nothing.
 """

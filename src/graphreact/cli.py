@@ -97,15 +97,16 @@ def cmd_sweep(args) -> int:
         raise DocumentError("kappa-min and kappa-max must be finite")
     if not (0 <= args.kappa_min < args.kappa_max):
         raise DocumentError("need 0 <= kappa-min < kappa-max")
-    if args.spacing == "geometric":
-        if args.kappa_min <= 0:
-            raise DocumentError("geometric spacing needs kappa-min > 0")
-        # near the largest float, 10**log10(kappa_max) can round past it;
-        # geomspace then sets both ends to the exact inputs
-        with np.errstate(over="ignore"):
+    if args.spacing == "geometric" and args.kappa_min <= 0:
+        raise DocumentError("geometric spacing needs kappa-min > 0")
+    # near the largest float the last point can round past it on the way
+    # (10**log10(kappa_max), or (steps - 1) * step + kappa_min); both grids
+    # then set their ends to the exact inputs
+    with np.errstate(over="ignore"):
+        if args.spacing == "geometric":
             grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
-    else:
-        grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
+        else:
+            grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
     # the kappa-free work once: the Green solve, the split, the flux coefficients
     gm, hs = green_and_split(g, w, start)
     coeff = flux_coefficients(g, w)

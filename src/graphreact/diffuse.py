@@ -1,7 +1,7 @@
 """Survival with spread-out reactive zones, and their collapse to points.
 
 Here the reaction is not concentrated at vertices: each active vertex v
-is surrounded by a star-shaped zone reaching a distance h*delta down
+is surrounded by a star-shaped zone reaching a distance a = h*delta down
 every incident edge, inside which the walker is killed at rate k/h.
 The survival function then solves, edge by edge,
 
@@ -9,17 +9,30 @@ The survival function then solves, edge by edge,
 
 with continuity and C1 matching where segments meet, conservative flux
 (sum of p_v(e) u' into edges = 0) at non-exit vertices and u = 1 at
-exits.  Inside a zone the solution is a cosh/sinh pair in
-mu = sqrt(k/(h D)); bases are anchored at each segment's own start so
-nothing overflows as mu grows.  As h decreases to 0 the solution
-converges (first order in h) to the point-site survival at strength
-kappa = k*delta/D, which is what collapse_study tabulates.
+exits.
+
+Each edge reduces exactly to a two-port on its end values: the slope
+into it at one end is c * (far value) - (c + kill) * (near value).  A
+zone segment has the Dirichlet-to-Neumann map
+mu [[coth, -csch], [-csch, coth]](mu a), mu = sqrt(k/(h D)), and a plain
+segment of length l has c = 1/l and no kill (Berkolaiko & Kuchment,
+Introduction to Quantum Graphs, ch. 3).  Eliminating the junctions
+chains an edge's segments in series.  Couplings and kills are written
+through e^{-mu a} as sums of nonnegative terms (the stabilized form of
+Ascher, Mattheij & Russell, Numerical Solution of BVPs for ODEs, sect.
+4), so nothing overflows or cancels as mu grows.  The flux conditions
+then form the vertex system of the point-site survival solve, with p*c
+off the diagonal and the kills on it.  If k/(h D) overflows, every zone
+absorbs at once and its vertex is fixed at 0.  As h decreases to 0 the
+solution converges (first order in h) to the point-site survival at
+strength kappa = k*delta/D, which is what collapse_study tabulates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +40,7 @@ from . import algebra
 from .errors import PreconditionError
 from .feynman_kac import evaluate_at, solve_survival
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
+from .harmonic import flux_system, vertex_mask
 from .kac import KappaSpec
 
 
@@ -59,64 +73,114 @@ class ActiveZoneSpec:
 
     @property
     def mu(self) -> float:
-        return math.sqrt(self.rate / (self.h * self.diffusion))
+        """sqrt(k/(h D)); infinite when the quotient overflows."""
+        return math.sqrt(self.rate / self.h / self.diffusion)
 
     @property
     def zone_width(self) -> float:
         return self.h * self.delta
 
 
+def _zone_port(mu: float, a: float) -> tuple[float, float]:
+    """Coupling mu csch(mu a) and per-end kill mu tanh(mu a / 2) of a zone
+    segment of length a, written through e^{-mu a}; mu a must be > 0.  An
+    infinite mu gives (0, inf): the zone absorbs at once."""
+    if math.isinf(mu):
+        return 0.0, math.inf
+    x = mu * a
+    e = math.exp(-x)
+    return 2.0 * mu * e / -math.expm1(-2.0 * x), mu * -math.expm1(-x) / (1.0 + e)
+
+
 @dataclass(frozen=True)
 class Segment:
-    """One piece of an edge: offset range and local solution u(s) for
-    s measured from ``start``.
+    """One piece of an edge: its offset range and its solved values, u0 at
+    ``start`` and u1 at the far end.
 
-    Reactive segments use u = value*cosh(mu s) + slope*sinh(mu s)/mu,
-    plain ones u = value + slope*s, so (value, slope) are always u and
-    u' at the segment start.
+    Inside a zone (``reactive``, decay rate ``mu``) u(s) is
+    (u0 sinh mu(length - s) + u1 sinh mu s) / sinh(mu length), elsewhere
+    affine; the views evaluate it in forms scaled by e^{-mu length}.
+    end_value and end_slope need no ``mu``: the segment holds its own.
     """
 
     start: float
     length: float
     reactive: bool
-    value: float = 0.0
-    slope: float = 0.0
+    u0: float
+    u1: float
+    mu: float = 0.0
 
-    def end_value(self, mu: float) -> float:
-        ca, cb = _end_value_coeffs(self, mu)
-        return ca * self.value + cb * self.slope
+    def _port(self) -> tuple[float, float]:
+        return _zone_port(self.mu, self.length) if self.reactive else (1.0 / self.length, 0.0)
 
-    def end_slope(self, mu: float) -> float:
-        ca, cb = _end_slope_coeffs(self, mu)
-        return ca * self.value + cb * self.slope
+    @property
+    def value(self) -> float:
+        return self.u0
 
-    def value_at(self, s: float, mu: float) -> float:
-        if self.reactive:
-            return self.value * math.cosh(mu * s) + self.slope * math.sinh(mu * s) / mu
-        return self.value + self.slope * s
+    @property
+    def slope(self) -> float:
+        c, kill = self._port()
+        return c * (self.u1 - self.u0) - kill * self.u0
 
+    def end_value(self, mu: float | None = None) -> float:
+        return self.u1
 
-def _end_value_coeffs(seg: Segment, mu: float) -> tuple[float, float]:
-    if seg.reactive:
-        return math.cosh(mu * seg.length), math.sinh(mu * seg.length) / mu
-    return 1.0, seg.length
+    def end_slope(self, mu: float | None = None) -> float:
+        c, kill = self._port()
+        return c * (self.u1 - self.u0) + kill * self.u1
 
-
-def _end_slope_coeffs(seg: Segment, mu: float) -> tuple[float, float]:
-    if seg.reactive:
-        return mu * math.sinh(mu * seg.length), math.cosh(mu * seg.length)
-    return 0.0, 1.0
+    def value_at(self, s: float) -> float:
+        """u at offset s from the start."""
+        if not self.reactive:
+            return self.u0 + (self.u1 - self.u0) * s / self.length
+        if not 0.0 < s < self.length:
+            return self.u0 if s <= 0.0 else self.u1
+        x, y = self.mu * s, self.mu * (self.length - s)
+        return (self.u0 * math.exp(-x) * math.expm1(-2.0 * y)
+                + self.u1 * math.exp(-y) * math.expm1(-2.0 * x)
+                ) / math.expm1(-2.0 * self.mu * self.length)
 
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseSolution:
-    """Solved survival with diffuse zones: per-edge segments plus vertex
-    values."""
+    """Solved survival with diffuse zones: the vertex values, and each
+    edge's segments, derived from them on first use."""
 
     graph: MetricGraph
     zone: ActiveZoneSpec
     vertex_values: dict[str, float]
-    segments: dict[int, tuple[Segment, ...]]
+    # per row of graph.half_edge_table: whether a zone sits at its source, and
+    # the value at that zone's inner end is (cz u(source) + fc u(target)) / s2,
+    # with cz the zone's coupling; None when no zone is laid
+    inner: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @cached_property
+    def segments(self) -> dict[int, tuple[Segment, ...]]:
+        """Each edge's pieces in offset order: a zone at each active end
+        and the plain part between."""
+        g, values = self.graph, self.vertex_values
+        a, mu = self.zone.zone_width, self.zone.mu
+        ends = {}  # (edge, end vertex): the value at the inner end of the zone there
+        if self.inner is not None:
+            t = g.half_edge_table
+            near, fc, s2 = self.inner
+            u = np.array([values[v] for v in g.vertex_ids])
+            j = (_zone_port(mu, a)[0] * u[t.source] + fc * u[t.target]) / s2
+            for i in np.flatnonzero(near).tolist():
+                ends[int(t.edge[i]), g.vertex_ids[t.source[i]]] = float(j[i])
+        out = {}
+        for k, e in enumerate(g.edges):
+            first, last = e.endpoints
+            u0, u1 = ends.get((k, first)), ends.get((k, last))
+            segs = [Segment(0.0, a, True, values[first], u0, mu)] if u0 is not None else []
+            plain = e.length - a * ((u0 is not None) + (u1 is not None))
+            segs.append(Segment(a if segs else 0.0, plain, False,
+                                values[first] if u0 is None else u0,
+                                values[last] if u1 is None else u1))
+            if u1 is not None:
+                segs.append(Segment(e.length - a, a, True, u1, values[last], mu))
+            out[k] = tuple(segs)
+        return out
 
     def evaluate(self, x: PointOnGraph | str) -> float:
         if isinstance(x, str):
@@ -125,127 +189,83 @@ class PiecewiseSolution:
             if x.vertex not in self.vertex_values:
                 raise PreconditionError(f"unknown vertex {x.vertex!r}")
             return self.vertex_values[x.vertex]
-        segs = self.segments.get(x.edge)
-        if segs is None:
+        if not (0 <= x.edge < len(self.graph.edges)):
             raise PreconditionError(f"edge index {x.edge} out of range")
         length = self.graph.edges[x.edge].length
         if not (0.0 <= x.offset <= length):
             raise PreconditionError(f"offset {x.offset!r} outside [0, {length}]")
+        segs = self.segments[x.edge]
         for seg in segs:
             if x.offset <= seg.start + seg.length or seg is segs[-1]:
-                return seg.value_at(x.offset - seg.start, self.zone.mu)
+                return seg.value_at(x.offset - seg.start)
         raise AssertionError("unreachable: segments cover the edge")
 
 
-def _edge_segments(
-    g: MetricGraph, zone: ActiveZoneSpec, active: set[str], k: int
-) -> list[Segment]:
-    e = g.edges[k]
-    u, v = e.endpoints
-    width = zone.zone_width if zone.rate > 0 else 0.0
-    cuts: list[Segment] = []
-    left = width if u in active and width > 0 else 0.0
-    right = e.length - width if v in active and width > 0 else e.length
-    if left > 0:
-        cuts.append(Segment(0.0, left, True))
-    cuts.append(Segment(left, right - left, False))
-    if right < e.length:
-        cuts.append(Segment(right, e.length - right, True))
-    return cuts
+class _ZonedGraph:
+    """What the diffuse solve on a valid graph needs that no zone
+    parameter changes, computed once per graph and reused for every h."""
+
+    def __init__(self, g: MetricGraph, w: EdgeWeights):
+        t = g.half_edge_table
+        active = vertex_mask(g, g.active_vertices)
+        self.graph = g
+        self.active = active
+        self.exits = vertex_mask(g, g.exit_vertices)
+        self.b = self.exits.astype(float)
+        self.p = w.along(t.keys)
+        self.near, self.far = active[t.source], active[t.target]
+        self.zones = self.near + self.far.astype(float)  # zones on the half-edge's edge
+        self.any_zone = bool(active.any())
+        # the zone width must stay below half of every edge at an active vertex
+        self.max_width = t.length[self.near | self.far].min(initial=math.inf) / 2
+
+    def solve(self, zone: ActiveZoneSpec) -> PiecewiseSolution:
+        g = self.graph
+        t = g.half_edge_table
+        a = zone.zone_width
+        if zone.rate > 0 and self.any_zone and a >= self.max_width:
+            k = int(t.edge[(self.near | self.far) & (a >= t.length / 2)].min())
+            raise PreconditionError(f"zone width {a} must be < half of edge {k} "
+                                    f"(length {g.edges[k].length})")
+        mu = zone.mu
+        fixed, inner = self.exits, None
+        if not (self.any_zone and mu * a > 0):  # k = 0, or k/(h D) or h*delta underflowed
+            coeff, kill = self.p / t.length, 0.0
+        else:
+            cz, kz = _zone_port(mu, a)
+            if math.isinf(cz):
+                raise PreconditionError(f"zone width {a!r} is too narrow to resolve")
+            wall = math.isinf(kz)
+            plain = 1.0 / (t.length - a * self.zones)
+            s1 = plain + (cz + kz)
+            # the edge as seen from its source end: the plain part, then the far zone
+            fc = plain * np.where(self.far, cz / s1, 1.0)
+            fk = plain * (1.0 if wall else kz / s1) * self.far
+            # then the near zone in front: eliminate the junction between them
+            s2 = (cz + kz) + (fc + fk)
+            rs = cz / s2
+            coeff = self.p * np.where(self.near, fc * rs, fc)
+            if wall:  # the zoned vertices are fixed at 0: their kill never enters
+                fixed, half_kill = self.exits | self.active, fk
+            else:
+                half_kill = np.where(self.near, kz + (kz + fk) * rs, fk)
+            kill = np.bincount(t.source, self.p * half_kill, len(fixed))
+            inner = (self.near, fc, s2)
+        x = algebra.solve_many(flux_system(g, coeff, fixed, kill), self.b)
+        values = dict(zip(g.vertex_ids, x.tolist()))
+        return PiecewiseSolution(g, zone, values, inner)
 
 
 def solve_diffuse(
     g: MetricGraph, w: EdgeWeights, zone: ActiveZoneSpec
 ) -> PiecewiseSolution:
-    """Assemble and solve the piecewise survival problem.
+    """Assemble and solve the survival problem with diffuse zones.
 
     Zones must not overlap: h*delta has to stay below half of every edge
     incident to an active vertex.
     """
     require_valid(g)
-    active = set(g.active_vertices)
-    exits = set(g.exit_vertices)
-    width = zone.zone_width
-    for k, e in enumerate(g.edges):
-        if (e.endpoints[0] in active or e.endpoints[1] in active) and zone.rate > 0:
-            if width >= e.length / 2:
-                raise PreconditionError(
-                    f"zone width {width} must be < half of edge {k} "
-                    f"(length {e.length})"
-                )
-
-    layout = {k: _edge_segments(g, zone, active, k) for k in range(len(g.edges))}
-    n_seg = sum(len(s) for s in layout.values())
-    idx = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    nv = len(idx)
-    seg_base: dict[tuple[int, int], int] = {}
-    pos = nv
-    for k in sorted(layout):
-        for s in range(len(layout[k])):
-            seg_base[(k, s)] = pos
-            pos += 2
-    size = nv + 2 * n_seg
-    entries: list[tuple[int, int, float]] = []  # (row, column, value); repeats add up
-    b = np.zeros(size)
-    mu = zone.mu
-
-    rows = iter(range(size))
-
-    def seg_cols(k: int, s: int) -> tuple[int, int]:
-        base = seg_base[(k, s)]
-        return base, base + 1
-
-    # edge interior: tie segment chains together and to the endpoint values
-    for k, segs in layout.items():
-        u, v = g.edges[k].endpoints
-        r = next(rows)
-        av, _bv = seg_cols(k, 0)
-        entries += [(r, av, 1.0), (r, idx[u], -1.0)]
-        for s in range(len(segs) - 1):
-            av, bv = seg_cols(k, s)
-            an, bn = seg_cols(k, s + 1)
-            cva, cvb = _end_value_coeffs(segs[s], mu)
-            csa, csb = _end_slope_coeffs(segs[s], mu)
-            r = next(rows)
-            entries += [(r, av, cva), (r, bv, cvb), (r, an, -1.0)]
-            r = next(rows)
-            entries += [(r, av, csa), (r, bv, csb), (r, bn, -1.0)]
-        av, bv = seg_cols(k, len(segs) - 1)
-        cva, cvb = _end_value_coeffs(segs[-1], mu)
-        r = next(rows)
-        entries += [(r, av, cva), (r, bv, cvb), (r, idx[v], -1.0)]
-
-    # vertices: Dirichlet at exits, conservative flux elsewhere
-    for vid in g.vertex_ids:
-        r = next(rows)
-        if vid in exits:
-            entries.append((r, idx[vid], 1.0))
-            b[r] = 1.0
-            continue
-        for he in g.out_edges[vid]:
-            p = w.at(vid, he.edge)
-            segs = layout[he.edge]
-            if g.edges[he.edge].endpoints[0] == vid:
-                _, bv = seg_cols(he.edge, 0)
-                entries.append((r, bv, p))
-            else:
-                av, bv = seg_cols(he.edge, len(segs) - 1)
-                csa, csb = _end_slope_coeffs(segs[-1], mu)
-                entries += [(r, av, -p * csa), (r, bv, -p * csb)]
-
-    i, j, val = zip(*entries)
-    a = algebra.Triplets(np.array(i), np.array(j), np.array(val, dtype=float), size)
-    sol = algebra.solve_many(a, b)
-    vertex_values = {vid: float(sol[idx[vid]]) for vid in g.vertex_ids}
-    segments = {
-        k: tuple(
-            replace(seg, value=float(sol[seg_cols(k, s)[0]]),
-                    slope=float(sol[seg_cols(k, s)[1]]))
-            for s, seg in enumerate(segs)
-        )
-        for k, segs in layout.items()
-    }
-    return PiecewiseSolution(g, zone, vertex_values, segments)
+    return _ZonedGraph(g, w).solve(zone)
 
 
 @dataclass(frozen=True)
@@ -273,21 +293,24 @@ def collapse_study(
         raise PreconditionError("h_list must be nonempty")
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise PreconditionError("h_list must be strictly decreasing")
-    field = solve_survival(g, w, KappaSpec.constant(zone.kappa))
-    psi_limit = evaluate_at(field, x)
+    psi_limit = evaluate_at(solve_survival(g, w, KappaSpec.constant(zone.kappa)), x)
+    zoned = _ZonedGraph(g, w)
     rows = []
     for h in h_list:
-        sol = solve_diffuse(g, w, replace(zone, h=h))
-        psi_h = sol.evaluate(x)
+        psi_h = zoned.solve(replace(zone, h=h)).evaluate(x)
         rows.append(CollapseRow(h, psi_h, psi_limit, abs(psi_h - psi_limit)))
     return rows
 
 
 def collapse_csv(rows: list[CollapseRow]) -> str:
-    """Render a collapse table as CSV (columns h, psi_h, psi_limit, abs_err)."""
+    """Render a collapse table as CSV (columns h, psi_h, psi_limit, abs_err).
+
+    A survival that underflows to 0 can come out of the solve as -0.0
+    (0 / -kill); adding 0.0 prints it as 0.
+    """
     lines = ["h,psi_h,psi_limit,abs_err"]
     for r in rows:
         lines.append(
-            f"{r.h:.12g},{r.psi_h:.12g},{r.psi_limit:.12g},{r.abs_err:.12g}"
+            f"{r.h:.12g},{r.psi_h + 0.0:.12g},{r.psi_limit + 0.0:.12g},{r.abs_err:.12g}"
         )
     return "\n".join(lines) + "\n"

@@ -216,7 +216,10 @@ def chain_alpha_recursive(lengths: Sequence[float], kappa: float) -> float:
     site, between sites, and last site to the exit (the first entry
     never enters the result).  Starting from g = 1, each site multiplies
     up g <- g + gap * (running sum of g's) * kappa, and alpha is
-    (g - 1)/g at the exit.  This recursion corresponds to the unweighted
+    (g - 1)/g at the exit.  g overflows on long chains, so the loop
+    carries q = 1/g and r = (running sum)/g instead: with
+    f = 1 + gap * r * kappa, q <- q/f and r <- r/f + 1, and alpha = 1 - q.
+    This recursion corresponds to the unweighted
     Kirchhoff convention: it matches the weighted-convention engines on
     the same chain after the substitution kappa -> 2 * kappa.
     """
@@ -226,12 +229,12 @@ def chain_alpha_recursive(lengths: Sequence[float], kappa: float) -> float:
         raise PreconditionError("gap lengths must be positive")
     if math.isnan(kappa) or kappa < 0 or math.isinf(kappa):
         raise PreconditionError(f"kappa must be finite and >= 0, got {kappa!r}")
-    g = 1.0
-    running = 1.0
+    q = r = 1.0
     for gap in lengths[1:]:
-        g = g + gap * running * kappa
-        running += g
-    return (g - 1.0) / g
+        f = 1.0 + gap * r * kappa
+        q /= f
+        r = r / f + 1.0
+    return 1.0 - q
 
 
 def placement_leading_coeff(g: MetricGraph, w: EdgeWeights) -> float:

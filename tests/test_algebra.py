@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,3 +202,14 @@ def test_sparse_non_finite_entries_raise():
     vals[n + 3] = np.nan
     with pytest.raises(SingularSystemError):
         algebra.solve_many(algebra.Triplets(t.rows, t.cols, vals, n), np.ones(n))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported at the first factorization: loading it with the CLI
+    # more than doubles the start-up time of commands that factor nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, graphreact.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert run.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,12 @@ from graphreact import (
     collapse_study,
     conversion,
     derive_weights,
+    load_document,
+    parse_document,
+    prepare,
     solve_diffuse,
 )
+from graphreact.cli import main
 from helpers import degree1_graph, path_graph, star_graph
 
 
@@ -163,3 +168,62 @@ def test_collapse_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "h,psi_h,psi_limit,abs_err"
     assert len(lines) == 3
+
+
+INTERVAL_ZONE = Path(__file__).resolve().parent.parent / "fixtures" / "interval_zone.json"
+
+
+def _interval_zone():
+    return prepare(parse_document(load_document(str(INTERVAL_ZONE))))
+
+
+def scaled_interval_closed_form(rate: float, h: float) -> float:
+    """interval_closed_form at delta = D = L = 1, through e^{-mu a}: finite
+    at every rate."""
+    mu = math.sqrt(rate / h)
+    e = math.exp(-mu * h)
+    return 2.0 * e / (1.0 + e * e + (1.0 - h) * mu * -math.expm1(-2.0 * mu * h))
+
+
+@pytest.mark.parametrize("rate", [1e6, 5e6, 1e7, 1e12])
+def test_interval_large_rate_matches_scaled_closed_form(rate):
+    # an unscaled cosh/sinh basis gives -3.3e-138 at k = 1e6 (true 3.24e-141),
+    # a nan residual at 5e6 and a math range error from 1e7 on
+    g, w, start = _interval_zone()
+    sol = solve_diffuse(g, w, ActiveZoneSpec(rate=rate, delta=1.0, diffusion=1.0, h=0.1))
+    want = scaled_interval_closed_form(rate, 0.1)
+    assert sol.evaluate(start) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_huge_rate_gives_zero_and_prints_zero(capsys):
+    g, w, start = _interval_zone()
+    sol = solve_diffuse(g, w, ActiveZoneSpec(rate=1e300, delta=1.0, diffusion=1.0, h=0.1))
+    assert sol.evaluate(start) == 0.0
+    assert main(["diffuse", str(INTERVAL_ZONE), "--k", "1e300", "--delta", "1",
+                 "--diffusion", "1", "--h-list", "0.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "0"
+
+
+def test_overflowing_decay_rate_absorbs_in_every_zone():
+    # k/(h D) = 1e320 overflows: each zone is a wall at its inner end
+    g, start = star_graph(3)
+    w = derive_weights(g)
+    zone = ActiveZoneSpec(rate=1e300, delta=1.0, diffusion=1e-10, h=1e-10)
+    assert math.isinf(zone.mu)
+    sol = solve_diffuse(g, w, zone)
+    assert all(sol.evaluate(v) == 0.0 for v in g.vertex_ids if v not in g.exit_vertices)
+    a = zone.zone_width
+    for k, e in enumerate(g.edges):
+        for t in (0.25, 0.5, 0.75):
+            val = sol.evaluate(PointOnGraph.on_edge(k, t * e.length))
+            # the exit edge (c, a) of length 1 is affine from the wall to the exit
+            want = (t - a) / (1.0 - a) if g.edges[k].endpoints == ("c", "a") else 0.0
+            assert val == pytest.approx(want, abs=1e-12)
+
+
+def test_zone_too_narrow_to_resolve_rejected():
+    # h*delta = 1e-310 is subnormal: the zone's coupling, about 1/(h*delta), overflows
+    g, _ = degree1_graph(1.0)
+    with pytest.raises(PreconditionError):
+        solve_diffuse(g, derive_weights(g),
+                      ActiveZoneSpec(rate=1.0, delta=1e-300, diffusion=1.0, h=1e-10))

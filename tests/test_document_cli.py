@@ -322,10 +322,15 @@ def test_cli_sweep_rejects_infinite_kappa_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_arithmetic_failure_exits_two(tmp_path, capsys):
+def test_cli_arithmetic_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # an ArithmeticError from any route is a numerical failure, exit 2
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr("graphreact.diffuse.collapse_study", overflow)
     doc = json.loads((FIXTURES / "interval_zone.json").read_text())
     path = _write(tmp_path, doc)
-    args = ["diffuse", path, "--k", "1e9", "--delta", "1", "--diffusion", "1",
+    args = ["diffuse", path, "--k", "1", "--delta", "1", "--diffusion", "1",
             "--h-list", "0.01"]
     assert main(args) == 2
     err = capsys.readouterr().err

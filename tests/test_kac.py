@@ -374,6 +374,7 @@ def test_conversion_uniform_400_site_chain_matches_recursion():
     gaps = (1.0,) * 401
     g, start, _ = chain_graph(gaps)
     w = derive_weights(g)
-    for kappa in (1e-3, 0.02, 0.3):
+    # from kappa 3 on, the recursion's product overflows unless it is carried as 1/g
+    for kappa in (1e-3, 0.02, 0.3, 3.0, 10.0):
         alpha = conversion(g, w, start, KappaSpec.constant(kappa)).alpha
         assert alpha == pytest.approx(chain_alpha_recursive(gaps, 2.0 * kappa), abs=1e-9)
