@@ -18,9 +18,9 @@ from . import diffuse as diffuse_mod
 from . import mc as mc_mod
 from .document import load_document, parse_document, prepare
 from .errors import DocumentError, GraphReactError, PreconditionError, SingularSystemError
-from .feynman_kac import evaluate_at, solve_survival, survival_field
-from .kac import KappaSpec, conversion, conversion_from_split, rational_form
-from .harmonic import flux_coefficients, green_and_split, green_matrix, hitting_split
+from .feynman_kac import evaluate_at, solve_survival
+from .kac import KappaSpec, conversion, rational_form
+from .harmonic import green_matrix, hitting_split
 
 
 def _fmt(x: float) -> str:
@@ -107,15 +107,12 @@ def cmd_sweep(args) -> int:
             grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
         else:
             grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
-    # the kappa-free work once: the Green solve, the split, the flux coefficients
-    gm, hs = green_and_split(g, w, start)
-    coeff = flux_coefficients(g, w)
     lines = ["kappa,alpha,psi,method"]
     for kappa in grid:
         ks = KappaSpec.constant(float(kappa))
-        res = conversion_from_split(gm, hs, ks)
+        res = conversion(g, w, start, ks)
         lines.append(f"{kappa:.12g},{_fmt(res.alpha)},{_fmt(res.psi)},kac")
-        psi = evaluate_at(survival_field(g, coeff, ks), start)
+        psi = evaluate_at(solve_survival(g, w, ks), start)
         lines.append(f"{kappa:.12g},{_fmt(1.0 - psi)},{_fmt(psi)},fk")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

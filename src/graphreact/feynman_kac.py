@@ -47,18 +47,12 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
     equation with the killing term on the diagonal.
     """
     require_valid(g)
-    return survival_field(g, flux_coefficients(g, w), ks)
-
-
-def survival_field(g: MetricGraph, coeff: np.ndarray, ks: KappaSpec) -> SurvivalField:
-    """solve_survival on a valid graph from its flux coefficients, which a
-    kappa sweep computes once."""
     active = g.active_vertices
     kappa = np.zeros(len(g.vertex_ids))
     kappa[[g.vertex_index[c] for c in active]] = ks.values(active)
     exits = vertex_mask(g, g.exit_vertices)
-    sol = algebra.solve_many(flux_system(g, coeff, exits | np.isinf(kappa), kappa),
-                             exits.astype(float))
+    a = flux_system(g, flux_coefficients(g, w), exits | np.isinf(kappa), kappa)
+    sol = algebra.solve_many(a, exits.astype(float))
     return SurvivalField(g, dict(zip(g.vertex_ids, sol.tolist())))
 
 

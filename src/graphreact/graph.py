@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -177,6 +178,11 @@ class MetricGraph:
         )
 
     @cached_property
+    def solved(self) -> dict:
+        """harmonic's memo of the kappa-free solves on this graph."""
+        return {}
+
+    @cached_property
     def violations(self) -> tuple[str, ...]:
         """``validate(self)``, computed once: the graph never changes."""
         return tuple(validate(self))
@@ -206,9 +212,17 @@ class EdgeWeights:
 
     Self-loops are disallowed, so the pair identifies a half-edge with
     the given source vertex unambiguously even with parallel edges.
+    ``p`` is a read-only copy of the table given: harmonic memoizes solves
+    by the weights object, so its values must never change.
     """
 
-    p: dict[tuple[str, int], float]
+    p: Mapping[tuple[str, int], float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", MappingProxyType(dict(self.p)))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled
+        return EdgeWeights, (dict(self.p),)
 
     def at(self, vertex_id: str, edge_index: int) -> float:
         try:
@@ -292,15 +306,18 @@ def require_valid(g: MetricGraph) -> None:
 def derive_weights(g: MetricGraph) -> EdgeWeights:
     """Weights from relative radii: p_v(e) = r_e^(d-1) / sum over v's edges.
 
-    Rows sum to 1 by construction.  With equal radii this reduces to
-    1/deg(v).
+    Rows sum to 1 by construction.  Each radius is divided by the largest
+    at v before the power, so no power overflows, and equal radii give
+    exactly 1/deg(v).
     """
     d = g.dimension
     p: dict[tuple[str, int], float] = {}
     for vid, hs in g.out_edges.items():
         if not hs:
             continue
-        powers = [g.edges[h.edge].radius ** (d - 1) for h in hs]
+        radii = [g.edges[h.edge].radius for h in hs]
+        top = max(radii)
+        powers = [(r / top) ** (d - 1) for r in radii]
         total = sum(powers)
         for h, rp in zip(hs, powers):
             p[(vid, h.edge)] = rp / total
@@ -345,7 +362,7 @@ def weights_violations(g: MetricGraph, w: EdgeWeights) -> list[str]:
 
 
 def _fresh_vertex_id(g: MetricGraph, base: str = "x") -> str:
-    taken = set(g.vertex_ids)
+    taken = g.vertex_index
     if base not in taken:
         return base
     n = 2
@@ -362,7 +379,7 @@ def split_at(g: MetricGraph, x: PointOnGraph) -> tuple[MetricGraph, str]:
     halves inherit the parent's radius.  A vertex-form point is a no-op.
     """
     if x.is_vertex:
-        if x.vertex not in set(g.vertex_ids):
+        if x.vertex not in g.vertex_index:
             raise PreconditionError(f"unknown vertex {x.vertex!r}")
         return g, x.vertex
 
@@ -394,6 +411,6 @@ def resolve_vertex(g: MetricGraph, x: PointOnGraph | str) -> str:
         raise PreconditionError(
             "edge-interior point: split the graph at it first (split_at)"
         )
-    if vid not in set(g.vertex_ids):
+    if vid not in g.vertex_index:
         raise PreconditionError(f"unknown vertex {vid!r}")
     return vid

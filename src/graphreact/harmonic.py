@@ -15,10 +15,21 @@ Triplets list of entries, which algebra factors with SuperLU above the
 size at which that beats dense LU (algebra.SPARSE_MIN_ORDER).
 mc.build_grid reads p_v(e)/l_e on its own: built from the table, its
 set-up on the small graphs it is used on measured slower.
+
+The kappa-free work of a problem is solved once and memoized in the
+graph's ``solved`` dict: flux_coefficients under (id(w), "flux") and
+green_and_split under (id(w), "green", start vertex).  An entry holds w
+weakly and is a hit only while that reference still points at w, so a
+reused id gives no false hit, and each miss drops the entries of
+weights that are gone.  The arrays returned and w.p are read-only; a
+failed solve is not stored.  feynman_kac shares only the flux
+coefficients, never the Green solve, so it stays a route independent
+of kac.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Collection, Mapping
 
@@ -70,10 +81,26 @@ def vertex_flux(
     return total
 
 
+def _memo(g: MetricGraph, w: EdgeWeights, key: tuple, solve):
+    """solve(), once per graph, living weights object and key."""
+    memo = g.solved
+    entry = memo.get((id(w), *key))
+    if entry is None or entry[0]() is not w:
+        for k in [k for k, (ref, _) in memo.items() if ref() is None]:
+            del memo[k]
+        entry = memo[(id(w), *key)] = (weakref.ref(w), solve())
+    return entry[1]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def flux_coefficients(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
     """p_v(e)/l_e for every half-edge, in the order of g.half_edge_table."""
     t = g.half_edge_table
-    return w.along(t.keys) / t.length
+    return _memo(g, w, ("flux",), lambda: _frozen(w.along(t.keys) / t.length))
 
 
 def flux_system(
@@ -111,7 +138,7 @@ def _green(g: MetricGraph, w: EdgeWeights) -> tuple[GreenMatrix, np.ndarray]:
     b[rows, np.arange(len(active))] = -1.0
     a = flux_system(g, flux_coefficients(g, w), vertex_mask(g, g.exit_vertices))
     f = algebra.solve_many(a, b)
-    return GreenMatrix(active, f[rows, :]), f
+    return GreenMatrix(active, _frozen(f[rows, :])), f
 
 
 def green_and_split(
@@ -122,24 +149,29 @@ def green_and_split(
     A walk from x collects local time on the active set only after its
     first hit there, so G[x, A] = H_x . G[A, A], where H_x[c] is the
     probability that c is the first active vertex hit before any exit.
-    A small solve against G[A, A] gives H_x; its sum is ``alpha_inf``.
+    A small solve against G[A, A] gives H_x, clipped at 0 against
+    roundoff; its sum is ``alpha_inf``.  Memoized: see the module
+    docstring.
     """
     require_valid(g)
     start = resolve_vertex(g, x)
+    return _memo(g, w, ("green", start), lambda: _green_and_split(g, w, start))
+
+
+def _green_and_split(
+    g: MetricGraph, w: EdgeWeights, start: str
+) -> tuple[GreenMatrix, HittingSplit]:
     active = g.active_vertices
     if not active:
         return GreenMatrix((), np.zeros((0, 0))), HittingSplit(0.0, np.zeros(0), ())
     gm, f = _green(g, w)
-    zero = HittingSplit(0.0, np.zeros(len(active)), active)
+    h = np.zeros(len(active))
     if start in active:
-        return gm, HittingSplit(1.0, np.eye(len(active))[active.index(start)], active)
-    if start in g.exit_vertices:
-        return gm, zero
-    h = algebra.solve_many(gm.entries.T, f[g.vertex_index[start], :])
+        h[active.index(start)] = 1.0
+    elif start not in g.exit_vertices:
+        h = np.maximum(algebra.solve_many(gm.entries.T, f[g.vertex_index[start], :]), 0.0)
     alpha_inf = float(h.sum())
-    if alpha_inf <= 0.0:
-        return gm, zero
-    return gm, HittingSplit(alpha_inf, h / alpha_inf, active)
+    return gm, HittingSplit(alpha_inf, _frozen(h / alpha_inf if alpha_inf > 0.0 else h), active)
 
 
 def hitting_split(

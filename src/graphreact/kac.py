@@ -11,6 +11,9 @@ arbitrary start point combines that with the first-hit split.  For
 uniform kappa the eigendecomposition of G makes the whole curve a
 mixture of single-site curves L kappa / (1 + L kappa), one per
 eigenvalue L, which yields its closed rational form in kappa.
+
+G and the split do not depend on kappa, and harmonic memoizes them on
+the graph, so a kappa sweep is plain per-point calls to conversion.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import algebra
 from .algebra import Polynomial, RationalForm
 from .errors import PreconditionError, SingularSystemError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
-from .harmonic import GreenMatrix, HittingSplit, green_and_split, green_matrix
+from .harmonic import GreenMatrix, green_and_split, green_matrix
 
 
 @dataclass(frozen=True)
@@ -135,14 +138,7 @@ def conversion(
     the active set.  Uniform infinity is handled symbolically (alpha
     equals the hitting probability alpha_inf).
     """
-    return conversion_from_split(*green_and_split(g, w, x), ks)
-
-
-def conversion_from_split(
-    gm: GreenMatrix, hs: HittingSplit, ks: KappaSpec
-) -> ConversionResult:
-    """conversion from a Green matrix and first-hit split already solved
-    for, which a kappa sweep does once."""
+    gm, hs = green_and_split(g, w, x)
     sites = hs.active
     if not sites:
         return ConversionResult(0.0, 1.0, 0.0, (), (), ())

@@ -201,10 +201,14 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     # of crossing it
     leave = np.fromiter((w.at(h.source, h.edge) for h in hs), float, len(hs))
     leave /= np.array(lengths)[edge]
-    n = np.array(substeps)[edge]
+    n = np.array(substeps, dtype=float)[edge]
     degree = np.bincount(row, minlength=nv)
     rate = np.bincount(row, leave * n, nv)
     inv_rate = np.divide(1.0, rate, out=np.zeros(nv), where=degree > 0)
+    stay = np.bincount(row, leave * (n - 1), nv) * inv_rate
+    if np.any(stay >= 1.0):
+        # n - 1 rounds to n near 2**53 substeps: the walk could never leave
+        raise PreconditionError(f"step {step!r} is too fine for a float grid")
 
     width = int(degree.max())
     col = np.arange(len(hs)) - (np.cumsum(degree) - degree)[row]
@@ -221,7 +225,7 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
         # exact top from the last half-edge on, so that u < 1 stays in the row
         cum=np.where(np.arange(width) >= degree[:, None] - 1, 1.0, p.cumsum(axis=1)),
         nbr=nbr,
-        stay=np.bincount(row, leave * (n - 1), nv) * inv_rate,
+        stay=stay,
         absorbing=degree == 0,
         excursion_mean=inv_rate,
         vertex_node=vertex_node,

@@ -210,6 +210,27 @@ def test_cli_hit_chain(tmp_path, capsys):
     assert "c2,0" in out
 
 
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_cli_hit_prints_a_distribution(path, capsys):
+    assert main(["hit", str(path)]) == 0
+    p = [float(row.split(",")[1]) for row in capsys.readouterr().out.splitlines()[2:]]
+    assert min(p) >= 0.0
+    assert sum(p) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_convert_at_huge_radius_powers(tmp_path, capsys):
+    # r^(d-1) overflows a float at both; the weights are ratios
+    def alpha(radius, dimension):
+        doc = json.loads((FIXTURES / "interval_zone.json").read_text())
+        doc["edges"][0]["radius"] = radius
+        doc["dimension"] = dimension
+        assert main(["convert", _write(tmp_path, doc), "--kappa", "1.7"]) == 0
+        return float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+
+    assert alpha(1e200, 3) == pytest.approx(alpha(1.0, 3), abs=1e-12)
+    assert alpha(10.0, 400) == pytest.approx(alpha(1.0, 400), abs=1e-12)
+
+
 def test_cli_mc_csv(tmp_path, capsys):
     path = _write(tmp_path, path_site_doc())
     args = ["mc", path, "--kappa", "1", "--delta", "0.25", "--n", "2000", "--seed", "42"]

@@ -1,8 +1,10 @@
-"""Fuzzed convert/sweep/hit/rational/green/diffuse calls on the fixture
-documents.
+"""Fuzzed convert/sweep/hit/rational/green/diffuse/mc/compare calls on
+the fixture documents.
 
 Every call must exit with 0, 1 or 2, write no traceback and no warning,
-and print only finite numbers, with alphas and survivals in [0, 1].
+and print only finite numbers, with alphas, survivals and first-hit
+probabilities in [0, 1].  mc and compare run at most 200 trajectories
+and mc at most 50 transitions each, which keeps the fuzz fast.
 """
 
 import contextlib
@@ -33,6 +35,9 @@ SCALES = st.one_of(
     st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e300, math.inf, math.nan]),
     st.floats(min_value=1e-300, max_value=1e300),
 )
+# every fixture edge is at least 0.5 long, so most SCALES are too coarse
+STEPS = st.one_of(SCALES, st.floats(min_value=1e-3, max_value=0.5),
+                  st.sampled_from([1e-15, 1e-16, 1e-20]))
 H_LISTS = st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=1, max_size=4)
 
 
@@ -44,9 +49,17 @@ def _number(x: float) -> str:
 def calls(draw):
     path = draw(st.sampled_from(FIXTURES))
     command = draw(st.sampled_from(["convert", "sweep", "hit", "rational", "green",
-                                    "diffuse"]))
+                                    "diffuse", "mc", "compare"]))
     if command == "convert":
         return ["convert", path, f"--kappa={_number(draw(KAPPAS))}"]
+    if command in ("mc", "compare"):
+        argv = [command, path, f"--kappa={_number(draw(KAPPAS))}",
+                f"--delta={_number(draw(STEPS))}",
+                f"--n={draw(st.integers(min_value=-1, max_value=200))}",
+                f"--seed={draw(st.integers(min_value=-2**70, max_value=2**70))}"]
+        if command == "mc":
+            argv.append(f"--cap={draw(st.integers(min_value=-1, max_value=50))}")
+        return argv
     if command in ("hit", "rational", "green"):
         return [command, path]
     if command == "diffuse":
@@ -62,20 +75,29 @@ def calls(draw):
 
 
 def _alphas(command: str, out: str) -> list[float]:
-    """The printed probabilities: alphas, and for diffuse psi_h and psi_limit."""
+    """The printed probabilities: alphas, for diffuse psi_h and psi_limit,
+    for compare alpha and psi, for mc the mean survival and for hit the
+    first-hit split."""
     lines = out.splitlines()
     if command == "sweep":
         return [float(line.split(",")[1]) for line in lines[1:]]
-    if command == "diffuse":
+    if command in ("diffuse", "compare"):
         return [float(v) for line in lines[1:] for v in line.split(",")[1:3]]
-    return [float(line.split("=")[1]) for line in lines
-            if line.startswith(("alpha_kac", "alpha_fk", "alpha_inf"))]
+    if command == "mc":
+        return [float(lines[1].split(",")[1])]
+    split = [float(line.split(",")[1]) for line in lines[2:]] if command == "hit" else []
+    return split + [float(line.split("=")[1]) for line in lines
+                    if line.startswith(("alpha_kac", "alpha_fk", "alpha_inf"))]
 
 
-def _numbers(out: str) -> list[float]:
-    """Every number printed, in CSV cells or after ' = '."""
+def _numbers(command: str, out: str) -> list[float]:
+    """Every number printed, in CSV cells or after ' = ', except the kappa
+    that mc echoes from its input, which may be inf."""
     numbers = []
-    for line in out.splitlines():
+    lines = out.splitlines()
+    if command == "mc":
+        lines = [line.split(",", 1)[1] for line in lines]
+    for line in lines:
         for cell in line.replace(" = ", ",").split(","):
             try:
                 numbers.append(float(cell))
@@ -101,6 +123,9 @@ def _numbers(out: str) -> list[float]:
 @example(["diffuse", ZONE_FIXTURE, "--k=5e6", "--delta=1", "--diffusion=1", "--h-list=0.1"])
 @example(["diffuse", ZONE_FIXTURE, "--k=1e9", "--delta=1", "--diffusion=1", "--h-list=0.1"])
 @example(["diffuse", ZONE_FIXTURE, "--k=1e300", "--delta=1", "--diffusion=1", "--h-list=0.1"])
+@example(["mc", FIXTURE, "--kappa=1", "--delta=1e-20", "--n=50", "--seed=1", "--cap=50"])
+@example(["mc", FIXTURE, "--kappa=inf", "--delta=0.5", "--n=1", "--seed=0", "--cap=1"])
+@example(["compare", FIXTURE, "--kappa=1e308", "--delta=0.1", "--n=200", "--seed=3"])
 def test_cli_never_warns_and_prints_alphas_in_unit_interval(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
@@ -111,6 +136,6 @@ def test_cli_never_warns_and_prints_alphas_in_unit_interval(argv):
     assert "Traceback" not in err.getvalue()
     assert "Warning" not in err.getvalue()
     if code == 0:
-        assert all(map(math.isfinite, _numbers(out.getvalue()))), (argv, out.getvalue())
+        assert all(map(math.isfinite, _numbers(argv[0], out.getvalue()))), (argv, out.getvalue())
         for alpha in _alphas(argv[0], out.getvalue()):
             assert math.isfinite(alpha) and 0.0 <= alpha <= 1.0, (argv, out.getvalue())

@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from graphreact import (
     Edge,
+    EdgeWeights,
     MetricGraph,
     PointOnGraph,
     PreconditionError,
@@ -111,6 +114,20 @@ def test_derive_weights_radius_rule():
     assert w.at("c", 1) == pytest.approx(0.8, abs=1e-15)
 
 
+@pytest.mark.parametrize("dimension, scale", [(3, 1e200), (400, 10.0)])
+def test_derive_weights_at_huge_radius_powers(dimension, scale):
+    g = MetricGraph(
+        (Vertex("c"), Vertex("a", "exit"), Vertex("b"), Vertex("e")),
+        (Edge(("c", "a"), 1.0, scale), Edge(("c", "b"), 1.0, scale),
+         Edge(("c", "e"), 1.0, scale), Edge(("b", "e"), 1.0, scale / 2.0)),
+        dimension=dimension,
+    )
+    w = derive_weights(g)
+    assert [w.at("c", k) for k in range(3)] == [1.0 / 3.0] * 3
+    assert w.at("b", 1) == 1.0 / (1.0 + 0.5 ** (dimension - 1))
+    assert weights_violations(g, w) == []
+
+
 def test_weight_rows_sum_to_one_randomized():
     rng = np.random.default_rng(42)
     for _ in range(30):
@@ -183,3 +200,13 @@ def test_uniform_weights_match_equal_radii():
     rng = np.random.default_rng(7)
     g, _ = random_graph(rng, random_radii=False)
     assert uniform_weights(g).p == derive_weights(g).p
+
+
+def test_weights_keep_their_own_copy_and_pickle():
+    rng = np.random.default_rng(9)
+    g, _ = random_graph(rng, random_radii=True)
+    table = dict(derive_weights(g).p)
+    w = EdgeWeights(table)
+    table.clear()  # the weights keep their own copy
+    assert w == derive_weights(g)
+    assert pickle.loads(pickle.dumps(w)) == w

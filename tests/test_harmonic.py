@@ -1,20 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
 from graphreact import (
     Edge,
+    KappaSpec,
     MetricGraph,
     PreconditionError,
+    SingularSystemError,
     Vertex,
+    conversion,
     derive_weights,
     green_matrix,
     hitting_split,
     mean_local_time,
+    rational_form,
+    solve_survival,
     split_at,
+    uniform_weights,
     vertex_flux,
     PointOnGraph,
 )
-from helpers import chain_graph, path_graph, random_graph, star_graph, y_graph
+from graphreact import algebra
+from graphreact.harmonic import flux_coefficients, green_and_split
+from helpers import chain_graph, kappa_samples, path_graph, random_graph, star_graph, y_graph
 
 
 def test_flux_of_constant_is_zero():
@@ -197,3 +207,129 @@ def test_degree2_insertion_leaves_green_and_split_invariant():
         assert np.max(np.abs(gm.entries - gm2.entries)) <= 1e-10
         assert abs(hs.alpha_inf - hs2.alpha_inf) <= 1e-10
         assert np.max(np.abs(hs.p - hs2.p)) <= 1e-10
+
+
+def _fresh(g):
+    """The same graph as a new object, with nothing memoized on it."""
+    return MetricGraph(g.vertices, g.edges, g.dimension)
+
+
+def _count_vertex_solves(monkeypatch, g):
+    """Record every n-order solve (n = vertex count) from here on."""
+    calls = []
+    solve = algebra.solve_many
+
+    def counting(a, b):
+        if len(a) == len(g.vertex_ids):
+            calls.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(algebra, "solve_many", counting)
+    return calls
+
+
+def test_second_conversion_reuses_the_green_solve(monkeypatch):
+    g, start, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
+    w = derive_weights(g)
+    calls = _count_vertex_solves(monkeypatch, g)
+    first = conversion(g, w, start, KappaSpec.constant(2.0))
+    assert len(calls) == 1
+    assert conversion(g, w, start, KappaSpec.constant(2.0)) == first
+    conversion(g, w, start, KappaSpec.per_vertex({"c1": 1.0, "c2": 0.5, "c3": 3.0}))
+    rational_form(g, w, start)
+    hitting_split(g, w, start)
+    assert len(calls) == 1
+
+
+def test_memoized_conversions_match_fresh_problems_bit_for_bit():
+    rng = np.random.default_rng(31)
+    grid = [*kappa_samples(8), math.inf]
+    for i in range(20):
+        g, start = random_graph(rng, random_radii=(i % 2 == 0))
+        w = derive_weights(g)
+        for kappa in grid:
+            ks = KappaSpec.constant(float(kappa))
+            g2 = _fresh(g)
+            w2 = derive_weights(g2)
+            assert conversion(g, w, start, ks) == conversion(g2, w2, start, ks)
+            assert solve_survival(g, w, ks).values == solve_survival(g2, w2, ks).values
+
+
+def test_two_weight_objects_on_one_graph_keep_their_own_solves():
+    g = MetricGraph(
+        (Vertex("x0"), Vertex("j"), Vertex("c", "active"), Vertex("a", "exit")),
+        (Edge(("x0", "j"), 1.0, 1.0), Edge(("j", "c"), 0.8, 2.0), Edge(("j", "a"), 1.2, 0.5)),
+    )
+    ks = KappaSpec.constant(1.5)
+    alphas = []
+    for make in (derive_weights, uniform_weights, derive_weights):
+        w = make(g)
+        alpha = conversion(g, w, "x0", ks).alpha
+        g2 = _fresh(g)
+        w2 = make(g2)
+        assert alpha == conversion(g2, w2, "x0", ks).alpha
+        assert alpha == pytest.approx(1.0 - solve_survival(g2, w2, ks)["x0"], abs=1e-12)
+        alphas.append(alpha)
+    assert abs(alphas[0] - alphas[1]) > 1e-2
+    assert alphas[0] == alphas[2]
+
+
+def test_weights_made_anew_do_not_grow_the_memo():
+    g, start, _ = chain_graph((1.0, 0.5, 0.8))
+    ks = KappaSpec.constant(1.0)
+    want = conversion(_fresh(g), derive_weights(g), start, ks)
+    for _ in range(20):
+        assert conversion(g, derive_weights(g), start, ks) == want
+    assert len(g.solved) <= 2  # the flux and Green entries of the last weights
+
+
+def test_a_different_start_gets_its_own_entry(monkeypatch):
+    g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
+    w = derive_weights(g)
+    calls = _count_vertex_solves(monkeypatch, g)
+    ks = KappaSpec.constant(0.7)
+    for start in ("v0", "c2", "v0", "c2"):
+        g2 = _fresh(g)
+        assert conversion(g, w, start, ks) == conversion(g2, derive_weights(g2), start, ks)
+    # one solve per start on g, and one per fresh graph
+    assert len(calls) == 2 + 4
+
+
+def test_survival_solve_shares_only_the_flux_coefficients():
+    g, start, _ = chain_graph((1.0, 0.5, 0.8))
+    w = derive_weights(g)
+    solve_survival(g, w, KappaSpec.constant(1.0))
+    assert [key[1:] for key in g.solved] == [("flux",)]
+    conversion(g, w, start, KappaSpec.constant(1.0))
+    assert sorted(key[1:] for key in g.solved) == [("flux",), ("green", start)]
+
+
+def test_a_failed_solve_is_not_memoized(monkeypatch):
+    g, start, _ = chain_graph((1.0, 0.5, 0.8))
+    w = derive_weights(g)
+    solve = algebra.solve_many
+
+    def failing(a, b):
+        raise SingularSystemError("injected")
+
+    monkeypatch.setattr(algebra, "solve_many", failing)
+    with pytest.raises(SingularSystemError):
+        green_and_split(g, w, start)
+    monkeypatch.setattr(algebra, "solve_many", solve)
+    gm, hs = green_and_split(g, w, start)
+    assert hs.alpha_inf == pytest.approx(1.0, abs=1e-12)
+
+
+def test_memoized_arrays_and_weights_reject_writes():
+    g, start, _ = chain_graph((1.0, 0.5, 0.8))
+    w = derive_weights(g)
+    for x in (start, "c2"):
+        gm, hs = green_and_split(g, w, x)
+        with pytest.raises(ValueError):
+            gm.entries[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            hs.p[0] = 0.5
+    with pytest.raises(ValueError):
+        flux_coefficients(g, w)[0] = 1.0
+    with pytest.raises(TypeError):
+        w.p[("v0", 0)] = 0.5
