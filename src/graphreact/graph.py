@@ -212,21 +212,24 @@ class EdgeWeights:
 
     Self-loops are disallowed, so the pair identifies a half-edge with
     the given source vertex unambiguously even with parallel edges.
-    ``p`` is a read-only copy of the table given: harmonic memoizes solves
-    by the weights object, so its values must never change.
+    ``p`` is a read-only view of a copy of the table given: harmonic
+    memoizes solves by the weights object, so its values must never
+    change.  Lookups read the copy itself, which is faster than the view.
     """
 
     p: Mapping[tuple[str, int], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", MappingProxyType(dict(self.p)))
+        table = dict(self.p)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "p", MappingProxyType(table))
 
     def __reduce__(self):  # a mappingproxy cannot be pickled
-        return EdgeWeights, (dict(self.p),)
+        return EdgeWeights, (self._table,)
 
     def at(self, vertex_id: str, edge_index: int) -> float:
         try:
-            return self.p[(vertex_id, edge_index)]
+            return self._table[(vertex_id, edge_index)]
         except KeyError:
             raise PreconditionError(
                 f"no weight for vertex {vertex_id!r} on edge {edge_index}"
@@ -235,7 +238,7 @@ class EdgeWeights:
     def along(self, keys: Sequence[tuple[str, int]]) -> np.ndarray:
         """The weights at (vertex id, edge index) pairs, as an array."""
         try:
-            return np.fromiter(map(self.p.__getitem__, keys), float, len(keys))
+            return np.fromiter(map(self._table.__getitem__, keys), float, len(keys))
         except KeyError as exc:
             self.at(*exc.args[0])  # raises PreconditionError naming the pair
             raise

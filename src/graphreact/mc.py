@@ -29,6 +29,24 @@ at interior node j of an edge reaches the edge's second endpoint first
 with probability j/n_e.  The products have exactly the law of the
 step-by-step walk, and no interior step is simulated.
 
+The edge draw.  Row v of ``cum`` is the cumulative leave distribution,
+padded with 1.0 up to the largest degree, and a uniform u leaves by the
+column that counts the row's entries at or below u.  The weights are
+nonnegative, so a row never decreases and those entries come first.  A
+Chen-Asau guide table (indexed search, 1974) finds the column without
+reading the row.  Each row is cut into K = 2**s >= 4*width buckets, and
+the table holds, for every bucket b, the count of entries at or below
+its lower edge b/K.
+A draw starts from the count of its bucket floor(u*K) and steps past the
+entries that lie inside that bucket; ``passes``, the largest number of
+entries inside one bucket over all rows, is never more than width - 1.
+K is a power of two and the comparisons are made on the 53-bit integer
+m = u * 2**53 against ceil(c * 2**53), so the bucket, the scaled edges
+and every comparison are exact: each u leaves by the same edge as the
+full count gives, and the estimates are those of a scan of every column,
+bit for bit.  The cost of a transition grows with the entries that share
+a bucket, not with the largest degree.
+
 Randomness: per-trajectory SplitMix64 streams.  Draw k of trajectory i
 is mix64(key_i + (k+1)*GAMMA), with key_i derived from the master seed
 and i.  Vertex transition t takes draws 2t (returns) and 2t+1 (edge); the
@@ -59,7 +77,8 @@ _COMPACT = 4  # drop the absorbed walkers once they are a quarter
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
+    """SplitMix64's finalizer, computed in place: z must be a temporary."""
+    z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
@@ -77,6 +96,11 @@ def _draws(keys: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     """Draws ks of every stream, one row per k: mix64(key + (k+1)*GAMMA)."""
     counters = (np.asarray(ks, dtype=np.uint64) + np.uint64(1)) * _GAMMA
     return _mix64(keys[None, :] + counters[:, None])
+
+
+def _draw(keys: np.ndarray, k: int) -> np.ndarray:
+    """Draw k of every stream, with the counter made as a Python int."""
+    return _mix64(keys + np.uint64((k + 1) * int(_GAMMA) & _MASK64))
 
 
 def _uniform(bits: np.ndarray) -> np.ndarray:
@@ -199,11 +223,16 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     edge = np.fromiter((h.edge for h in hs), np.intp, len(hs))
     # p_v(e)/l_e: the rate p_v(e)/step_e into edge e times the chance 1/n_e
     # of crossing it
-    leave = np.fromiter((w.at(h.source, h.edge) for h in hs), float, len(hs))
+    leave = w.along([(h.source, h.edge) for h in hs])
+    if not 0.0 <= leave.min(initial=0.0) <= leave.max(initial=0.0) < math.inf:
+        # the edge draw needs rows of cum that never decrease
+        raise PreconditionError("edge weights must be finite and nonnegative")
     leave /= np.array(lengths)[edge]
     n = np.array(substeps, dtype=float)[edge]
     degree = np.bincount(row, minlength=nv)
     rate = np.bincount(row, leave * n, nv)
+    if np.count_nonzero(rate) < np.count_nonzero(degree):
+        raise PreconditionError("every vertex but an exit needs a positive edge weight")
     inv_rate = np.divide(1.0, rate, out=np.zeros(nv), where=degree > 0)
     stay = np.bincount(row, leave * (n - 1), nv) * inv_rate
     if np.any(stay >= 1.0):
@@ -243,6 +272,46 @@ def _visit_factors(grid: GridChain, ks: KappaSpec) -> np.ndarray:
     return factor
 
 
+@dataclass(frozen=True)
+class _EdgeGuide:
+    """Chen-Asau guide table over the rows of ``cum`` and a sink row
+    after them (see the module docstring).  A draw is m = u * 2**53;
+    each row has 2**shift buckets, ``guide`` holds the flat leave index
+    at the bottom of each, and ``least`` the smallest m that passes each
+    entry of ``cum``."""
+
+    shift: int
+    guide: np.ndarray
+    least: np.ndarray
+    passes: int
+
+    @classmethod
+    def of(cls, cum: np.ndarray) -> _EdgeGuide:
+        nv, width = cum.shape
+        rows = nv + 1  # and the sink, which stays in its first column
+        shift = max(2, (4 * width - 1).bit_length())
+        k = 1 << shift
+        inner = cum[:, :-1] * k  # exact: k is a power of two
+        # an inner entry c counts from bucket ceil(c) on, and one strictly
+        # inside bucket floor(c) may take a pass there
+        row, col = np.nonzero(inner <= k - 1)
+        guide = np.bincount(row * k + np.ceil(inner[row, col]).astype(np.intp), minlength=rows * k)
+        table = guide.reshape(rows, k)  # filled in place: k grows with the width
+        np.cumsum(table, axis=1, out=table)
+        table += width * np.arange(rows)[:, None]
+        row, col = np.nonzero((inner < k) & (inner != np.floor(inner)))
+        _, per_bucket = np.unique(row * k + inner[row, col].astype(np.intp), return_counts=True)
+        least = np.append(np.ceil(cum * 2.0**53).astype(np.intp), np.full(width, 2**53))
+        return cls(shift, guide, least, int(per_bucket.max(initial=0)))
+
+    def leave(self, state: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Flat index of the leave column of each walker for draws m."""
+        idx = self.guide[(state << self.shift) + (m >> (53 - self.shift))]
+        for _ in range(self.passes):
+            idx += m >= self.least[idx]
+        return idx
+
+
 def _simulate_block(
     grid: GridChain,
     factor: np.ndarray,
@@ -263,7 +332,7 @@ def _simulate_block(
         k = bisect.bisect_right(grid.edge_base, start) - 1
         j = start - grid.edge_base[k] + 1
         a, b = (grid.vertex_node[v] for v in grid.graph.edges[k].endpoints)
-        state = np.where(_uniform(_draws(keys, [0])[0]) * grid.substeps[k] < j, b, a)
+        state = np.where(_uniform(_draw(keys, 0)) * grid.substeps[k] < j, b, a)
         t = 1
     else:
         state = np.full(hi - lo, start)
@@ -278,7 +347,7 @@ def _simulate_block(
     killing = bool(active.any())
     with np.errstate(divide="ignore"):
         inv_log_stay = np.append(1.0 / np.log(grid.stay), 0.0)  # -0.0 where stay is 0
-    cum = [np.append(c, 1.0) for c in grid.cum.T[:-1]]
+    edges = _EdgeGuide.of(grid.cum)
     nbr = np.append(grid.nbr.ravel(), np.full(width, sink))
 
     def retire(state, weight, local) -> int:
@@ -303,22 +372,21 @@ def _simulate_block(
         if not local.size or t >= cap:
             break
         if not len(draws):
-            # the edge draws k = 2t+1 of the next transitions, a row each
+            # the edge draws k = 2t+1 of the next transitions, a row each,
+            # as m = u * 2**53
             span = min(max(1, _CHUNK // local.size), cap - t)
-            draws = _uniform(_draws(keys, range(2 * t + 1, 2 * (t + span), 2)))
+            bits = _draws(keys, range(2 * t + 1, 2 * (t + span), 2))
+            draws = (bits >> np.uint64(11)).view(np.intp)
         if killing:
             # leaving an active vertex: its visit and R returns, with
             # R = floor(log(1-u)/log(stay)) from draw k = 2t
             i = active[state].nonzero()[0]
             if i.size:
                 at = state[i]
-                log_u = np.log(1.0 - _uniform(_draws(keys[i], [2 * t])[0]))
+                log_u = np.log(1.0 - _uniform(_draw(keys[i], 2 * t)))
                 weight[i] *= fac[at] ** (np.floor(log_u * inv_log_stay[at]) + 1.0)
-        u, draws = draws[0], draws[1:]
-        idx = state * width
-        for column in cum:
-            idx += u >= column[state]
-        state = nbr[idx]
+        state = nbr[edges.leave(state, draws[0])]
+        draws = draws[1:]
         t += 1
         parked += retire(state, weight, local)
     # a capped walker's running product counts the visit it is on

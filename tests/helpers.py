@@ -112,6 +112,19 @@ def random_graph(
     return g, start
 
 
+def hub_graph(rng: np.random.Generator, degree: int = 64) -> tuple[MetricGraph, str]:
+    """A ``random_graph`` with random radii whose vertex n0 gets leaves
+    up to the given degree; every fourth leaf is an exit."""
+    g, start = random_graph(rng, random_radii=True)
+    have = sum("n0" in e.endpoints for e in g.edges)
+    vertices, edges = list(g.vertices), list(g.edges)
+    for i in range(degree - have):
+        vertices.append(Vertex(f"h{i}", "exit" if i % 4 == 0 else "inert"))
+        length, radius = float(rng.uniform(0.3, 1.8)), float(rng.uniform(0.5, 2.0))
+        edges.append(Edge(("n0", f"h{i}"), length, radius))
+    return MetricGraph(tuple(vertices), tuple(edges)), start
+
+
 def random_green_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Plausible local-time matrix: from an actual random graph when it
     has n active vertices, else a random symmetric positive matrix."""

@@ -1,13 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from graphreact import (
     Edge,
+    EdgeWeights,
     KappaSpec,
     MetricGraph,
     PointOnGraph,
     PreconditionError,
     SimConfig,
+    SimEstimate,
     Vertex,
     build_grid,
     derive_weights,
@@ -15,7 +19,7 @@ from graphreact import (
     hitting_split,
     simulate,
 )
-from helpers import chain_graph, path_graph, star_graph, y_graph
+from helpers import chain_graph, hub_graph, path_graph, star_graph, y_graph
 
 
 def test_grid_substeps_single_edge():
@@ -241,3 +245,146 @@ def test_capped_product_counts_the_current_visit():
     assert est.capped == 100
     assert est.steps_max == 1
     assert est.mean == pytest.approx(1.0 / 1.25, rel=1e-12)
+
+
+def _pinned_case(name):
+    path, _ = path_graph()
+    hub, hub_start = hub_graph(np.random.default_rng(64))
+    g, x, kappa, cfg = {
+        "path": (path, "v0", 1.0, SimConfig(0.05, 2000, 11)),
+        "path-interior": (path, PointOnGraph.on_edge(1, 0.25), 2.0, SimConfig(0.25, 2000, 8)),
+        "star3": (*star_graph(3), 2.0, SimConfig(0.25, 2000, 5)),
+        "hub": (hub, hub_start, 1.5, SimConfig(0.25, 2000, 3)),
+        "hub-capped": (hub, hub_start, 0.7, SimConfig(0.25, 2000, 4, step_cap=6)),
+    }[name]
+    return g, derive_weights(g), KappaSpec.constant(kappa), x, cfg
+
+
+# estimates recorded with the column-scan edge draw; the guide table
+# must pick the same edge for every draw, so they stay equal bit for bit
+PINNED = {
+    "path": SimEstimate(mean=0.32442484108686315, standard_error=0.006435541160299078,
+                        trajectories=2000, capped=0, steps_mean=3.998, steps_max=20),
+    "path-interior": SimEstimate(mean=0.405493801552066, standard_error=0.008992432337018536,
+                                 trajectories=2000, capped=0, steps_mean=3.2635, steps_max=28),
+    "star3": SimEstimate(mean=0.14115015574415746, standard_error=0.004536640928697498,
+                         trajectories=2000, capped=0, steps_mean=8.709, steps_max=62),
+    "hub": SimEstimate(mean=0.4225031843306338, standard_error=0.00970608619549103,
+                       trajectories=2000, capped=0, steps_mean=6.032, steps_max=61),
+    "hub-capped": SimEstimate(mean=0.5690505320162914, standard_error=0.008204512368501688,
+                              trajectories=2000, capped=652, steps_mean=3.576, steps_max=6),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_estimates_pinned_bit_for_bit(case):
+    assert simulate(*_pinned_case(case)) == PINNED[case]
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_estimates_do_not_depend_on_blocking(case, monkeypatch):
+    from graphreact import mc
+
+    monkeypatch.setattr(mc, "_BLOCK", 7)
+    monkeypatch.setattr(mc, "_CHUNK", 5)
+    monkeypatch.setattr(mc, "_COMPACT", 2)
+    assert simulate(*_pinned_case(case)) == PINNED[case]
+
+
+# `graphreact mc FIXTURE --kappa 1.5 --delta 0.05 --n 2000 --seed 7`, second
+# line of stdout
+PINNED_CLI = {
+    "chain_m1": "1.5,0.296664694081,0.00632180766585,2000,0.05,7",
+    "chain_m2": "1.5,0.130870118882,0.00409758425297,2000,0.05,7",
+    "chain_m3": "1.5,0.0211690350463,0.00140935061586,2000,0.05,7",
+    "interval_site": "1.5,0.403421490965,0.00642860611471,2000,0.05,7",
+    "interval_zone": "1.5,0.403421490965,0.00642860611471,2000,0.05,7",
+    "path_site": "1.5,0.25216211041,0.00613918988189,2000,0.05,7",
+    "star_n2": "1.5,0.250188303363,0.00614783543492,2000,0.05,7",
+    "star_n3": "1.5,0.17839860124,0.00557963590558,2000,0.05,7",
+    "star_n4": "1.5,0.149559306305,0.00525811037045,2000,0.05,7",
+    "ygraph": "1.5,0.632075080215,0.00944703572717,2000,0.05,7",
+}
+
+
+def test_cli_mc_output_is_byte_stable(capsys):
+    from graphreact.cli import main
+
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    assert sorted(f.stem for f in fixtures.glob("*.json")) == sorted(PINNED_CLI)
+    for name, row in PINNED_CLI.items():
+        args = ["mc", str(fixtures / f"{name}.json"), "--kappa", "1.5", "--delta", "0.05",
+                "--n", "2000", "--seed", "7"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == f"kappa,mean,se,n,delta,seed\n{row}\n"
+
+
+def _crowded_star():
+    # three thin leaves put their boundaries 1e-4 apart, inside the first
+    # of the center's buckets
+    leaves = [("t0", 0.01), ("t1", 0.01), ("t2", 0.01), ("b", 1.0)]
+    g = MetricGraph(
+        (Vertex("c", "active"), Vertex("a", "exit"), *(Vertex(v) for v, _ in leaves)),
+        (Edge(("c", "a"), 1.0), *(Edge(("c", v), 1.0, r) for v, r in leaves)),
+    )
+    return g, "b"
+
+
+def _weighted_path(p_back: float):
+    # c leaves toward v0 with probability p_back
+    g, _ = path_graph()
+    return g, EdgeWeights({("v0", 0): 1.0, ("c", 0): p_back, ("c", 1): 1.0 - p_back, ("a", 1): 1.0})
+
+
+@pytest.mark.parametrize("graph", ["padded", "hub", "crowded", "bucket-edge", "top-bucket"])
+def test_guide_table_matches_the_column_count(graph):
+    from graphreact import mc
+
+    g, w = {
+        "padded": lambda: (star_graph(4)[0], None),
+        "hub": lambda: (hub_graph(np.random.default_rng(64))[0], None),
+        "crowded": lambda: (_crowded_star()[0], None),
+        "bucket-edge": lambda: _weighted_path(0.875),  # the top bucket's lower edge
+        "top-bucket": lambda: _weighted_path(0.95),
+    }[graph]()
+    grid = build_grid(g, w or derive_weights(g), 0.25)
+    nv, width = grid.cum.shape
+    table = mc._EdgeGuide.of(grid.cum)
+    k = 1 << table.shift
+    assert k >= 4 * width
+    assert table.passes <= width - 1
+    if graph == "crowded":
+        assert table.passes >= 2
+    if graph == "bucket-edge":
+        assert grid.cum[grid.vertex_node["c"], 0] * k == k - 1
+        assert table.passes == 0
+    if graph == "top-bucket":
+        assert table.passes == 1
+    if graph == "padded":  # leaves of degree 1 in rows of width 4
+        assert ((grid.cum[:, -2] == 1.0) & ~grid.absorbing).any()
+
+    edges = np.arange(k + 1) / k
+    u = np.concatenate([grid.cum.ravel(), edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
+                        [0.0, 1.0 - 2.0**-53]])
+    # the draws m = u * 2**53 on and next to each value, within [0, 2**53)
+    m = np.floor(u * 2.0**53).astype(np.int64)
+    m = np.unique(np.clip(np.concatenate([m - 1, m, m + 1]), 0, 2**53 - 1))
+    for v in range(nv):
+        state = np.full(m.size, v)
+        expect = (m[:, None] * 2.0**-53 >= grid.cum[v, :-1]).sum(axis=1)
+        assert np.array_equal(table.leave(state, m) - v * width, expect), v
+    assert (table.leave(np.full(m.size, nv), m) == nv * width).all()
+
+
+def test_grid_rejects_missing_and_unusable_weights():
+    g, _ = path_graph()
+    missing = EdgeWeights({("v0", 0): 1.0, ("c", 0): 0.5, ("a", 1): 1.0})
+    with pytest.raises(PreconditionError, match="no weight for vertex 'c' on edge 1"):
+        build_grid(g, missing, 0.25)
+    for bad in (float("nan"), -0.5, float("inf")):
+        w = EdgeWeights({("v0", 0): 1.0, ("c", 0): 0.5, ("c", 1): bad, ("a", 1): 1.0})
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            build_grid(g, w, 0.25)
+    zero = EdgeWeights({("v0", 0): 1.0, ("c", 0): 0.0, ("c", 1): 0.0, ("a", 1): 1.0})
+    with pytest.raises(PreconditionError, match="needs a positive edge weight"):
+        build_grid(g, zero, 0.25)
