@@ -6,7 +6,7 @@ piecewise ODE solve with spread-out reactive zones (diffuse), and a
 Monte Carlo oracle on the embedded grid chain (mc).
 """
 
-from .algebra import Polynomial, RationalForm, det, det_poly, row_subtracted, solve_linear
+from .algebra import Polynomial, RationalForm, det
 from .diffuse import (
     ActiveZoneSpec,
     CollapseRow,
@@ -51,7 +51,6 @@ from .harmonic import (
     green_matrix,
     hitting_split,
     mean_local_time,
-    vertex_flux,
 )
 from .kac import (
     ConversionResult,
@@ -60,7 +59,6 @@ from .kac import (
     conversion,
     placement_leading_coeff,
     rational_form,
-    survival_det,
     survival_on_active,
 )
 from .mc import (
@@ -108,7 +106,6 @@ __all__ = [
     "conversion",
     "derive_weights",
     "det",
-    "det_poly",
     "emit_document",
     "estimate_csv",
     "estimate_survival",
@@ -124,16 +121,12 @@ __all__ = [
     "rational_form",
     "require_valid",
     "resolve_vertex",
-    "row_subtracted",
     "simulate",
     "solve_diffuse",
-    "solve_linear",
     "solve_survival",
     "split_at",
-    "survival_det",
     "survival_on_active",
     "uniform_weights",
     "validate",
-    "vertex_flux",
     "weights_violations",
 ]

@@ -1,4 +1,4 @@
-"""Linear solves and polynomial arithmetic.
+"""Linear solves, determinants and polynomial ratios.
 
 A system is a dense square numpy array or, for the vertex systems, a
 ``Triplets`` list of entries.  It is factored once, solved for all
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import PreconditionError, SingularSystemError
 
-#: residual guarantee of solve_linear: ||Ax - b||_inf <= RTOL * (1 + ||b||_inf)
+#: residual guarantee of solve_many: ||Ax - b||_inf <= RTOL * (1 + ||b||_inf)
 RTOL = 1e-10
 
 #: order above which solve_many factors Triplets with SuperLU (measured:
@@ -158,14 +158,6 @@ def solve_many(a: np.ndarray | Triplets, b: np.ndarray) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the square system a x = b by row-pivoted elimination."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise PreconditionError("right-hand side must be a vector")
-    return solve_many(a, b)
-
-
 def det(a: np.ndarray) -> float:
     """Determinant from the same LU factor; 0.0 when singular."""
     try:
@@ -174,14 +166,6 @@ def det(a: np.ndarray) -> float:
         return 0.0
     sign = -1.0 if np.count_nonzero(piv != np.arange(len(piv))) % 2 else 1.0
     return float(sign * np.prod(np.diag(lu)))
-
-
-def row_subtracted(a: np.ndarray, j: int) -> np.ndarray:
-    """Subtract row j from every row (row j of the result is zero)."""
-    a = np.asarray(a, dtype=float)
-    if not (0 <= j < a.shape[0]):
-        raise PreconditionError(f"row index {j} out of range for {a.shape[0]} rows")
-    return a - a[j][None, :]
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -214,28 +198,6 @@ class Polynomial:
             result = result * x + c
         return result
 
-    def __add__(self, other: Polynomial) -> Polynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-1.0) * other
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
-                return Polynomial()
-            out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, ci in enumerate(self.coeffs):
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-            return Polynomial(tuple(out))
-        return Polynomial(tuple(float(other) * c for c in self.coeffs))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class RationalForm:
@@ -249,27 +211,10 @@ class RationalForm:
         if d0 == 0.0:
             raise PreconditionError("denominator must be nonzero at 0")
         if d0 != 1.0:
-            object.__setattr__(self, "numerator", (1.0 / d0) * self.numerator)
-            object.__setattr__(self, "denominator", (1.0 / d0) * self.denominator)
+            for name in ("numerator", "denominator"):
+                scaled = tuple((1.0 / d0) * c for c in getattr(self, name).coeffs)
+                object.__setattr__(self, name, Polynomial(scaled))
 
     def __call__(self, x):
         return self.numerator(x) / self.denominator(x)
 
-
-def det_poly(g: np.ndarray) -> Polynomial:
-    """Coefficients of det(I + t*G) as a polynomial in t.
-
-    The coefficient of t^m is the sum of the m-by-m principal minors of
-    G.  Coefficients are recovered by evaluating the determinant at the
-    integer nodes t = 0..n and solving the (mild, small-n) Vandermonde
-    system; the node t = 0 pins the constant term to exactly 1.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise PreconditionError(f"matrix must be square, got shape {g.shape}")
-    n = g.shape[0]
-    eye = np.eye(n)
-    values = np.array([det(eye + t * g) - 1.0 for t in range(1, n + 1)])
-    vand = np.array([[float(t**m) for m in range(1, n + 1)] for t in range(1, n + 1)])
-    higher = solve_linear(vand, values)
-    return Polynomial((1.0, *higher))

@@ -39,7 +39,7 @@ import numpy as np
 from . import algebra
 from .errors import PreconditionError
 from .feynman_kac import evaluate_at, solve_survival
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
+from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
 from .harmonic import flux_system, vertex_mask
 from .kac import KappaSpec
 
@@ -100,7 +100,6 @@ class Segment:
     Inside a zone (``reactive``, decay rate ``mu``) u(s) is
     (u0 sinh mu(length - s) + u1 sinh mu s) / sinh(mu length), elsewhere
     affine; the views evaluate it in forms scaled by e^{-mu length}.
-    end_value and end_slope need no ``mu``: the segment holds its own.
     """
 
     start: float
@@ -114,18 +113,12 @@ class Segment:
         return _zone_port(self.mu, self.length) if self.reactive else (1.0 / self.length, 0.0)
 
     @property
-    def value(self) -> float:
-        return self.u0
-
-    @property
     def slope(self) -> float:
         c, kill = self._port()
         return c * (self.u1 - self.u0) - kill * self.u0
 
-    def end_value(self, mu: float | None = None) -> float:
-        return self.u1
-
-    def end_slope(self, mu: float | None = None) -> float:
+    @property
+    def end_slope(self) -> float:
         c, kill = self._port()
         return c * (self.u1 - self.u0) + kill * self.u1
 
@@ -183,17 +176,9 @@ class PiecewiseSolution:
         return out
 
     def evaluate(self, x: PointOnGraph | str) -> float:
-        if isinstance(x, str):
-            x = PointOnGraph.at_vertex(x)
+        x = locate(self.graph, x)
         if x.is_vertex:
-            if x.vertex not in self.vertex_values:
-                raise PreconditionError(f"unknown vertex {x.vertex!r}")
             return self.vertex_values[x.vertex]
-        if not (0 <= x.edge < len(self.graph.edges)):
-            raise PreconditionError(f"edge index {x.edge} out of range")
-        length = self.graph.edges[x.edge].length
-        if not (0.0 <= x.offset <= length):
-            raise PreconditionError(f"offset {x.offset!r} outside [0, {length}]")
         segs = self.segments[x.edge]
         for seg in segs:
             if x.offset <= seg.start + seg.length or seg is segs[-1]:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .errors import PreconditionError
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
+from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
 from .harmonic import flux_coefficients, flux_system, vertex_mask
 from .kac import KappaSpec
 
@@ -58,18 +57,10 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:
     """Evaluate the field at a point, interpolating along edges."""
-    if isinstance(x, str):
-        x = PointOnGraph.at_vertex(x)
+    x = locate(field.graph, x)
     if x.is_vertex:
-        if x.vertex not in field.values:
-            raise PreconditionError(f"unknown vertex {x.vertex!r}")
         return field.values[x.vertex]
-    g = field.graph
-    if not (0 <= x.edge < len(g.edges)):
-        raise PreconditionError(f"edge index {x.edge} out of range")
-    e = g.edges[x.edge]
-    if not (0.0 <= x.offset <= e.length):
-        raise PreconditionError(f"offset {x.offset!r} outside [0, {e.length}]")
+    e = field.graph.edges[x.edge]
     u, v = e.endpoints
     t = x.offset / e.length
     return (1.0 - t) * field.values[u] + t * field.values[v]

@@ -417,3 +417,24 @@ def resolve_vertex(g: MetricGraph, x: PointOnGraph | str) -> str:
     if vid not in g.vertex_index:
         raise PreconditionError(f"unknown vertex {vid!r}")
     return vid
+
+
+def locate(g: MetricGraph, x: PointOnGraph | str) -> PointOnGraph:
+    """The point x on g, a vertex id becoming a vertex-form point.
+
+    Checks that the vertex exists, or that the edge index is in range and
+    the offset lies in [0, length]; an offset of 0 or the length is the
+    edge's endpoint.
+    """
+    if isinstance(x, str):
+        x = PointOnGraph.at_vertex(x)
+    if x.is_vertex:
+        if x.vertex not in g.vertex_index:
+            raise PreconditionError(f"unknown vertex {x.vertex!r}")
+        return x
+    if not (0 <= x.edge < len(g.edges)):
+        raise PreconditionError(f"edge index {x.edge} out of range")
+    length = g.edges[x.edge].length
+    if not (0.0 <= x.offset <= length):
+        raise PreconditionError(f"offset {x.offset!r} outside [0, {length}]")
+    return x

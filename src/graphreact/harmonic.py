@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import Collection
 
 import numpy as np
 
@@ -65,20 +65,6 @@ class GreenMatrix:
 
     active: tuple[str, ...]
     entries: np.ndarray
-
-
-def vertex_flux(
-    g: MetricGraph, w: EdgeWeights, potential: Mapping[str, float], vertex_id: str
-) -> float:
-    """The flux functional rho_v applied to an edge-affine potential."""
-    if vertex_id not in g.out_edges:
-        raise PreconditionError(f"unknown vertex {vertex_id!r}")
-    total = 0.0
-    fv = potential[vertex_id]
-    for he in g.out_edges[vertex_id]:
-        e = g.edges[he.edge]
-        total += w.at(vertex_id, he.edge) * (potential[he.target] - fv) / e.length
-    return total
 
 
 def _memo(g: MetricGraph, w: EdgeWeights, key: tuple, solve):

@@ -116,19 +116,6 @@ def survival_on_active(gm: GreenMatrix, ks: KappaSpec) -> np.ndarray:
     return s * algebra.solve_many(a, np.ones(len(s)))
 
 
-def survival_det(gm: GreenMatrix, ks: KappaSpec, j: int) -> float:
-    """Survival at site j as the determinant ratio
-    det(I + G^(j) M_kappa) / det(I + G M_kappa)."""
-    if not (0 <= j < len(gm.active)):
-        raise PreconditionError(f"site index {j} out of range")
-    values = _finite_values(gm, ks)
-    n = len(gm.active)
-    eye = np.eye(n)
-    num = algebra.det(eye + algebra.row_subtracted(gm.entries, j) * values[None, :])
-    den = algebra.det(eye + gm.entries * values[None, :])
-    return num / den
-
-
 def conversion(
     g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str, ks: KappaSpec
 ) -> ConversionResult:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
+from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
 from .kac import KappaSpec
 
 _MASK64 = (1 << 64) - 1
@@ -168,21 +168,15 @@ class GridChain:
     stay: np.ndarray
     absorbing: np.ndarray
     excursion_mean: np.ndarray
-    vertex_node: dict[str, int]
     edge_base: tuple[int, ...]
     size: int
 
     def node_index(self, x: PointOnGraph | str, tol: float = 1e-9) -> int:
         """Grid node at a point; errors if the point is off-grid."""
-        if isinstance(x, str):
-            x = PointOnGraph.at_vertex(x)
+        x = locate(self.graph, x)
+        index = self.graph.vertex_index
         if x.is_vertex:
-            try:
-                return self.vertex_node[x.vertex]
-            except KeyError:
-                raise PreconditionError(f"unknown vertex {x.vertex!r}") from None
-        if not (0 <= x.edge < len(self.graph.edges)):
-            raise PreconditionError(f"edge index {x.edge} out of range")
+            return index[x.vertex]
         e = self.graph.edges[x.edge]
         d = self.deltas[x.edge]
         j = round(x.offset / d)
@@ -191,9 +185,9 @@ class GridChain:
                 f"offset {x.offset!r} is not a grid node (step {d})"
             )
         if j <= 0:
-            return self.vertex_node[e.endpoints[0]]
+            return index[e.endpoints[0]]
         if j >= self.substeps[x.edge]:
-            return self.vertex_node[e.endpoints[1]]
+            return index[e.endpoints[1]]
         return self.edge_base[x.edge] + (j - 1)
 
 
@@ -212,14 +206,14 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
         )
 
     substeps = tuple(max(1, int(math.floor(length / step + 0.5))) for length in lengths)
-    vertex_node = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    nv = len(vertex_node)
+    index = g.vertex_index
+    nv = len(index)
 
     # the half-edges out of the non-exit vertices, vertex by vertex
     exits = set(g.exit_vertices)
     hs = [h for vid in g.vertex_ids if vid not in exits for h in g.out_edges[vid]]
-    row = np.fromiter((vertex_node[h.source] for h in hs), np.intp, len(hs))
-    far = np.fromiter((vertex_node[h.target] for h in hs), np.intp, len(hs))
+    row = np.fromiter((index[h.source] for h in hs), np.intp, len(hs))
+    far = np.fromiter((index[h.target] for h in hs), np.intp, len(hs))
     edge = np.fromiter((h.edge for h in hs), np.intp, len(hs))
     # p_v(e)/l_e: the rate p_v(e)/step_e into edge e times the chance 1/n_e
     # of crossing it
@@ -257,17 +251,16 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
         stay=stay,
         absorbing=degree == 0,
         excursion_mean=inv_rate,
-        vertex_node=vertex_node,
         edge_base=tuple(itertools.accumulate((n - 1 for n in substeps[:-1]), initial=nv)),
         size=nv + sum(substeps) - len(substeps),
     )
 
 
 def _visit_factors(grid: GridChain, ks: KappaSpec) -> np.ndarray:
-    factor = np.ones(len(grid.vertex_node))
+    factor = np.ones(len(grid.graph.vertex_ids))
     active = grid.graph.active_vertices
     for vid, kappa in zip(active, ks.values(active) if active else ()):
-        i = grid.vertex_node[vid]
+        i = grid.graph.vertex_index[vid]
         factor[i] = 0.0 if math.isinf(kappa) else 1.0 / (1.0 + kappa * grid.excursion_mean[i])
     return factor
 
@@ -331,7 +324,7 @@ def _simulate_block(
         # interior node j of edge k: the second endpoint first w.p. j/n_k
         k = bisect.bisect_right(grid.edge_base, start) - 1
         j = start - grid.edge_base[k] + 1
-        a, b = (grid.vertex_node[v] for v in grid.graph.edges[k].endpoints)
+        a, b = (grid.graph.vertex_index[v] for v in grid.graph.edges[k].endpoints)
         state = np.where(_uniform(_draw(keys, 0)) * grid.substeps[k] < j, b, a)
         t = 1
     else:

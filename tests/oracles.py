@@ -1,0 +1,72 @@
+"""Reference implementations that tests compare the package against.
+
+No route of the package uses these: each computes a quantity the
+package also computes, by a second, independent method.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+import numpy as np
+
+from graphreact import algebra
+from graphreact.algebra import Polynomial
+from graphreact.errors import PreconditionError
+from graphreact.graph import EdgeWeights, MetricGraph
+from graphreact.harmonic import GreenMatrix
+from graphreact.kac import KappaSpec, _finite_values
+
+
+def row_subtracted(a: np.ndarray, j: int) -> np.ndarray:
+    """Subtract row j from every row (row j of the result is zero)."""
+    a = np.asarray(a, dtype=float)
+    if not (0 <= j < a.shape[0]):
+        raise PreconditionError(f"row index {j} out of range for {a.shape[0]} rows")
+    return a - a[j][None, :]
+
+
+def det_poly(g: np.ndarray) -> Polynomial:
+    """Coefficients of det(I + t*G) as a polynomial in t.
+
+    The coefficient of t^m is the sum of the m-by-m principal minors of
+    G.  Coefficients are recovered by evaluating the determinant at the
+    integer nodes t = 0..n and solving the (mild, small-n) Vandermonde
+    system; the node t = 0 pins the constant term to exactly 1.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise PreconditionError(f"matrix must be square, got shape {g.shape}")
+    n = g.shape[0]
+    eye = np.eye(n)
+    values = np.array([algebra.det(eye + t * g) - 1.0 for t in range(1, n + 1)])
+    vand = np.array([[float(t**m) for m in range(1, n + 1)] for t in range(1, n + 1)])
+    higher = algebra.solve_many(vand, values)
+    return Polynomial((1.0, *higher))
+
+
+def survival_det(gm: GreenMatrix, ks: KappaSpec, j: int) -> float:
+    """Survival at site j as the determinant ratio
+    det(I + G^(j) M_kappa) / det(I + G M_kappa)."""
+    if not (0 <= j < len(gm.active)):
+        raise PreconditionError(f"site index {j} out of range")
+    values = _finite_values(gm, ks)
+    n = len(gm.active)
+    eye = np.eye(n)
+    num = algebra.det(eye + row_subtracted(gm.entries, j) * values[None, :])
+    den = algebra.det(eye + gm.entries * values[None, :])
+    return num / den
+
+
+def vertex_flux(
+    g: MetricGraph, w: EdgeWeights, potential: Mapping[str, float], vertex_id: str
+) -> float:
+    """The flux functional rho_v applied to an edge-affine potential."""
+    if vertex_id not in g.out_edges:
+        raise PreconditionError(f"unknown vertex {vertex_id!r}")
+    total = 0.0
+    fv = potential[vertex_id]
+    for he in g.out_edges[vertex_id]:
+        e = g.edges[he.edge]
+        total += w.at(vertex_id, he.edge) * (potential[he.target] - fv) / e.length
+    return total

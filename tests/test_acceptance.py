@@ -18,11 +18,9 @@ from graphreact import (
     chain_alpha_recursive,
     conversion,
     derive_weights,
-    det_poly,
     green_matrix,
     placement_leading_coeff,
     rational_form,
-    row_subtracted,
     simulate,
     solve_diffuse,
     solve_survival,
@@ -35,6 +33,7 @@ from helpers import (
     random_graph,
     star_graph,
 )
+from oracles import det_poly, row_subtracted
 
 
 @contextmanager

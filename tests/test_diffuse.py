@@ -112,17 +112,16 @@ def test_zone_spec_validation():
 
 def _matching_residuals(sol):
     """Recompute every continuity / flux condition from the solved pieces."""
-    g, zone = sol.graph, sol.zone
+    g = sol.graph
     w = derive_weights(g)
-    mu = zone.mu
     worst = 0.0
     for k, segs in sol.segments.items():
         u, v = g.edges[k].endpoints
-        worst = max(worst, abs(segs[0].value - sol.vertex_values[u]))
+        worst = max(worst, abs(segs[0].u0 - sol.vertex_values[u]))
         for s in range(len(segs) - 1):
-            worst = max(worst, abs(segs[s].end_value(mu) - segs[s + 1].value))
-            worst = max(worst, abs(segs[s].end_slope(mu) - segs[s + 1].slope))
-        worst = max(worst, abs(segs[-1].end_value(mu) - sol.vertex_values[v]))
+            worst = max(worst, abs(segs[s].u1 - segs[s + 1].u0))
+            worst = max(worst, abs(segs[s].end_slope - segs[s + 1].slope))
+        worst = max(worst, abs(segs[-1].u1 - sol.vertex_values[v]))
     exits = set(g.exit_vertices)
     for vid in g.vertex_ids:
         if vid in exits:
@@ -134,7 +133,7 @@ def _matching_residuals(sol):
             if g.edges[he.edge].endpoints[0] == vid:
                 flux += w.at(vid, he.edge) * segs[0].slope
             else:
-                flux -= w.at(vid, he.edge) * segs[-1].end_slope(mu)
+                flux -= w.at(vid, he.edge) * segs[-1].end_slope
         worst = max(worst, abs(flux))
     return worst
 

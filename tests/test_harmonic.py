@@ -19,12 +19,12 @@ from graphreact import (
     solve_survival,
     split_at,
     uniform_weights,
-    vertex_flux,
     PointOnGraph,
 )
 from graphreact import algebra
-from graphreact.harmonic import flux_coefficients, green_and_split
+from graphreact.harmonic import flux_coefficients, flux_system, green_and_split
 from helpers import chain_graph, kappa_samples, path_graph, random_graph, star_graph, y_graph
+from oracles import vertex_flux
 
 
 def test_flux_of_constant_is_zero():
@@ -53,6 +53,24 @@ def test_flux_star_reference_potential():
         potential = {vid: 1.0 for vid in g.vertex_ids}
         potential["a"] = 0.0
         assert vertex_flux(g, w, potential, "c") == pytest.approx(-1.0 / n, abs=1e-15)
+
+
+def test_flux_system_rows_match_vertex_flux():
+    rng = np.random.default_rng(21)
+    parallel = MetricGraph(
+        (Vertex("u"), Vertex("v", "active"), Vertex("a", "exit")),
+        (Edge(("u", "v"), 1.0, 0.5), Edge(("u", "v"), 2.0, 1.5), Edge(("v", "a"), 0.7)),
+    )
+    graphs = [parallel] + [random_graph(rng, random_radii=radii)[0]
+                           for radii in (False, True) for _ in range(20)]
+    for g in graphs:
+        w = derive_weights(g)
+        free = np.zeros(len(g.vertex_ids), dtype=bool)
+        potential = rng.standard_normal(len(g.vertex_ids))
+        flux = flux_system(g, flux_coefficients(g, w), free).dense() @ potential
+        values = dict(zip(g.vertex_ids, potential.tolist()))
+        for vid, row_flux in zip(g.vertex_ids, flux.tolist()):
+            assert abs(row_flux - vertex_flux(g, w, values, vid)) <= 1e-13
 
 
 def test_hitting_split_chain_first_site_takes_all():

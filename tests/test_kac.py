@@ -19,7 +19,6 @@ from graphreact import (
     placement_leading_coeff,
     rational_form,
     solve_survival,
-    survival_det,
     survival_on_active,
 )
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     random_green_matrix,
     star_graph,
 )
+from oracles import survival_det
 
 
 def _gm(entries, sites=None):

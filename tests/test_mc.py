@@ -37,7 +37,7 @@ def test_grid_vertex_transitions_reduce_to_weights():
     g, _ = star_graph(3, exit_len=1.0, leaf_lengths=(1.0, 1.0))
     w = derive_weights(g)
     grid = build_grid(g, w, 0.25)
-    center = grid.vertex_node["c"]
+    center = grid.graph.vertex_index["c"]
     probs = np.diff(np.concatenate([[0.0], grid.cum[center]]))
     assert np.allclose(sorted(probs[:3]), [1 / 3] * 3, atol=1e-12)
 
@@ -48,7 +48,7 @@ def test_grid_mixed_steps_normalized():
         (Edge(("j", "a"), 1.0), Edge(("j", "b"), 0.7)),
     )
     grid = build_grid(g, derive_weights(g), 0.25)
-    j = grid.vertex_node["j"]
+    j = grid.graph.vertex_index["j"]
     assert grid.cum[j, -1] == 1.0
 
 
@@ -60,6 +60,15 @@ def test_grid_interior_point_lookup():
     assert grid.node_index(PointOnGraph.on_edge(0, 0.25)) != node
     with pytest.raises(PreconditionError):
         grid.node_index(PointOnGraph.on_edge(0, 0.3))
+
+
+@pytest.mark.parametrize("offset", [5.0, -0.5, float("nan"), float("inf")])
+def test_grid_rejects_offsets_off_the_edge(offset):
+    # the nearest grid node of such an offset is a vertex, or round() fails
+    g, _ = path_graph()
+    grid = build_grid(g, derive_weights(g), 0.5)
+    with pytest.raises(PreconditionError, match="outside"):
+        grid.node_index(PointOnGraph.on_edge(0, offset))
 
 
 def test_step_larger_than_edge_rejected():
@@ -356,7 +365,7 @@ def test_guide_table_matches_the_column_count(graph):
     if graph == "crowded":
         assert table.passes >= 2
     if graph == "bucket-edge":
-        assert grid.cum[grid.vertex_node["c"], 0] * k == k - 1
+        assert grid.cum[grid.graph.vertex_index["c"], 0] * k == k - 1
         assert table.passes == 0
     if graph == "top-bucket":
         assert table.passes == 1
