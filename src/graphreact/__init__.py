@@ -33,7 +33,6 @@ from .fixtures import Fixture, fixture_suite
 from .graph import (
     Edge,
     EdgeWeights,
-    HalfEdge,
     MetricGraph,
     PointOnGraph,
     Vertex,
@@ -84,7 +83,6 @@ __all__ = [
     "GraphReactError",
     "GreenMatrix",
     "GridChain",
-    "HalfEdge",
     "HittingSplit",
     "KappaSpec",
     "MetricGraph",

@@ -70,6 +70,8 @@ def load_document(path: str | Path) -> dict:
         raise DocumentError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+        raise DocumentError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: document root must be an object")
     return doc
@@ -105,6 +107,8 @@ def parse_document(doc: dict) -> ParsedDocument:
         _reject_unknown(item, _EDGE_KEYS, where)
         u = _need(item, "from", where)
         v = _need(item, "to", where)
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise DocumentError(f"{where}: from and to must be vertex id strings")
         length = _need(item, "length", where)
         radius = item.get("radius", 1.0)
         if not isinstance(length, (int, float)) or isinstance(length, bool):
@@ -151,12 +155,17 @@ def parse_document(doc: dict) -> ParsedDocument:
         if "vertex" in raw_inj:
             if "edge" in raw_inj or "offset" in raw_inj:
                 raise DocumentError("injection: give either vertex or edge+offset")
+            if not isinstance(raw_inj["vertex"], str):
+                raise DocumentError("injection: vertex must be a vertex id string")
             injection = PointOnGraph.at_vertex(raw_inj["vertex"])
         else:
             pair = _need(raw_inj, "edge", "injection")
             offset = _need(raw_inj, "offset", "injection")
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise DocumentError("injection: edge must be a [from, to] pair")
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(end, str) for end in pair)):
+                raise DocumentError("injection: edge must be a [from, to] pair of vertex ids")
+            if not isinstance(offset, (int, float)) or isinstance(offset, bool):
+                raise DocumentError("injection: offset must be a number")
             index = _find_edge(graph, pair[0], pair[1])
             injection = PointOnGraph.on_edge(index, float(offset))
 
@@ -178,16 +187,14 @@ def _resolve_weights(
     w = derive_weights(g)
     if not explicit:
         return w
-    table = dict(w.p)
-    known = set(g.vertex_ids)
+    # derived rows of the vertices without an explicit one, then the explicit rows
+    table = {key: p for key, p in w.p.items() if key[0] not in explicit}
     for vid, row in explicit.items():
-        if vid not in known:
+        if vid not in g.vertex_index:
             raise DocumentError(f"weights: unknown vertex {vid!r}")
         for k in row:
             if not (0 <= k < len(g.edges)):
                 raise DocumentError(f"weights[{vid!r}]: edge index {k} out of range")
-        for he in g.out_edges[vid]:
-            table.pop((vid, he.edge), None)
         for k, val in row.items():
             table[(vid, k)] = val
     resolved = EdgeWeights(table)

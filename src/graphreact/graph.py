@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,22 +48,10 @@ class Edge:
         object.__setattr__(self, "endpoints", tuple(self.endpoints))
 
 
-@dataclass(frozen=True)
-class HalfEdge:
-    """One of the two orientations of an undirected edge."""
-
-    edge: int  # index into MetricGraph.edges
-    source: str
-    target: str
-
-    def reverse(self) -> HalfEdge:
-        return HalfEdge(self.edge, self.target, self.source)
-
-
 @dataclass(frozen=True, eq=False)
 class HalfEdgeTable:
     """Every half-edge of a graph as array rows, grouped by source vertex
-    in vertex order (the order of ``MetricGraph.half_edges``).
+    in vertex order, with each vertex's half-edges in edge order.
 
     ``source`` and ``target`` are vertex rows (positions in
     ``vertex_ids``), ``edge`` the edge index and ``length`` its length;
@@ -135,22 +123,6 @@ class MetricGraph:
         return tuple(v.id for v in self.vertices)
 
     @cached_property
-    def roles(self) -> dict[str, str]:
-        return {v.id: v.role for v in self.vertices}
-
-    @cached_property
-    def out_edges(self) -> dict[str, tuple[HalfEdge, ...]]:
-        """Half-edges grouped by source vertex."""
-        out: dict[str, list[HalfEdge]] = {v.id: [] for v in self.vertices}
-        for k, e in enumerate(self.edges):
-            u, w = e.endpoints
-            if u in out:
-                out[u].append(HalfEdge(k, u, w))
-            if w in out:
-                out[w].append(HalfEdge(k, w, u))
-        return {v: tuple(h) for v, h in out.items()}
-
-    @cached_property
     def vertex_index(self) -> dict[str, int]:
         """Vertex id to row: its position in ``vertex_ids``."""
         return {vid: i for i, vid in enumerate(self.vertex_ids)}
@@ -186,13 +158,6 @@ class MetricGraph:
     def violations(self) -> tuple[str, ...]:
         """``validate(self)``, computed once: the graph never changes."""
         return tuple(validate(self))
-
-    def half_edges(self) -> Iterator[HalfEdge]:
-        for hs in self.out_edges.values():
-            yield from hs
-
-    def degree(self, vertex_id: str) -> int:
-        return len(self.out_edges.get(vertex_id, ()))
 
     def vertices_with_role(self, role: str) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices if v.role == role)
@@ -254,19 +219,21 @@ def validate(g: MetricGraph) -> list[str]:
     if not isinstance(g.dimension, int) or g.dimension < 1:
         problems.append(f"dimension must be a positive integer, got {g.dimension!r}")
 
-    seen: set[str] = set()
+    neighbours: dict[str, list[str]] = {}  # a self-loop's end is listed twice
     for v in g.vertices:
-        if v.id in seen:
+        if v.id in neighbours:
             problems.append(f"duplicate vertex id {v.id!r}")
-        seen.add(v.id)
+        neighbours[v.id] = []
         if v.role not in ROLES:
             problems.append(f"vertex {v.id!r} has unknown role {v.role!r}")
 
     for k, e in enumerate(g.edges):
         u, w = e.endpoints
         label = f"edge {k} ({u!r}-{w!r})"
-        for end in (u, w):
-            if end not in seen:
+        for end, other in ((u, w), (w, u)):
+            if end in neighbours:
+                neighbours[end].append(other)
+            else:
                 problems.append(f"{label} references unknown vertex {end!r}")
         if u == w:
             problems.append(f"{label} is a self-loop")
@@ -279,9 +246,9 @@ def validate(g: MetricGraph) -> list[str]:
     if not exits:
         problems.append("graph has no exit vertex")
     for v in exits:
-        if g.degree(v.id) != 1:
+        if len(neighbours[v.id]) != 1:
             problems.append(
-                f"exit vertex {v.id!r} has degree {g.degree(v.id)}, expected 1"
+                f"exit vertex {v.id!r} has degree {len(neighbours[v.id])}, expected 1"
             )
 
     if not problems:
@@ -290,10 +257,10 @@ def validate(g: MetricGraph) -> list[str]:
         frontier = list(reached)
         while frontier:
             vid = frontier.pop()
-            for he in g.out_edges[vid]:
-                if he.target not in reached:
-                    reached.add(he.target)
-                    frontier.append(he.target)
+            for target in neighbours[vid]:
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
         for v in g.vertices:
             if v.id not in reached:
                 problems.append(f"vertex {v.id!r} has no path to an exit vertex")
@@ -306,6 +273,18 @@ def require_valid(g: MetricGraph) -> None:
         raise PreconditionError("invalid graph: " + "; ".join(g.violations))
 
 
+def _incident(g: MetricGraph) -> dict[str, list[int]]:
+    """The edges at each vertex, in edge order: an edge is listed once
+    per end, so a self-loop twice, and an end naming no vertex is
+    skipped.  Works on graphs that fail validation."""
+    at: dict[str, list[int]] = {v.id: [] for v in g.vertices}
+    for k, e in enumerate(g.edges):
+        for end in e.endpoints:
+            if end in at:
+                at[end].append(k)
+    return at
+
+
 def derive_weights(g: MetricGraph) -> EdgeWeights:
     """Weights from relative radii: p_v(e) = r_e^(d-1) / sum over v's edges.
 
@@ -315,49 +294,50 @@ def derive_weights(g: MetricGraph) -> EdgeWeights:
     """
     d = g.dimension
     p: dict[tuple[str, int], float] = {}
-    for vid, hs in g.out_edges.items():
-        if not hs:
+    for vid, ks in _incident(g).items():
+        if not ks:
             continue
-        radii = [g.edges[h.edge].radius for h in hs]
+        radii = [g.edges[k].radius for k in ks]
         top = max(radii)
         powers = [(r / top) ** (d - 1) for r in radii]
         total = sum(powers)
-        for h, rp in zip(hs, powers):
-            p[(vid, h.edge)] = rp / total
+        for k, rp in zip(ks, powers):
+            p[(vid, k)] = rp / total
     return EdgeWeights(p)
 
 
 def uniform_weights(g: MetricGraph) -> EdgeWeights:
     """Weights p_v(e) = 1/deg(v) regardless of radii."""
     p: dict[tuple[str, int], float] = {}
-    for vid, hs in g.out_edges.items():
-        for h in hs:
-            p[(vid, h.edge)] = 1.0 / len(hs)
+    for vid, ks in _incident(g).items():
+        for k in ks:
+            p[(vid, k)] = 1.0 / len(ks)
     return EdgeWeights(p)
 
 
 def weights_violations(g: MetricGraph, w: EdgeWeights) -> list[str]:
     """Check coverage, range and row normalization of a weight table."""
     problems: list[str] = []
-    expected = {(h.source, h.edge) for h in g.half_edges()}
+    at = _incident(g)
+    expected = {(vid, k) for vid, ks in at.items() for k in ks}
     for key in w.p:
         if key not in expected:
             problems.append(f"weight for non-incident pair {key!r}")
-    for vid, hs in g.out_edges.items():
-        if not hs:
+    for vid, ks in at.items():
+        if not ks:
             continue
         row = []
-        for h in hs:
-            val = w.p.get((vid, h.edge))
+        for k in ks:
+            val = w.p.get((vid, k))
             if val is None:
-                problems.append(f"missing weight at vertex {vid!r}, edge {h.edge}")
+                problems.append(f"missing weight at vertex {vid!r}, edge {k}")
             elif not (0.0 < val <= 1.0):
                 problems.append(
-                    f"weight at vertex {vid!r}, edge {h.edge} outside (0,1]: {val!r}"
+                    f"weight at vertex {vid!r}, edge {k} outside (0,1]: {val!r}"
                 )
             else:
                 row.append(val)
-        if len(row) == len(hs) and abs(sum(row) - 1.0) > WEIGHT_ROW_TOL:
+        if len(row) == len(ks) and abs(sum(row) - 1.0) > WEIGHT_ROW_TOL:
             problems.append(
                 f"weights at vertex {vid!r} sum to {sum(row)!r}, expected 1"
             )

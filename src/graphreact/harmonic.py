@@ -13,8 +13,6 @@ flux_coefficients gives every p_v(e)/l_e as one array, in the order of
 the graph's cached half-edge table, and flux_system turns it into a
 Triplets list of entries, which algebra factors with SuperLU above the
 size at which that beats dense LU (algebra.SPARSE_MIN_ORDER).
-mc.build_grid reads p_v(e)/l_e on its own: built from the table, its
-set-up on the small graphs it is used on measured slower.
 
 The kappa-free work of a problem is solved once and memoized in the
 graph's ``solved`` dict: flux_coefficients under (id(w), "flux") and

@@ -93,23 +93,16 @@ class ConversionResult:
         return tuple(pj * sj for pj, sj in zip(self.p, self.site_survival))
 
 
-def _finite_values(gm: GreenMatrix, ks: KappaSpec) -> np.ndarray:
-    values = ks.values(gm.active)
-    if not np.all(np.isfinite(values)):
-        raise PreconditionError("kappa must be finite here; conversion handles a uniform "
-                                "infinity, and solve_survival infinite sites")
-    return values
-
-
 def survival_on_active(gm: GreenMatrix, ks: KappaSpec) -> np.ndarray:
     """Survival probabilities started on the active set: solve
     (I + G M_kappa) psi = 1.
 
     The columns are scaled by s_j = 1/max(1, kappa_j), so the solve is
     (S + G diag(min(kappa_j, 1))) y = 1 with psi = S y, and no entry
-    overflows at huge finite kappa.
+    overflows at huge finite kappa.  An infinite kappa_j is the limit
+    s_j = 0: the site absorbs, and psi_j = 0.
     """
-    values = _finite_values(gm, ks)
+    values = ks.values(gm.active)
     s = 1.0 / np.maximum(values, 1.0)
     a = gm.entries * np.minimum(values, 1.0)
     a.flat[:: len(s) + 1] += s
@@ -121,9 +114,9 @@ def conversion(
 ) -> ConversionResult:
     """Conversion probability from start point x at strengths ks.
 
-    Finite kappa, uniform or per site, goes through the survival solve on
-    the active set.  Uniform infinity is handled symbolically (alpha
-    equals the hitting probability alpha_inf).
+    Kappa per site, finite or not, and finite uniform kappa go through
+    the survival solve on the active set.  Uniform infinity is handled
+    symbolically (alpha equals the hitting probability alpha_inf).
     """
     gm, hs = green_and_split(g, w, x)
     sites = hs.active
@@ -228,7 +221,7 @@ def placement_leading_coeff(g: MetricGraph, w: EdgeWeights) -> float:
     one exit).
     """
     require_valid(g)
-    if any(g.degree(v.id) > 2 for v in g.vertices):
+    if np.any(np.bincount(g.half_edge_table.source) > 2):
         raise PreconditionError("placement coefficient is defined for chains only")
     if len(g.exit_vertices) != 1:
         raise PreconditionError("chain must have exactly one exit")

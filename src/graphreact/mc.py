@@ -62,11 +62,13 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
+from .harmonic import flux_coefficients, vertex_mask
 from .kac import KappaSpec
 
 _MASK64 = (1 << 64) - 1
@@ -74,6 +76,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 1 << 17  # trajectories per block, which bounds memory
 _CHUNK = 1 << 12  # edge draws made at once, shared by the walkers still out
 _COMPACT = 4  # drop the absorbed walkers once they are a quarter
+_NODE_TOL = 1e-9  # how far off a grid node a point may be, relative to its edge
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -171,7 +174,14 @@ class GridChain:
     edge_base: tuple[int, ...]
     size: int
 
-    def node_index(self, x: PointOnGraph | str, tol: float = 1e-9) -> int:
+    @cached_property
+    def _leave_tables(self) -> tuple[_EdgeGuide, np.ndarray]:
+        """The guide table over ``cum`` and ``nbr`` with a sink row after
+        the vertices, built at the first estimate on the grid."""
+        nv, width = self.nbr.shape
+        return _EdgeGuide.of(self.cum), np.append(self.nbr.ravel(), np.full(width, nv))
+
+    def node_index(self, x: PointOnGraph | str) -> int:
         """Grid node at a point; errors if the point is off-grid."""
         x = locate(self.graph, x)
         index = self.graph.vertex_index
@@ -180,7 +190,7 @@ class GridChain:
         e = self.graph.edges[x.edge]
         d = self.deltas[x.edge]
         j = round(x.offset / d)
-        if abs(x.offset - j * d) > tol * max(1.0, e.length):
+        if abs(x.offset - j * d) > _NODE_TOL * max(1.0, e.length):
             raise PreconditionError(
                 f"offset {x.offset!r} is not a grid node (step {d})"
             )
@@ -206,22 +216,18 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
         )
 
     substeps = tuple(max(1, int(math.floor(length / step + 0.5))) for length in lengths)
-    index = g.vertex_index
-    nv = len(index)
+    nv = len(g.vertex_ids)
 
     # the half-edges out of the non-exit vertices, vertex by vertex
-    exits = set(g.exit_vertices)
-    hs = [h for vid in g.vertex_ids if vid not in exits for h in g.out_edges[vid]]
-    row = np.fromiter((index[h.source] for h in hs), np.intp, len(hs))
-    far = np.fromiter((index[h.target] for h in hs), np.intp, len(hs))
-    edge = np.fromiter((h.edge for h in hs), np.intp, len(hs))
+    t = g.half_edge_table
+    out = ~vertex_mask(g, g.exit_vertices)[t.source]
+    row, far, edge = t.source[out], t.target[out], t.edge[out]
     # p_v(e)/l_e: the rate p_v(e)/step_e into edge e times the chance 1/n_e
     # of crossing it
-    leave = w.along([(h.source, h.edge) for h in hs])
+    leave = flux_coefficients(g, w)[out]
     if not 0.0 <= leave.min(initial=0.0) <= leave.max(initial=0.0) < math.inf:
         # the edge draw needs rows of cum that never decrease
         raise PreconditionError("edge weights must be finite and nonnegative")
-    leave /= np.array(lengths)[edge]
     n = np.array(substeps, dtype=float)[edge]
     degree = np.bincount(row, minlength=nv)
     rate = np.bincount(row, leave * n, nv)
@@ -234,7 +240,7 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
         raise PreconditionError(f"step {step!r} is too fine for a float grid")
 
     width = int(degree.max())
-    col = np.arange(len(hs)) - (np.cumsum(degree) - degree)[row]
+    col = np.arange(len(row)) - (np.cumsum(degree) - degree)[row]
     p = np.zeros((nv, width))
     p[row, col] = leave / np.bincount(row, leave, nv)[row]
     nbr = np.zeros((nv, width), dtype=np.intp)
@@ -332,7 +338,6 @@ def _simulate_block(
 
     # the tables get one more vertex, the sink, where absorbed walkers
     # wait until the next compaction
-    width = grid.nbr.shape[1]
     sink = nv
     fac = np.append(factor, 1.0)
     stop = np.append(grid.absorbing | (factor == 0.0), False)
@@ -340,8 +345,7 @@ def _simulate_block(
     killing = bool(active.any())
     with np.errstate(divide="ignore"):
         inv_log_stay = np.append(1.0 / np.log(grid.stay), 0.0)  # -0.0 where stay is 0
-    edges = _EdgeGuide.of(grid.cum)
-    nbr = np.append(grid.nbr.ravel(), np.full(width, sink))
+    edges, nbr = grid._leave_tables
 
     def retire(state, weight, local) -> int:
         """Record and park the walkers that reached an absorbing vertex."""

@@ -15,7 +15,7 @@ from graphreact.algebra import Polynomial
 from graphreact.errors import PreconditionError
 from graphreact.graph import EdgeWeights, MetricGraph
 from graphreact.harmonic import GreenMatrix
-from graphreact.kac import KappaSpec, _finite_values
+from graphreact.kac import KappaSpec
 
 
 def row_subtracted(a: np.ndarray, j: int) -> np.ndarray:
@@ -50,7 +50,9 @@ def survival_det(gm: GreenMatrix, ks: KappaSpec, j: int) -> float:
     det(I + G^(j) M_kappa) / det(I + G M_kappa)."""
     if not (0 <= j < len(gm.active)):
         raise PreconditionError(f"site index {j} out of range")
-    values = _finite_values(gm, ks)
+    values = ks.values(gm.active)
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError("kappa must be finite for the determinant ratio")
     n = len(gm.active)
     eye = np.eye(n)
     num = algebra.det(eye + row_subtracted(gm.entries, j) * values[None, :])
@@ -62,11 +64,13 @@ def vertex_flux(
     g: MetricGraph, w: EdgeWeights, potential: Mapping[str, float], vertex_id: str
 ) -> float:
     """The flux functional rho_v applied to an edge-affine potential."""
-    if vertex_id not in g.out_edges:
+    if vertex_id not in g.vertex_ids:
         raise PreconditionError(f"unknown vertex {vertex_id!r}")
     total = 0.0
     fv = potential[vertex_id]
-    for he in g.out_edges[vertex_id]:
-        e = g.edges[he.edge]
-        total += w.at(vertex_id, he.edge) * (potential[he.target] - fv) / e.length
+    for k, e in enumerate(g.edges):
+        u, v = e.endpoints
+        if vertex_id in (u, v):
+            target = v if u == vertex_id else u
+            total += w.at(vertex_id, k) * (potential[target] - fv) / e.length
     return total

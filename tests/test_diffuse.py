@@ -128,12 +128,12 @@ def _matching_residuals(sol):
             worst = max(worst, abs(sol.vertex_values[vid] - 1.0))
             continue
         flux = 0.0
-        for he in g.out_edges[vid]:
-            segs = sol.segments[he.edge]
-            if g.edges[he.edge].endpoints[0] == vid:
-                flux += w.at(vid, he.edge) * segs[0].slope
-            else:
-                flux -= w.at(vid, he.edge) * segs[-1].end_slope
+        for k, e in enumerate(g.edges):
+            segs = sol.segments[k]
+            if e.endpoints[0] == vid:
+                flux += w.at(vid, k) * segs[0].slope
+            elif e.endpoints[1] == vid:
+                flux -= w.at(vid, k) * segs[-1].end_slope
         worst = max(worst, abs(flux))
     return worst
 

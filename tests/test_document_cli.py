@@ -86,7 +86,7 @@ def test_edge_injection_splits_and_remaps_weights():
     doc["injection"] = {"edge": ["v0", "c"], "offset": 0.25}
     g, w, start = prepare(parse_document(doc))
     assert validate(g) == []
-    assert g.degree(start) == 2
+    assert sum(start in e.endpoints for e in g.edges) == 2
     # c's explicit row follows the renamed child edge (old index 0 -> appended)
     assert w.at("c", len(g.edges) - 1) == 0.3
     assert w.at("c", 1) == 0.7
@@ -104,6 +104,42 @@ def _write(tmp_path, doc, name="g.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+# document fields that once escaped the schema checks as TypeError or
+# ValueError, or (offset true) were read as 1.0
+HOSTILE = {
+    "edge-end-list": {"edges": [{"from": "j", "to": [1], "length": 1.0}]},
+    "injection-vertex-object": {"injection": {"vertex": {}}},
+    "injection-vertex-list": {"injection": {"vertex": ["v0"]}},
+    "injection-edge-end-list": {"injection": {"edge": [["v0"], "c"], "offset": 0.25}},
+    "offset-string": {"injection": {"edge": ["v0", "c"], "offset": "abc"}},
+    "offset-list": {"injection": {"edge": ["v0", "c"], "offset": [1]}},
+    # on an edge of length 2, where an offset of 1.0 would be a valid point
+    "offset-bool": {"edges": [{"from": "v0", "to": "c", "length": 2.0},
+                              {"from": "c", "to": "a", "length": 1.0}],
+                    "injection": {"edge": ["v0", "c"], "offset": True}},
+}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["convert", "--kappa", "1"]])
+@pytest.mark.parametrize("name", list(HOSTILE))
+def test_cli_rejects_hostile_fields(name, command, tmp_path, capsys):
+    path = _write(tmp_path, {**path_site_doc(), **HOSTILE[name]})
+    assert main([command[0], path, *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(path_site_doc()).replace('"length": 1.0', '"length": 1' + "0" * 5000, 1),
+    '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["integer-too-long", "nesting-too-deep"])
+def test_cli_rejects_json_the_parser_cannot_read(text, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_validate(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Fuzzed convert/sweep/hit/rational/green/diffuse/mc/compare calls on
-the fixture documents.
+the fixture documents, and validate/convert/mc calls on fixture
+documents with one or two fields replaced by hostile values.
 
 Every call must exit with 0, 1 or 2, write no traceback and no warning,
 and print only finite numbers, with alphas, survivals and first-hit
@@ -9,6 +10,7 @@ and mc at most 50 transitions each, which keeps the fuzz fast.
 
 import contextlib
 import io
+import json
 import math
 import warnings
 from pathlib import Path
@@ -139,3 +141,55 @@ def test_cli_never_warns_and_prints_alphas_in_unit_interval(argv):
         assert all(map(math.isfinite, _numbers(argv[0], out.getvalue()))), (argv, out.getvalue())
         for alpha in _alphas(argv[0], out.getvalue()):
             assert math.isfinite(alpha) and 0.0 <= alpha <= 1.0, (argv, out.getvalue())
+
+
+# JSON values of every kind, and numbers at the edges of what floats hold
+HOSTILE = st.one_of(
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(), st.text(max_size=2)), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from([None, True, False, math.nan, math.inf, -math.inf, 0, -1, 1e308,
+                     2**64, 10**400]),
+)
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@st.composite
+def hostile_documents(draw):
+    doc = json.loads(Path(draw(st.sampled_from(FIXTURES))).read_text())
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        *parents, key = draw(st.sampled_from(list(_field_paths(doc))))
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = draw(HOSTILE)
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hostile_documents())
+def test_cli_survives_hostile_documents(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["convert", "--kappa=1.5"],
+                 ["mc", "--kappa=1.5", "--delta=0.25", "--n=16", "--seed=1", "--cap=20"]):
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2), (argv, doc)
+        assert "Traceback" not in err.getvalue()
+        assert "Warning" not in err.getvalue()

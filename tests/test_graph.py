@@ -1,4 +1,5 @@
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from graphreact import (
     PreconditionError,
     Vertex,
     derive_weights,
+    load_document,
+    parse_document,
     split_at,
     uniform_weights,
     validate,
     weights_violations,
 )
 from helpers import path_graph, random_graph
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_minimal_valid_graph():
@@ -58,6 +63,38 @@ def test_structural_violations():
     assert "self-loop" in problems
     assert "unknown vertex 'ghost'" in problems
     assert "length" in problems
+
+
+def test_unsound_graph_messages_in_order():
+    # validation and the weight rules read the edge list itself, so they
+    # run on graphs with duplicate ids, unknown ends and self-loops
+    g = MetricGraph(
+        (Vertex("v0"), Vertex("v0"), Vertex("a", "exit"), Vertex("b", "weird")),
+        (Edge(("v0", "v0"), 1.0, 2.0), Edge(("v0", "ghost"), 1.0, 0.5),
+         Edge(("v0", "a"), -2.0), Edge(("a", "b"), 1.0)),
+    )
+    assert validate(g) == [
+        "duplicate vertex id 'v0'",
+        "vertex 'b' has unknown role 'weird'",
+        "edge 0 ('v0'-'v0') is a self-loop",
+        "edge 1 ('v0'-'ghost') references unknown vertex 'ghost'",
+        "edge 2 ('v0'-'a') has non-positive length -2.0",
+        "exit vertex 'a' has degree 2, expected 1",
+    ]
+    assert list(uniform_weights(g).p.items()) == [
+        (("v0", 0), 0.25), (("v0", 1), 0.25), (("v0", 2), 0.25),
+        (("a", 2), 0.5), (("a", 3), 0.5), (("b", 3), 1.0),
+    ]
+    assert list(derive_weights(g).p) == list(uniform_weights(g).p)
+    bad = EdgeWeights({("v0", 0): 0.7, ("ghost", 1): 0.5, ("a", 2): 2.0})
+    assert weights_violations(g, bad) == [
+        "weight for non-incident pair ('ghost', 1)",
+        "missing weight at vertex 'v0', edge 1",
+        "missing weight at vertex 'v0', edge 2",
+        "weight at vertex 'a', edge 2 outside (0,1]: 2.0",
+        "missing weight at vertex 'a', edge 3",
+        "missing weight at vertex 'b', edge 3",
+    ]
 
 
 def test_no_exit_and_unreachable():
@@ -135,25 +172,45 @@ def test_weight_rows_sum_to_one_randomized():
         w = derive_weights(g)
         assert weights_violations(g, w) == []
         for vid in g.vertex_ids:
-            row = sum(w.at(vid, he.edge) for he in g.out_edges[vid])
+            row = sum(w.at(vid, k) for k, e in enumerate(g.edges) if vid in e.endpoints)
             assert abs(row - 1.0) <= 1e-12
 
 
-def test_half_edge_involution():
-    rng = np.random.default_rng(3)
-    g, _ = random_graph(rng)
-    for he in g.half_edges():
-        assert he.reverse().reverse() == he
-        assert he.reverse().source == he.target
-        assert he.reverse().target == he.source
+def _radius_rule(g):
+    """p_v(e) vertex by vertex: each radius over the largest at v, to the
+    power d - 1, over their sum taken in edge order."""
+    p = {}
+    for vid in g.vertex_ids:
+        radii = {k: e.radius for k, e in enumerate(g.edges) if vid in e.endpoints}
+        top = max(radii.values())
+        powers = {k: (r / top) ** (g.dimension - 1) for k, r in radii.items()}
+        total = sum(powers.values())
+        p.update({(vid, k): x / total for k, x in powers.items()})
+    return p
+
+
+def test_derive_weights_equal_the_per_vertex_rule():
+    graphs = [parse_document(load_document(path)).graph
+              for path in sorted(FIXTURES.glob("*.json"))]
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        g, _ = random_graph(rng, random_radii=True)
+        # and a parallel copy of one edge, with its own radius
+        e = g.edges[int(rng.integers(len(g.edges)))]
+        twin = Edge(e.endpoints, 0.9, float(rng.uniform(0.5, 2.0)))
+        graphs.append(MetricGraph(g.vertices, g.edges + (twin,)))
+    for g in graphs:
+        for d in range(1, 6):
+            g = MetricGraph(g.vertices, g.edges, d)
+            assert list(derive_weights(g).p.items()) == list(_radius_rule(g).items())
 
 
 def test_split_bookkeeping():
     g, _ = path_graph(2.0, 1.0)
     g2, mid = split_at(g, PointOnGraph.on_edge(0, 0.5))
     assert validate(g2) == []
-    assert g2.degree(mid) == 2
-    assert g2.roles[mid] == "inert"
+    assert sum(mid in e.endpoints for e in g2.edges) == 2
+    assert g2.vertices[g2.vertex_index[mid]].role == "inert"
     lengths = sorted(e.length for e in g2.edges if mid in e.endpoints)
     assert lengths == [0.5, 1.5]
     # untouched edge keeps its index and data

@@ -170,7 +170,7 @@ def test_green_weighted_reciprocity_and_positivity():
         d = g.dimension
         s = np.array(
             [
-                sum(g.edges[h.edge].radius ** (d - 1) for h in g.out_edges[c])
+                sum(e.radius ** (d - 1) for e in g.edges if c in e.endpoints)
                 for c in active
             ]
         )

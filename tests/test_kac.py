@@ -143,11 +143,28 @@ def test_conversion_per_site_matches_survival_field():
         assert res.alpha == pytest.approx(1.0 - psi, abs=1e-10)
 
 
-def test_conversion_per_site_infinite_rejected():
-    g, start = path_graph()
-    ks = KappaSpec.per_vertex({"c": float("inf")})
-    with pytest.raises(PreconditionError):
-        conversion(g, derive_weights(g), start, ks)
+def test_conversion_per_site_infinite_matches_survival_field():
+    # an infinite site is the s_j = 0 limit of the scaled survival solve
+    inf = float("inf")
+    g, start, sites = chain_graph((0.7, 1.0, 1.3, 0.9))
+    cases = [(g, start, dict(zip(sites, values)))
+             for values in ((inf, 0.0, 2.0), (0.0, inf, 2.0), (1.5, 0.0, inf), (inf,) * 3)]
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        g, start = random_graph(rng, random_radii=True)
+        choices = (inf, 0.0, float(rng.uniform(0.1, 8.0)))
+        cases.append((g, start, {s: choices[int(rng.integers(3))] for s in g.active_vertices}))
+    assert any(inf in kappa.values() and len(kappa) > 1 for _, _, kappa in cases[4:])
+    for g, start, kappa in cases:
+        w = derive_weights(g)
+        ks = KappaSpec.per_vertex(kappa)
+        res = conversion(g, w, start, ks)
+        psi = solve_survival(g, w, ks)
+        assert abs(res.alpha - (1.0 - psi[start])) <= 1e-10
+        for site, s in zip(res.sites, res.site_survival):
+            assert abs(s - psi[site]) <= 1e-10
+            if math.isinf(kappa[site]):
+                assert s == 0.0
 
 
 def test_kappa_spec_validation():
@@ -330,10 +347,11 @@ def _explicit_weight_ring(seed: int, n: int):
     edges += [Edge(("r1", "a"), 1.0), Edge(("r3", "s"), 0.7)]
     g = MetricGraph(tuple(vertices), tuple(edges))
     p = {}
-    for vid, hs in g.out_edges.items():
-        raw = rng.uniform(0.1, 1.0, len(hs))
-        for h, x in zip(hs, raw / raw.sum()):
-            p[(vid, h.edge)] = float(x)
+    for vid in g.vertex_ids:
+        ks = [k for k, e in enumerate(g.edges) if vid in e.endpoints]
+        raw = rng.uniform(0.1, 1.0, len(ks))
+        for k, x in zip(ks, raw / raw.sum()):
+            p[(vid, k)] = float(x)
     return g, EdgeWeights(p), "s"
 
 

@@ -300,6 +300,21 @@ def test_estimates_do_not_depend_on_blocking(case, monkeypatch):
     assert simulate(*_pinned_case(case)) == PINNED[case]
 
 
+def test_guide_table_built_once_per_grid(monkeypatch):
+    from graphreact import mc
+
+    built = []
+    of = mc._EdgeGuide.of
+    monkeypatch.setattr(mc._EdgeGuide, "of", staticmethod(lambda cum: built.append(cum) or of(cum)))
+    monkeypatch.setattr(mc, "_BLOCK", 500)  # four blocks per estimate
+    g, w, ks, x, cfg = _pinned_case("hub")
+    grid = build_grid(g, w, cfg.step)
+    assert built == []
+    for _ in range(2):
+        assert estimate_survival(grid, ks, x, cfg) == PINNED["hub"]
+    assert len(built) == 1
+
+
 # `graphreact mc FIXTURE --kappa 1.5 --delta 0.05 --n 2000 --seed 7`, second
 # line of stdout
 PINNED_CLI = {

@@ -2,7 +2,7 @@ import graphreact
 
 PUBLIC = [
     "ActiveZoneSpec", "CollapseRow", "ConversionResult", "DocumentError", "Edge",
-    "EdgeWeights", "Fixture", "GraphReactError", "GreenMatrix", "GridChain", "HalfEdge",
+    "EdgeWeights", "Fixture", "GraphReactError", "GreenMatrix", "GridChain",
     "HittingSplit", "KappaSpec", "MetricGraph", "ParsedDocument", "PiecewiseSolution",
     "PointOnGraph", "Polynomial", "PreconditionError", "RationalForm", "SimConfig",
     "SimEstimate", "SingularSystemError", "SurvivalField", "Vertex", "build_grid",
@@ -20,7 +20,7 @@ ORACLE_ONLY = ["det_poly", "row_subtracted", "solve_linear", "survival_det", "ve
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 55
+    assert len(PUBLIC) == 54
     assert sorted(graphreact.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(graphreact, name), name
