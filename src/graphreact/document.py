@@ -59,6 +59,16 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; ``what`` names it in the errors."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DocumentError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise DocumentError(f"{what} is too large for a float") from None
+
+
 def load_document(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
@@ -109,17 +119,14 @@ def parse_document(doc: dict) -> ParsedDocument:
         v = _need(item, "to", where)
         if not (isinstance(u, str) and isinstance(v, str)):
             raise DocumentError(f"{where}: from and to must be vertex id strings")
-        length = _need(item, "length", where)
-        radius = item.get("radius", 1.0)
-        if not isinstance(length, (int, float)) or isinstance(length, bool):
-            raise DocumentError(f"{where}: length must be a number")
-        if not isinstance(radius, (int, float)) or isinstance(radius, bool):
-            raise DocumentError(f"{where}: radius must be a number")
-        edges.append(Edge((u, v), float(length), float(radius)))
+        length = _number(_need(item, "length", where), f"{where}: length")
+        radius = _number(item.get("radius", 1.0), f"{where}: radius")
+        edges.append(Edge((u, v), length, radius))
 
     dimension = doc.get("dimension", 3)
     if not isinstance(dimension, int) or isinstance(dimension, bool):
         raise DocumentError("dimension must be an integer")
+    _number(dimension, "dimension")  # derive_weights takes powers of it
 
     graph = MetricGraph(tuple(vertices), tuple(edges), dimension)
 
@@ -141,9 +148,7 @@ def parse_document(doc: dict) -> ParsedDocument:
                     raise DocumentError(
                         f"{where}: edge index {key!r} is not an integer"
                     ) from None
-                if not isinstance(val, (int, float)) or isinstance(val, bool):
-                    raise DocumentError(f"{where}[{key}]: weight must be a number")
-                parsed_row[k] = float(val)
+                parsed_row[k] = _number(val, f"{where}[{key}]: weight")
             explicit[vid] = parsed_row
 
     injection = None
@@ -164,10 +169,9 @@ def parse_document(doc: dict) -> ParsedDocument:
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(isinstance(end, str) for end in pair)):
                 raise DocumentError("injection: edge must be a [from, to] pair of vertex ids")
-            if not isinstance(offset, (int, float)) or isinstance(offset, bool):
-                raise DocumentError("injection: offset must be a number")
+            offset = _number(offset, "injection: offset")
             index = _find_edge(graph, pair[0], pair[1])
-            injection = PointOnGraph.on_edge(index, float(offset))
+            injection = PointOnGraph.on_edge(index, offset)
 
     return ParsedDocument(graph, explicit, injection)
 

@@ -10,8 +10,8 @@ class PreconditionError(GraphReactError, ValueError):
 
 
 class SingularSystemError(GraphReactError, RuntimeError):
-    """A linear system was singular, or could not be solved to the
-    required residual."""
+    """A linear system was singular or could not be solved to the
+    required residual, or a result does not fit in a float."""
 
 
 class DocumentError(GraphReactError, ValueError):

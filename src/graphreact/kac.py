@@ -168,6 +168,7 @@ def rational_form(
     accurate where dividing the denominator by each factor does not.
     Explicit weights on cycles can make the spectrum complex; the
     coefficients are then real up to roundoff and their real parts kept.
+    Coefficients that a float cannot hold raise SingularSystemError.
     """
     gm, hs = green_and_split(g, w, x)
     if not hs.active:
@@ -177,9 +178,14 @@ def rational_form(
         c = (hs.p @ vecs) * np.linalg.solve(vecs, np.ones(len(lam)))
     except np.linalg.LinAlgError:
         raise SingularSystemError("Green matrix is not diagonalizable") from None
-    prefix, suffix = _running_products(lam), _running_products(lam[::-1])
     m = len(lam)
-    num = sum(c[i] * lam[i] * np.convolve(prefix[i], suffix[m - 1 - i]) for i in range(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix, suffix = _running_products(lam), _running_products(lam[::-1])
+        num = sum(c[i] * lam[i] * np.convolve(prefix[i], suffix[m - 1 - i]) for i in range(m))
+    if not (np.isfinite(num).all() and np.isfinite(prefix[m]).all()):
+        # the coefficients are elementary symmetric sums of the spectrum;
+        # on a uniform unit chain they pass 1e308 between 500 and 600 sites
+        raise SingularSystemError("rational coefficients overflow a float")
     return RationalForm(
         Polynomial((0.0, *(hs.alpha_inf * num.real))), Polynomial(tuple(prefix[m].real))
     )

@@ -10,24 +10,37 @@ q_e = m_v p_v(e)/step_e, where
 is the mean local time that one visit to v accrues.  That local time is
 exponential and independent of the exit direction, so killing at rate
 kappa per unit local time contributes an exact factor
-f_v = 1/(1 + kappa*m_v) per visit.  Each trajectory carries the product
-of those factors over its visits to active vertices, and the sample mean
-of the product is an unbiased estimate of the survival probability at
-any grid node; no Bernoulli killing and no step-size extrapolation are
+f_v = 1/(1 + kappa*m_v) per visit.  The product of those factors over a
+trajectory's visits to active vertices has the survival probability as
+its mean; no Bernoulli killing and no step-size extrapolation are
 involved.
 
 Only vertex visits change the product, so the walk is sampled at its
 vertices alone.  Started at node 1 of an edge with n_e substeps, the
 simple walk reaches the far end before coming back with probability
 1/n_e (gambler's ruin).  From v, an excursion therefore leaves by edge e
-with probability q_e/n_e and otherwise returns to v.  The number R of
-returns before the walk leaves is geometric, and the edge it leaves by
-has probability proportional to p_v(e)/l_e, independent of R and of the
-step.  A vertex transition takes two draws: R, which gives the factor
-f_v**R, and the edge, whose far vertex u gives f_u on arrival.  A start
-at interior node j of an edge reaches the edge's second endpoint first
-with probability j/n_e.  The products have exactly the law of the
-step-by-step walk, and no interior step is simulated.
+with probability q_e/n_e and otherwise returns to v, with probability
+s_v.  The edge it leaves by has probability proportional to p_v(e)/l_e,
+independent of the geometric number R of returns and of the step.  A
+start at interior node j of an edge reaches the edge's second endpoint
+first with probability j/n_e.
+
+The sojourn factor.  A sojourn at v, the visit with its R returns,
+multiplies the product by f_v**(R+1).  Given the vertices a trajectory
+passes through, the sojourns are independent, so each factor is replaced
+by its conditional mean
+
+    E f_v**(R+1) = f_v (1 - s_v)/(1 - s_v f_v) = 1/(1 + kappa*M_v),
+    M_v = m_v/(1 - s_v) = 1 / sum over edges of p_v(e)/l_e,
+
+where M_v is the mean local time of a whole sojourn.  The estimate stays
+unbiased and its variance cannot rise (Rao-Blackwell; Robert & Casella,
+*Monte Carlo Statistical Methods*, 2004, section 4.7).  The returns are
+not simulated, and neither the sojourn factors nor the edge law depend
+on the step: from a vertex the estimate is the same at every step, bit
+for bit.  A walker multiplies in the sojourn factor of its start vertex
+and of every vertex it arrives at, so the running product of a capped
+walker counts the sojourn it is in.
 
 The edge draw.  Row v of ``cum`` is the cumulative leave distribution,
 padded with 1.0 up to the largest degree, and a uniform u leaves by the
@@ -49,10 +62,10 @@ a bucket, not with the largest degree.
 
 Randomness: per-trajectory SplitMix64 streams.  Draw k of trajectory i
 is mix64(key_i + (k+1)*GAMMA), with key_i derived from the master seed
-and i.  Vertex transition t takes draws 2t (returns) and 2t+1 (edge); the
-first move from an interior start takes draw 0 alone.  Results are
-bit-identical for a given (seed, N, step), however the trajectories are
-blocked.
+and i.  Move t of a walk takes draw t and no other: a vertex transition
+draws the edge it leaves by, and the first move from an interior start,
+move 0, draws the end it reaches first.  Results are bit-identical for a
+given (seed, N, step), however the trajectories are blocked.
 """
 
 from __future__ import annotations
@@ -99,11 +112,6 @@ def _draws(keys: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     """Draws ks of every stream, one row per k: mix64(key + (k+1)*GAMMA)."""
     counters = (np.asarray(ks, dtype=np.uint64) + np.uint64(1)) * _GAMMA
     return _mix64(keys[None, :] + counters[:, None])
-
-
-def _draw(keys: np.ndarray, k: int) -> np.ndarray:
-    """Draw k of every stream, with the counter made as a Python int."""
-    return _mix64(keys + np.uint64((k + 1) * int(_GAMMA) & _MASK64))
 
 
 def _uniform(bits: np.ndarray) -> np.ndarray:
@@ -157,9 +165,11 @@ class GridChain:
     Grid nodes are numbered vertices first (in graph vertex order), then
     the interior nodes of each edge, source to target; only the vertices
     carry tables, one row each with a column per half-edge.  ``cum`` is
-    the cumulative leave distribution and ``nbr`` the far vertices;
-    ``stay[v]`` is the probability that an excursion from v returns to v,
-    and ``excursion_mean[v]`` the mean local time per visit.
+    the cumulative leave distribution and ``nbr`` the far vertices.
+    ``sojourn_mean[v]`` is M_v, the mean local time of a sojourn at v with
+    its returns, and 0 at the absorbing vertices.  The step decides only
+    which points are grid nodes (``substeps``, ``deltas``); the tables do
+    not depend on it.
     """
 
     graph: MetricGraph
@@ -168,9 +178,8 @@ class GridChain:
     deltas: tuple[float, ...]
     cum: np.ndarray
     nbr: np.ndarray
-    stay: np.ndarray
     absorbing: np.ndarray
-    excursion_mean: np.ndarray
+    sojourn_mean: np.ndarray
     edge_base: tuple[int, ...]
     size: int
 
@@ -206,7 +215,7 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
 
     Edge e gets n_e = max(1, round(l_e/step)) substeps of size l_e/n_e.
     Exit vertices absorb; every other vertex gets its leave tables and
-    its return probability.
+    its sojourn mean.
     """
     require_valid(g)
     lengths = [e.length for e in g.edges]
@@ -228,21 +237,21 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     if not 0.0 <= leave.min(initial=0.0) <= leave.max(initial=0.0) < math.inf:
         # the edge draw needs rows of cum that never decrease
         raise PreconditionError("edge weights must be finite and nonnegative")
-    n = np.array(substeps, dtype=float)[edge]
     degree = np.bincount(row, minlength=nv)
-    rate = np.bincount(row, leave * n, nv)
-    if np.count_nonzero(rate) < np.count_nonzero(degree):
+    total = np.bincount(row, leave, nv)
+    if np.count_nonzero(total) < np.count_nonzero(degree):
         raise PreconditionError("every vertex but an exit needs a positive edge weight")
-    inv_rate = np.divide(1.0, rate, out=np.zeros(nv), where=degree > 0)
-    stay = np.bincount(row, leave * (n - 1), nv) * inv_rate
-    if np.any(stay >= 1.0):
-        # n - 1 rounds to n near 2**53 substeps: the walk could never leave
+    sojourn = np.divide(1.0, total, out=np.zeros(nv), where=degree > 0)
+    # M_v/m_v = 1/(1 - s_v), a mean of the n_e: from 2**53 on, s_v is 1 in
+    # floats, and the grid walk that the factors stand for never leaves v
+    rate = np.bincount(row, leave * np.array(substeps, dtype=float)[edge], nv)
+    if np.any(rate * sojourn >= 2.0**53):
         raise PreconditionError(f"step {step!r} is too fine for a float grid")
 
     width = int(degree.max())
     col = np.arange(len(row)) - (np.cumsum(degree) - degree)[row]
     p = np.zeros((nv, width))
-    p[row, col] = leave / np.bincount(row, leave, nv)[row]
+    p[row, col] = leave / total[row]
     nbr = np.zeros((nv, width), dtype=np.intp)
     nbr[row, col] = far
 
@@ -254,20 +263,19 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
         # exact top from the last half-edge on, so that u < 1 stays in the row
         cum=np.where(np.arange(width) >= degree[:, None] - 1, 1.0, p.cumsum(axis=1)),
         nbr=nbr,
-        stay=stay,
         absorbing=degree == 0,
-        excursion_mean=inv_rate,
+        sojourn_mean=sojourn,
         edge_base=tuple(itertools.accumulate((n - 1 for n in substeps[:-1]), initial=nv)),
         size=nv + sum(substeps) - len(substeps),
     )
 
 
-def _visit_factors(grid: GridChain, ks: KappaSpec) -> np.ndarray:
+def _sojourn_factors(grid: GridChain, ks: KappaSpec) -> np.ndarray:
     factor = np.ones(len(grid.graph.vertex_ids))
     active = grid.graph.active_vertices
     for vid, kappa in zip(active, ks.values(active) if active else ()):
         i = grid.graph.vertex_index[vid]
-        factor[i] = 0.0 if math.isinf(kappa) else 1.0 / (1.0 + kappa * grid.excursion_mean[i])
+        factor[i] = 0.0 if math.isinf(kappa) else 1.0 / (1.0 + kappa * grid.sojourn_mean[i])
     return factor
 
 
@@ -331,7 +339,7 @@ def _simulate_block(
         k = bisect.bisect_right(grid.edge_base, start) - 1
         j = start - grid.edge_base[k] + 1
         a, b = (grid.graph.vertex_index[v] for v in grid.graph.edges[k].endpoints)
-        state = np.where(_uniform(_draw(keys, 0)) * grid.substeps[k] < j, b, a)
+        state = np.where(_uniform(_draws(keys, [0])[0]) * grid.substeps[k] < j, b, a)
         t = 1
     else:
         state = np.full(hi - lo, start)
@@ -341,10 +349,6 @@ def _simulate_block(
     sink = nv
     fac = np.append(factor, 1.0)
     stop = np.append(grid.absorbing | (factor == 0.0), False)
-    active = np.append(factor < 1.0, False)
-    killing = bool(active.any())
-    with np.errstate(divide="ignore"):
-        inv_log_stay = np.append(1.0 / np.log(grid.stay), 0.0)  # -0.0 where stay is 0
     edges, nbr = grid._leave_tables
 
     def retire(state, weight, local) -> int:
@@ -353,12 +357,13 @@ def _simulate_block(
         if not hit.any():
             return 0
         fin = hit.nonzero()[0]
-        weights_out[lo + local[fin]] = weight[fin] * fac[state[fin]]
+        weights_out[lo + local[fin]] = weight[fin]
         steps_out[lo + local[fin]] = t
         state[fin] = sink
         return fin.size
 
-    weight = np.ones(hi - lo)
+    # the sojourn at the vertex each walker is on is counted on arrival
+    weight = fac[state]
     parked = retire(state, weight, local)
     draws = np.empty((0, hi - lo))
     while True:
@@ -369,25 +374,16 @@ def _simulate_block(
         if not local.size or t >= cap:
             break
         if not len(draws):
-            # the edge draws k = 2t+1 of the next transitions, a row each,
-            # as m = u * 2**53
+            # the edge draws k = t of the next transitions, a row each, as
+            # m = u * 2**53
             span = min(max(1, _CHUNK // local.size), cap - t)
-            bits = _draws(keys, range(2 * t + 1, 2 * (t + span), 2))
-            draws = (bits >> np.uint64(11)).view(np.intp)
-        if killing:
-            # leaving an active vertex: its visit and R returns, with
-            # R = floor(log(1-u)/log(stay)) from draw k = 2t
-            i = active[state].nonzero()[0]
-            if i.size:
-                at = state[i]
-                log_u = np.log(1.0 - _uniform(_draw(keys[i], 2 * t)))
-                weight[i] *= fac[at] ** (np.floor(log_u * inv_log_stay[at]) + 1.0)
+            draws = (_draws(keys, range(t, t + span)) >> np.uint64(11)).view(np.intp)
         state = nbr[edges.leave(state, draws[0])]
         draws = draws[1:]
         t += 1
+        weight *= fac[state]
         parked += retire(state, weight, local)
-    # a capped walker's running product counts the visit it is on
-    weights_out[lo + local] = weight * fac[state]
+    weights_out[lo + local] = weight
     steps_out[lo + local] = t
     return local.size
 
@@ -395,8 +391,8 @@ def _simulate_block(
 def estimate_survival(
     grid: GridChain, ks: KappaSpec, x: PointOnGraph | str, cfg: SimConfig
 ) -> SimEstimate:
-    """Run cfg.trajectories walks from x and average the per-visit
-    survival products.
+    """Run cfg.trajectories walks from x and average the products of
+    their sojourn factors.
 
     Deterministic for a given (seed, trajectories, grid): trajectory i
     always consumes its own SplitMix64 stream, and the reduction is a
@@ -405,7 +401,7 @@ def estimate_survival(
     product and are counted in ``capped``.
     """
     start = grid.node_index(x)
-    factor = _visit_factors(grid, ks)
+    factor = _sojourn_factors(grid, ks)
     n = cfg.trajectories
     weights = np.empty(n)
     steps = np.zeros(n, dtype=np.int64)

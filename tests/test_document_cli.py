@@ -106,8 +106,9 @@ def _write(tmp_path, doc, name="g.json"):
     return str(p)
 
 
-# document fields that once escaped the schema checks as TypeError or
-# ValueError, or (offset true) were read as 1.0
+# document fields that once escaped the schema checks as TypeError,
+# ValueError or (integers past the float range) OverflowError, or (offset
+# true, dimension 10**400) were read as a number
 HOSTILE = {
     "edge-end-list": {"edges": [{"from": "j", "to": [1], "length": 1.0}]},
     "injection-vertex-object": {"injection": {"vertex": {}}},
@@ -119,6 +120,13 @@ HOSTILE = {
     "offset-bool": {"edges": [{"from": "v0", "to": "c", "length": 2.0},
                               {"from": "c", "to": "a", "length": 1.0}],
                     "injection": {"edge": ["v0", "c"], "offset": True}},
+    "length-huge-int": {"edges": [{"from": "v0", "to": "c", "length": 10**400},
+                                  {"from": "c", "to": "a", "length": 1.0}]},
+    "radius-huge-int": {"edges": [{"from": "v0", "to": "c", "length": 1.0, "radius": 10**400},
+                                  {"from": "c", "to": "a", "length": 1.0}]},
+    "weight-huge-int": {"weights": {"c": {"0": 10**400, "1": 0.5}}},
+    "offset-huge-int": {"injection": {"edge": ["v0", "c"], "offset": 10**400}},
+    "dimension-huge-int": {"dimension": 10**400},
 }
 
 
@@ -395,9 +403,9 @@ def test_cli_arithmetic_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_cli_rational_long_uniform_chain(tmp_path, capsys):
-    ids = ["v0"] + [f"c{j}" for j in range(1, 161)] + ["a"]
-    doc = {
+def _uniform_chain_doc(sites: int) -> dict:
+    ids = ["v0"] + [f"c{j}" for j in range(1, sites + 1)] + ["a"]
+    return {
         "vertices": [{"id": i, "role": "active" if i.startswith("c") else "inert"}
                      for i in ids[:-1]] + [{"id": "a", "role": "exit"}],
         "edges": [{"from": u, "to": v, "length": 1.0, "radius": 1.0}
@@ -405,9 +413,23 @@ def test_cli_rational_long_uniform_chain(tmp_path, capsys):
         "dimension": 3,
         "injection": {"vertex": "v0"},
     }
-    assert main(["rational", _write(tmp_path, doc)]) == 0
+
+
+def test_cli_rational_long_uniform_chain(tmp_path, capsys):
+    assert main(["rational", _write(tmp_path, _uniform_chain_doc(160))]) == 0
     rows = dict(line.split(",", 1) for line in capsys.readouterr().out.strip().split("\n"))
     num = [float(c) for c in rows["numerator"].split(",")]
     den = [float(c) for c in rows["denominator"].split(",")]
     assert len(den) == 161
     assert all(math.isfinite(c) for c in num + den)
+
+
+def test_cli_rational_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # at 600 sites the coefficients pass 1e308: this printed a row of nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rational", _write(tmp_path, _uniform_chain_doc(600))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "Warning" not in err and "Traceback" not in err

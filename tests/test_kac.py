@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from graphreact import (
     KappaSpec,
     MetricGraph,
     PreconditionError,
+    SingularSystemError,
     Vertex,
     chain_alpha_recursive,
     conversion,
@@ -335,6 +337,15 @@ def test_rational_form_matches_conversion_on_long_chains(gaps, kappas):
     for kappa in kappas:
         res = conversion(g, w, start, KappaSpec.constant(float(kappa)))
         assert form(float(kappa)) == pytest.approx(res.alpha, abs=1e-9)
+
+
+def test_rational_form_coefficients_past_the_float_range_raise():
+    # a uniform unit chain of 600 sites: every coefficient printed as nan
+    g, start, _ = chain_graph((1.0,) * 601)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning fails the test
+        with pytest.raises(SingularSystemError, match="overflow"):
+            rational_form(g, derive_weights(g), start)
 
 
 def _explicit_weight_ring(seed: int, n: int):

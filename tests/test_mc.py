@@ -1,3 +1,5 @@
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +202,7 @@ def test_uniform_stays_below_one():
 
 
 def test_vertex_transitions_do_not_grow_with_refinement():
-    # returns to a vertex are one draw, so the transition count per
+    # returns to a vertex take no draw, so the transition count per
     # trajectory does not depend on the step
     g, start = path_graph()
     w = derive_weights(g)
@@ -209,6 +211,45 @@ def test_vertex_transitions_do_not_grow_with_refinement():
         assert est.steps_mean < 20
         assert est.capped == 0
         assert abs(est.mean - 1.0 / 3.0) <= 4.0 * est.standard_error
+
+
+def _fixture(name):
+    from graphreact import parse_document, prepare
+
+    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+    return prepare(parse_document(json.loads(path.read_text())))
+
+
+def test_vertex_start_estimate_does_not_depend_on_the_step():
+    g, w, start = _fixture("chain_m3")
+    ks = KappaSpec.constant(1.5)
+    runs = [simulate(g, w, ks, start, SimConfig(step, 2000, 7)) for step in (0.5, 0.25, 0.1)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 5.0])
+@pytest.mark.parametrize("name", ["path_site", "chain_m3", "star_n3", "ygraph"])
+def test_sample_variance_matches_the_exact_variance(name, kappa):
+    # a product of sojourn factors 1/(1 + kappa M_v) raised to the power k
+    # is one with per-site kappa ((1 + kappa M_v)**k - 1)/M_v, so the raw
+    # moments E W**k of the estimator are survivals
+    from graphreact import solve_survival
+
+    g, w, start = _fixture(name)
+    grid = build_grid(g, w, 0.5)
+    sojourn = {v: grid.sojourn_mean[g.vertex_index[v]] for v in g.active_vertices}
+    m1, m2, m3, m4 = (
+        solve_survival(g, w, KappaSpec.per_vertex(
+            {v: ((1.0 + kappa * s) ** k - 1.0) / s for v, s in sojourn.items()}))[start]
+        for k in (1, 2, 3, 4)
+    )
+    var = m2 - m1**2
+    mu4 = m4 - 4.0 * m3 * m1 + 6.0 * m2 * m1**2 - 3.0 * m1**4
+    n = 20_000
+    est = estimate_survival(grid, KappaSpec.constant(kappa), start, SimConfig(0.5, n, 12))
+    # the sample variance n SE**2 has variance mu4/n - var**2 (n-3)/(n(n-1))
+    spread = math.sqrt(mu4 / n - var**2 * (n - 3) / (n * (n - 1)))
+    assert abs(n * est.standard_error**2 - var) <= 4.0 * spread
 
 
 def test_parallel_edges_with_different_substeps():
@@ -246,14 +287,14 @@ def test_off_center_interior_start():
 
 
 def test_capped_product_counts_the_current_visit():
-    # one transition takes every walker from v0 to the site c, where one
-    # visit has mean local time 1/(2*0.5/0.25) = 0.25
+    # one transition takes every walker from v0 to the site c, where a
+    # sojourn has mean local time 1/(0.5/1 + 0.5/1) = 1
     g, start = path_graph()
     cfg = SimConfig(step=0.25, trajectories=100, seed=4, step_cap=1)
     est = simulate(g, derive_weights(g), KappaSpec.constant(1.0), start, cfg)
     assert est.capped == 100
     assert est.steps_max == 1
-    assert est.mean == pytest.approx(1.0 / 1.25, rel=1e-12)
+    assert est.mean == pytest.approx(1.0 / 2.0, rel=1e-12)
 
 
 def _pinned_case(name):
@@ -269,19 +310,19 @@ def _pinned_case(name):
     return g, derive_weights(g), KappaSpec.constant(kappa), x, cfg
 
 
-# estimates recorded with the column-scan edge draw; the guide table
-# must pick the same edge for every draw, so they stay equal bit for bit
+# estimates recorded with one sojourn factor per visit and one draw per
+# move; a change to the sampler's law or to its use of the streams moves them
 PINNED = {
-    "path": SimEstimate(mean=0.32442484108686315, standard_error=0.006435541160299078,
-                        trajectories=2000, capped=0, steps_mean=3.998, steps_max=20),
-    "path-interior": SimEstimate(mean=0.405493801552066, standard_error=0.008992432337018536,
-                                 trajectories=2000, capped=0, steps_mean=3.2635, steps_max=28),
-    "star3": SimEstimate(mean=0.14115015574415746, standard_error=0.004536640928697498,
-                         trajectories=2000, capped=0, steps_mean=8.709, steps_max=62),
-    "hub": SimEstimate(mean=0.4225031843306338, standard_error=0.00970608619549103,
-                       trajectories=2000, capped=0, steps_mean=6.032, steps_max=61),
-    "hub-capped": SimEstimate(mean=0.5690505320162914, standard_error=0.008204512368501688,
-                              trajectories=2000, capped=652, steps_mean=3.576, steps_max=6),
+    "path": SimEstimate(mean=0.334438117980957, standard_error=0.003995195393505642,
+                        trajectories=2000, capped=0, steps_mean=4.022, steps_max=32),
+    "path-interior": SimEstimate(mean=0.40579405239716165, standard_error=0.008322322055946298,
+                                 trajectories=2000, capped=0, steps_mean=3.2715, steps_max=20),
+    "star3": SimEstimate(mean=0.14179929066605343, standard_error=0.0036304474670839516,
+                         trajectories=2000, capped=0, steps_mean=8.884, steps_max=66),
+    "hub": SimEstimate(mean=0.42971092914823555, standard_error=0.009333556332343057,
+                       trajectories=2000, capped=0, steps_mean=6.142, steps_max=61),
+    "hub-capped": SimEstimate(mean=0.5503830773917173, standard_error=0.007805572818695514,
+                              trajectories=2000, capped=666, steps_mean=3.627, steps_max=6),
 }
 
 
@@ -318,16 +359,16 @@ def test_guide_table_built_once_per_grid(monkeypatch):
 # `graphreact mc FIXTURE --kappa 1.5 --delta 0.05 --n 2000 --seed 7`, second
 # line of stdout
 PINNED_CLI = {
-    "chain_m1": "1.5,0.296664694081,0.00632180766585,2000,0.05,7",
-    "chain_m2": "1.5,0.130870118882,0.00409758425297,2000,0.05,7",
-    "chain_m3": "1.5,0.0211690350463,0.00140935061586,2000,0.05,7",
-    "interval_site": "1.5,0.403421490965,0.00642860611471,2000,0.05,7",
-    "interval_zone": "1.5,0.403421490965,0.00642860611471,2000,0.05,7",
-    "path_site": "1.5,0.25216211041,0.00613918988189,2000,0.05,7",
-    "star_n2": "1.5,0.250188303363,0.00614783543492,2000,0.05,7",
-    "star_n3": "1.5,0.17839860124,0.00557963590558,2000,0.05,7",
-    "star_n4": "1.5,0.149559306305,0.00525811037045,2000,0.05,7",
-    "ygraph": "1.5,0.632075080215,0.00944703572717,2000,0.05,7",
+    "chain_m1": "1.5,0.298922746219,0.00345146769942,2000,0.05,7",
+    "chain_m2": "1.5,0.130324155042,0.00264503285188,2000,0.05,7",
+    "chain_m3": "1.5,0.0227745143435,0.00086624314835,2000,0.05,7",
+    "interval_site": "1.5,0.4,1.24157750981e-18,2000,0.05,7",
+    "interval_zone": "1.5,0.4,1.24157750981e-18,2000,0.05,7",
+    "path_site": "1.5,0.255490113925,0.00345703043395,2000,0.05,7",
+    "star_n2": "1.5,0.245319396339,0.00408152758216,2000,0.05,7",
+    "star_n3": "1.5,0.176833446824,0.00371674172228,2000,0.05,7",
+    "star_n4": "1.5,0.14095494966,0.00369457802206,2000,0.05,7",
+    "ygraph": "1.5,0.627488322304,0.00875742937886,2000,0.05,7",
 }
 
 
