@@ -40,7 +40,35 @@ not simulated, and neither the sojourn factors nor the edge law depend
 on the step: from a vertex the estimate is the same at every step, bit
 for bit.  A walker multiplies in the sojourn factor of its start vertex
 and of every vertex it arrives at, so the running product of a capped
-walker counts the sojourn it is in.
+walker counts the sojourn it is in.  Where kappa*M_v overflows a float,
+the factor is s/(s + M_v) with s = 1/kappa, the scaling of
+``kac.survival_on_active``.
+
+Dead-end branches.  Repeatedly strip a vertex of degree 1 that is not
+active, not an exit and not the start.  What goes is a forest of inert
+branches, each hanging off a kept vertex v by one edge.  A walker that
+crosses into one always comes back to v (the branch is finite and
+holds nothing that absorbs) and its product does not change there, so
+the excursion is one more return to v.  The returns to v before it
+leaves by a kept edge are geometric, and the same conditional mean
+gives the sojourn factor 1/(1 + kappa*M'_v) with
+
+    M'_v = 1 / sum over kept edges of p_v(e)/l_e,
+
+while the walker leaves by kept edge e with probability proportional to
+p_v(e)/l_e.  The estimate stays unbiased and its variance cannot rise,
+by the same argument.  The start is kept, and for a start inside an
+edge both of its endpoints, with the path that joins them to the rest.
+Folding a start would be exact too, since its walk reaches v before
+anything else happens, but it would start the walk at v: from a start
+like ``path_site``'s, every product would then be the one constant
+1/(1 + kappa*M'_c), right only up to rounding and with a standard error
+of 0, which no 4-sigma window can hold.  A leaf is not stripped where v
+would be left with no kept edge of positive weight, nor, through that
+rule, a branch whose walk could not come back; there the walk is the
+unfolded one.  ``steps_mean``, ``steps_max`` and ``step_cap`` count the
+moves of the folded chain.  Keeping every vertex gives the unfolded
+walk, so the estimates change only where a dead-end branch is folded.
 
 The edge draw.  Row v of ``cum`` is the cumulative leave distribution,
 padded with 1.0 up to the largest degree, and a uniform u leaves by the
@@ -167,9 +195,11 @@ class GridChain:
     carry tables, one row each with a column per half-edge.  ``cum`` is
     the cumulative leave distribution and ``nbr`` the far vertices.
     ``sojourn_mean[v]`` is M_v, the mean local time of a sojourn at v with
-    its returns, and 0 at the absorbing vertices.  The step decides only
-    which points are grid nodes (``substeps``, ``deltas``); the tables do
-    not depend on it.
+    its returns, and 0 at the absorbing vertices.  ``rates`` holds
+    p_v(e)/l_e for every half-edge of ``graph.half_edge_table``.  These
+    are the tables of the unfolded walk; an estimate walks the folded one
+    (``walk``).  The step decides only which points are grid nodes
+    (``substeps``, ``deltas``); the tables do not depend on it.
     """
 
     graph: MetricGraph
@@ -180,15 +210,80 @@ class GridChain:
     nbr: np.ndarray
     absorbing: np.ndarray
     sojourn_mean: np.ndarray
+    rates: np.ndarray
     edge_base: tuple[int, ...]
     size: int
 
     @cached_property
-    def _leave_tables(self) -> tuple[_EdgeGuide, np.ndarray]:
-        """The guide table over ``cum`` and ``nbr`` with a sink row after
-        the vertices, built at the first estimate on the grid."""
-        nv, width = self.nbr.shape
-        return _EdgeGuide.of(self.cum), np.append(self.nbr.ravel(), np.full(width, nv))
+    def _hangs_from(self) -> np.ndarray:
+        """The vertex that each vertex of a dead-end branch hangs from,
+        and -1 at the others: the branches that fold when no start is
+        kept (see the module docstring).  Built at the first estimate."""
+        g = self.graph
+        t = g.half_edge_table
+        nv = len(g.vertex_ids)
+        first = np.searchsorted(t.source, np.arange(nv + 1)).tolist()
+        pairs = np.argsort(t.edge, kind="stable").reshape(-1, 2)
+        twin = np.empty_like(pairs.ravel())
+        twin[pairs] = pairs[:, ::-1]
+        positive = self.rates > 0
+        # the kept edges of positive weight out of each vertex
+        ways_out = np.bincount(t.source, positive, nv).astype(np.intp)
+        degree = np.bincount(t.source, minlength=nv).tolist()
+        fixed = (vertex_mask(g, g.active_vertices) | self.absorbing).tolist()
+        target, twin, positive, ways_out = (
+            a.tolist() for a in (t.target, twin, positive, ways_out))
+        parent = [-1] * nv
+        leaves = [x for x in range(nv) if degree[x] == 1 and not fixed[x]]
+        while leaves:
+            x = leaves.pop()
+            h = next(h for h in range(first[x], first[x + 1]) if parent[target[h]] < 0)
+            v, back = target[h], twin[h]
+            if positive[back] and ways_out[v] == 1:
+                continue  # v would be left with no way out but into its branches
+            parent[x] = v
+            degree[v] -= 1
+            ways_out[v] -= positive[back]
+            if degree[v] == 1 and not fixed[v]:
+                leaves.append(v)
+        return np.array(parent)
+
+    @cached_property
+    def _walks(self) -> dict[bytes, _Walk]:
+        """The folded walks asked for so far, one per kept-vertex set."""
+        return {}
+
+    def walk(self, start: int) -> _Walk:
+        """The walk from grid node ``start`` with the dead-end branches
+        folded, but not the start or its edge's endpoints.  Its tables
+        are built at the first estimate that keeps the same vertices."""
+        parent = self._hangs_from
+        kept = parent < 0
+        nv = len(kept)
+        if start < nv:
+            ends = [start]
+        else:
+            edge = self.graph.edges[self._edge_at(start)]
+            ends = [self.graph.vertex_index[v] for v in edge.endpoints]
+        for v in ends:
+            while not kept[v]:
+                kept[v] = True
+                v = parent[v]
+        key = kept.tobytes()
+        if key not in self._walks:
+            if kept.all():
+                cum, nbr, sojourn = self.cum, self.nbr, self.sojourn_mean
+            else:
+                t = self.graph.half_edge_table
+                out = kept[t.source] & kept[t.target] & ~self.absorbing[t.source]
+                cum, nbr, sojourn = _leave_tables(nv, t.source[out], t.target[out], self.rates[out])
+            self._walks[key] = _Walk(kept, _EdgeGuide.of(cum),
+                                     np.append(nbr.ravel(), np.full(nbr.shape[1], nv)), sojourn)
+        return self._walks[key]
+
+    def _edge_at(self, node: int) -> int:
+        """The edge of an interior grid node."""
+        return bisect.bisect_right(self.edge_base, node) - 1
 
     def node_index(self, x: PointOnGraph | str) -> int:
         """Grid node at a point; errors if the point is off-grid."""
@@ -210,6 +305,42 @@ class GridChain:
         return self.edge_base[x.edge] + (j - 1)
 
 
+@dataclass(frozen=True, eq=False)
+class _Walk:
+    """The walk on a kept-vertex set: the guide table over its ``cum``,
+    its far vertices with a sink row after the vertices, and its sojourn
+    means M'_v."""
+
+    kept: np.ndarray
+    guide: _EdgeGuide
+    nbr: np.ndarray
+    sojourn_mean: np.ndarray
+
+
+def _leave_tables(
+    nv: int, row: np.ndarray, far: np.ndarray, leave: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cum``, ``nbr`` and the sojourn means of the walk that leaves
+    vertex row[h] by half-edge h toward far[h] at rate leave[h]; the
+    half-edges come vertex by vertex."""
+    degree = np.bincount(row, minlength=nv)
+    total = np.bincount(row, leave, nv)
+    if np.count_nonzero(total) < np.count_nonzero(degree):
+        raise PreconditionError("every vertex but an exit needs a positive edge weight")
+    width = int(degree.max())
+    col = np.arange(len(row)) - (np.cumsum(degree) - degree)[row]
+    p = np.zeros((nv, width))
+    p[row, col] = leave / total[row]
+    nbr = np.zeros((nv, width), dtype=np.intp)
+    nbr[row, col] = far
+    return (
+        # exact top from the last half-edge on, so that u < 1 stays in the row
+        np.where(np.arange(width) >= degree[:, None] - 1, 1.0, p.cumsum(axis=1)),
+        nbr,
+        np.divide(1.0, total, out=np.zeros(nv), where=degree > 0),
+    )
+
+
 def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     """Subdivide every edge into equal steps close to the target step.
 
@@ -229,53 +360,48 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
 
     # the half-edges out of the non-exit vertices, vertex by vertex
     t = g.half_edge_table
-    out = ~vertex_mask(g, g.exit_vertices)[t.source]
-    row, far, edge = t.source[out], t.target[out], t.edge[out]
+    exits = vertex_mask(g, g.exit_vertices)
+    out = ~exits[t.source]
+    row, edge = t.source[out], t.edge[out]
     # p_v(e)/l_e: the rate p_v(e)/step_e into edge e times the chance 1/n_e
     # of crossing it
-    leave = flux_coefficients(g, w)[out]
+    rates = flux_coefficients(g, w)
+    leave = rates[out]
     if not 0.0 <= leave.min(initial=0.0) <= leave.max(initial=0.0) < math.inf:
         # the edge draw needs rows of cum that never decrease
         raise PreconditionError("edge weights must be finite and nonnegative")
-    degree = np.bincount(row, minlength=nv)
-    total = np.bincount(row, leave, nv)
-    if np.count_nonzero(total) < np.count_nonzero(degree):
-        raise PreconditionError("every vertex but an exit needs a positive edge weight")
-    sojourn = np.divide(1.0, total, out=np.zeros(nv), where=degree > 0)
+    cum, nbr, sojourn = _leave_tables(nv, row, t.target[out], leave)
     # M_v/m_v = 1/(1 - s_v), a mean of the n_e: from 2**53 on, s_v is 1 in
     # floats, and the grid walk that the factors stand for never leaves v
     rate = np.bincount(row, leave * np.array(substeps, dtype=float)[edge], nv)
     if np.any(rate * sojourn >= 2.0**53):
         raise PreconditionError(f"step {step!r} is too fine for a float grid")
 
-    width = int(degree.max())
-    col = np.arange(len(row)) - (np.cumsum(degree) - degree)[row]
-    p = np.zeros((nv, width))
-    p[row, col] = leave / total[row]
-    nbr = np.zeros((nv, width), dtype=np.intp)
-    nbr[row, col] = far
-
     return GridChain(
         graph=g,
         step=step,
         substeps=substeps,
         deltas=tuple(length / n for length, n in zip(lengths, substeps)),
-        # exact top from the last half-edge on, so that u < 1 stays in the row
-        cum=np.where(np.arange(width) >= degree[:, None] - 1, 1.0, p.cumsum(axis=1)),
+        cum=cum,
         nbr=nbr,
-        absorbing=degree == 0,
+        absorbing=exits,
         sojourn_mean=sojourn,
+        rates=rates,
         edge_base=tuple(itertools.accumulate((n - 1 for n in substeps[:-1]), initial=nv)),
         size=nv + sum(substeps) - len(substeps),
     )
 
 
-def _sojourn_factors(grid: GridChain, ks: KappaSpec) -> np.ndarray:
-    factor = np.ones(len(grid.graph.vertex_ids))
-    active = grid.graph.active_vertices
-    for vid, kappa in zip(active, ks.values(active) if active else ()):
-        i = grid.graph.vertex_index[vid]
-        factor[i] = 0.0 if math.isinf(kappa) else 1.0 / (1.0 + kappa * grid.sojourn_mean[i])
+def _sojourn_factors(g: MetricGraph, sojourn: np.ndarray, ks: KappaSpec) -> np.ndarray:
+    factor = np.ones(len(g.vertex_ids))
+    active = g.active_vertices
+    for vid, kappa in zip(active, ks.values(active).tolist() if active else ()):
+        i = g.vertex_index[vid]
+        m = float(sojourn[i])
+        # 1/(1 + kappa*m); past overflow s/(s + m) with s = 1/kappa, which
+        # is 0 at an infinite kappa
+        km = kappa * m
+        factor[i] = 1.0 / (1.0 + km) if km < math.inf else (1.0 / kappa) / (1.0 / kappa + m)
     return factor
 
 
@@ -321,6 +447,7 @@ class _EdgeGuide:
 
 def _simulate_block(
     grid: GridChain,
+    walk: _Walk,
     factor: np.ndarray,
     start: int,
     seed: int,
@@ -336,7 +463,7 @@ def _simulate_block(
     t = 0
     if start >= nv:
         # interior node j of edge k: the second endpoint first w.p. j/n_k
-        k = bisect.bisect_right(grid.edge_base, start) - 1
+        k = grid._edge_at(start)
         j = start - grid.edge_base[k] + 1
         a, b = (grid.graph.vertex_index[v] for v in grid.graph.edges[k].endpoints)
         state = np.where(_uniform(_draws(keys, [0])[0]) * grid.substeps[k] < j, b, a)
@@ -349,7 +476,7 @@ def _simulate_block(
     sink = nv
     fac = np.append(factor, 1.0)
     stop = np.append(grid.absorbing | (factor == 0.0), False)
-    edges, nbr = grid._leave_tables
+    edges, nbr = walk.guide, walk.nbr
 
     def retire(state, weight, local) -> int:
         """Record and park the walkers that reached an absorbing vertex."""
@@ -401,18 +528,22 @@ def estimate_survival(
     product and are counted in ``capped``.
     """
     start = grid.node_index(x)
-    factor = _sojourn_factors(grid, ks)
+    walk = grid.walk(start)
+    factor = _sojourn_factors(grid.graph, walk.sojourn_mean, ks)
     n = cfg.trajectories
     weights = np.empty(n)
     steps = np.zeros(n, dtype=np.int64)
     capped = sum(
-        _simulate_block(grid, factor, start, cfg.seed, lo, min(lo + _BLOCK, n),
+        _simulate_block(grid, walk, factor, start, cfg.seed, lo, min(lo + _BLOCK, n),
                         cfg.step_cap, weights, steps)
         for lo in range(0, n, _BLOCK)
     )
     return SimEstimate(
         mean=float(np.mean(weights)),
-        standard_error=float(np.std(weights, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+        # a product that is the same on every trajectory has no error,
+        # though np.std of its copies may not be exactly 0
+        standard_error=(float(np.std(weights, ddof=1) / math.sqrt(n))
+                        if weights.min() < weights.max() else 0.0),
         trajectories=n,
         capped=capped,
         steps_mean=float(np.mean(steps)),

@@ -140,3 +140,21 @@ def kappa_samples(count: int = 20) -> np.ndarray:
 
 def weights_for(g: MetricGraph):
     return derive_weights(g)
+
+
+def branchy_tree(
+    rng: np.random.Generator, n: int = 24, n_active: int = 3, n_exit: int = 2
+) -> MetricGraph:
+    """Random recursive tree of n core vertices with random lengths and
+    radii, n_active of them active and n_exit fresh exit leaves on
+    distinct core vertices.  Its inert leaves and the inert subtrees
+    they end make dead-end branches."""
+    pairs = [(f"n{int(rng.integers(0, i))}", f"n{i}") for i in range(1, n)]
+    hosts = rng.choice(n, size=n_exit, replace=False)
+    pairs += [(f"n{int(h)}", f"e{k}") for k, h in enumerate(hosts)]
+    active = set(rng.choice(n, size=n_active, replace=False).tolist())
+    vertices = [Vertex(f"n{i}", "active" if i in active else "inert") for i in range(n)]
+    vertices += [Vertex(f"e{k}", "exit") for k in range(n_exit)]
+    edges = [Edge((u, v), float(rng.uniform(0.3, 1.8)), float(rng.uniform(0.5, 2.0)))
+             for u, v in pairs]
+    return MetricGraph(tuple(vertices), tuple(edges))

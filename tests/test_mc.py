@@ -21,7 +21,15 @@ from graphreact import (
     hitting_split,
     simulate,
 )
-from helpers import chain_graph, hub_graph, path_graph, star_graph, y_graph
+from helpers import (
+    branchy_tree,
+    chain_graph,
+    hub_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+    y_graph,
+)
 
 
 def test_grid_substeps_single_edge():
@@ -227,17 +235,45 @@ def test_vertex_start_estimate_does_not_depend_on_the_step():
     assert runs[0] == runs[1] == runs[2]
 
 
+def _branch_starts(grid):
+    """A core vertex, a vertex two folds deep in a dead-end branch, and
+    node 1 of the longest dead-end edge."""
+    g, parent = grid.graph, grid._hangs_from
+    core = next(v for v in g.vertex_ids
+                if parent[g.vertex_index[v]] < 0 and v not in g.active_vertices + g.exit_vertices)
+    deep = next(v for i, v in enumerate(g.vertex_ids) if parent[i] >= 0 and parent[parent[i]] >= 0)
+    dead = max((k for k, e in enumerate(g.edges)
+                if any(parent[g.vertex_index[v]] >= 0 for v in e.endpoints)),
+               key=lambda k: grid.substeps[k])
+    assert grid.substeps[dead] >= 2
+    return core, deep, PointOnGraph.on_edge(dead, grid.deltas[dead])
+
+
+def _unfolded(grid):
+    """The grid with every vertex kept, so that its walk is the unfolded one."""
+    grid.__dict__["_hangs_from"] = np.full(len(grid.graph.vertex_ids), -1)
+    return grid
+
+
+def _tree_problem():
+    g = branchy_tree(np.random.default_rng(2))
+    w = derive_weights(g)
+    return g, w, _branch_starts(build_grid(g, w, 0.25))[1]
+
+
 @pytest.mark.parametrize("kappa", [1.0, 5.0])
-@pytest.mark.parametrize("name", ["path_site", "chain_m3", "star_n3", "ygraph"])
+@pytest.mark.parametrize("name", ["path_site", "chain_m3", "star_n3", "ygraph", "tree"])
 def test_sample_variance_matches_the_exact_variance(name, kappa):
-    # a product of sojourn factors 1/(1 + kappa M_v) raised to the power k
-    # is one with per-site kappa ((1 + kappa M_v)**k - 1)/M_v, so the raw
-    # moments E W**k of the estimator are survivals
+    # a product of sojourn factors 1/(1 + kappa M'_v) of the folded walk
+    # raised to the power k is one with per-site kappa
+    # ((1 + kappa M'_v)**k - 1)/M'_v, so the raw moments E W**k of the
+    # estimator are survivals
     from graphreact import solve_survival
 
-    g, w, start = _fixture(name)
-    grid = build_grid(g, w, 0.5)
-    sojourn = {v: grid.sojourn_mean[g.vertex_index[v]] for v in g.active_vertices}
+    g, w, start = _tree_problem() if name == "tree" else _fixture(name)
+    grid = build_grid(g, w, 0.25)
+    walk = grid.walk(grid.node_index(start))
+    sojourn = {v: walk.sojourn_mean[g.vertex_index[v]] for v in g.active_vertices}
     m1, m2, m3, m4 = (
         solve_survival(g, w, KappaSpec.per_vertex(
             {v: ((1.0 + kappa * s) ** k - 1.0) / s for v, s in sojourn.items()}))[start]
@@ -246,10 +282,154 @@ def test_sample_variance_matches_the_exact_variance(name, kappa):
     var = m2 - m1**2
     mu4 = m4 - 4.0 * m3 * m1 + 6.0 * m2 * m1**2 - 3.0 * m1**4
     n = 20_000
-    est = estimate_survival(grid, KappaSpec.constant(kappa), start, SimConfig(0.5, n, 12))
+    est = estimate_survival(grid, KappaSpec.constant(kappa), start, SimConfig(0.25, n, 12))
     # the sample variance n SE**2 has variance mu4/n - var**2 (n-3)/(n(n-1))
     spread = math.sqrt(mu4 / n - var**2 * (n - 3) / (n * (n - 1)))
     assert abs(n * est.standard_error**2 - var) <= 4.0 * spread
+    assert abs(est.mean - m1) <= 4.0 * est.standard_error
+
+
+@pytest.mark.parametrize("which", ["core", "branch", "dead-end edge"])
+def test_folded_walk_matches_the_survival_with_fewer_moves(which):
+    from graphreact import solve_survival, split_at
+
+    g = branchy_tree(np.random.default_rng(2))
+    w = derive_weights(g)
+    ks = KappaSpec.constant(1.3)
+    grid = build_grid(g, w, 0.25)
+    x = dict(zip(["core", "branch", "dead-end edge"], _branch_starts(grid)))[which]
+    if isinstance(x, str):
+        exact = solve_survival(g, w, ks)[x]
+    else:
+        g2, mid = split_at(g, x)
+        exact = solve_survival(g2, derive_weights(g2), ks)[mid]
+    cfg = SimConfig(0.25, 20_000, 19)
+    est = estimate_survival(grid, ks, x, cfg)
+    full = estimate_survival(_unfolded(build_grid(g, w, 0.25)), ks, x, cfg)
+    assert abs(est.mean - exact) <= 4.0 * est.standard_error
+    assert abs(full.mean - exact) <= 4.0 * full.standard_error
+    assert est.steps_mean < full.steps_mean
+    assert est.capped == full.capped == 0
+
+
+def test_start_and_its_edge_are_never_folded():
+    g = branchy_tree(np.random.default_rng(2))
+    grid = build_grid(g, derive_weights(g), 0.25)
+    parent = grid._hangs_from
+    core, deep, on_edge = _branch_starts(grid)
+    assert parent[g.vertex_index[deep]] >= 0
+    kept = grid.walk(grid.node_index(deep)).kept
+    # the start, the path that joins it to the core, and nothing else
+    path, v = [], g.vertex_index[deep]
+    while parent[v] >= 0:
+        path.append(v)
+        v = parent[v]
+    assert np.array_equal(kept.nonzero()[0], np.union1d((parent < 0).nonzero()[0], path))
+    ends = [g.vertex_index[v] for v in g.edges[on_edge.edge].endpoints]
+    assert grid.walk(grid.node_index(on_edge)).kept[ends].all()
+    assert grid.walk(grid.node_index(core)).kept.sum() == (parent < 0).sum()
+
+
+def test_branch_without_a_way_out_is_kept():
+    # b leaves only toward its leaf t, so folding t would leave b no way
+    # out; the leaf u hangs off c, which keeps its edge to the exit
+    g = MetricGraph(
+        (Vertex("v0"), Vertex("c", "active"), Vertex("a", "exit"), Vertex("b"),
+         Vertex("t"), Vertex("u")),
+        (Edge(("v0", "c"), 1.0), Edge(("c", "a"), 1.0), Edge(("c", "b"), 1.0),
+         Edge(("b", "t"), 1.0), Edge(("c", "u"), 1.0)),
+    )
+    w = EdgeWeights({("v0", 0): 1.0, ("c", 0): 0.25, ("c", 1): 0.25, ("c", 2): 0.25,
+                     ("c", 4): 0.25, ("b", 2): 0.0, ("b", 3): 1.0, ("t", 3): 1.0,
+                     ("u", 4): 1.0, ("a", 1): 1.0})
+    grid = build_grid(g, w, 0.25)
+    hangs = dict(zip(g.vertex_ids, grid._hangs_from.tolist()))
+    c = g.vertex_index["c"]
+    assert hangs == {"v0": c, "c": -1, "a": -1, "b": -1, "t": -1, "u": c}
+
+
+# estimates of the unfolded walk from the documents' injections, which
+# fold nothing: the fold and the overflow-safe factor leave them bit for bit
+UNFOLDED = {
+    "path_site": (0.7, SimConfig(0.05, 3000, 41), SimEstimate(
+        mean=0.4174126287399657, standard_error=0.003463441651327186, trajectories=3000,
+        capped=0, steps_mean=3.9966666666666666, steps_max=22)),
+    "chain_m3": (2.5, SimConfig(0.05, 3000, 42), SimEstimate(
+        mean=0.008197629714488529, standard_error=0.00028953449997744945, trajectories=3000,
+        capped=0, steps_mean=15.188666666666666, steps_max=124)),
+    "ygraph": (4.0, SimConfig(0.25, 3000, 43), SimEstimate(
+        mean=0.5619075502080001, standard_error=0.008210597376260913, trajectories=3000,
+        capped=0, steps_mean=6.0906666666666665, steps_max=38)),
+}
+
+
+@pytest.mark.parametrize("name", list(UNFOLDED))
+def test_documents_with_nothing_to_fold_keep_their_estimates(name):
+    g, w, start = _fixture(name)
+    kappa, cfg, pinned = UNFOLDED[name]
+    grid = build_grid(g, w, cfg.step)
+    assert grid.walk(grid.node_index(start)).kept.all()
+    assert estimate_survival(grid, KappaSpec.constant(kappa), start, cfg) == pinned
+
+
+def test_core_starts_share_one_walk(monkeypatch):
+    from graphreact import mc
+
+    built = []
+    of = mc._EdgeGuide.of
+    monkeypatch.setattr(mc._EdgeGuide, "of", staticmethod(lambda cum: built.append(cum) or of(cum)))
+    g = branchy_tree(np.random.default_rng(2))
+    grid = build_grid(g, derive_weights(g), 0.25)
+    parent = grid._hangs_from
+    core = [v for v in g.vertex_ids if parent[g.vertex_index[v]] < 0]
+    inside = next(k for k, e in enumerate(g.edges)
+                  if all(parent[g.vertex_index[v]] < 0 for v in e.endpoints) and grid.substeps[k] > 1)
+    ks, cfg = KappaSpec.constant(0.8), SimConfig(0.25, 200, 5)
+    for x in [*core, PointOnGraph.on_edge(inside, grid.deltas[inside])]:
+        estimate_survival(grid, ks, x, cfg)
+    assert len(grid._walks) == len(built) == 1
+    _, deep, on_edge = _branch_starts(grid)
+    for x in (deep, on_edge, deep, on_edge):
+        estimate_survival(grid, ks, x, cfg)
+    assert len(grid._walks) == len(built) == 3
+
+
+def test_z_scores_against_the_survival_on_random_graphs():
+    # trees with dead-end branches, hubs and cyclic graphs, from vertex
+    # and interior starts
+    from graphreact import solve_survival, split_at
+
+    rng = np.random.default_rng(2024)
+    z = []
+    for i in range(48):
+        kind = i % 3
+        if kind == 0:
+            g = branchy_tree(rng, n=int(rng.integers(8, 30)))
+        elif kind == 1:
+            g = hub_graph(rng, degree=int(rng.integers(6, 24)))[0]
+        else:
+            g = random_graph(rng, max_core=7, max_extra=3, random_radii=True)[0]
+        w = derive_weights(g)
+        ks = KappaSpec.constant(float(np.exp(rng.uniform(np.log(0.2), np.log(5.0)))))
+        grid = build_grid(g, w, min(e.length for e in g.edges) / 2)
+        inner = [k for k, n in enumerate(grid.substeps) if n > 1]
+        if i % 2:
+            k = int(rng.choice(inner))
+            x = PointOnGraph.on_edge(k, grid.deltas[k] * int(rng.integers(1, grid.substeps[k])))
+            g2, mid = split_at(g, x)
+            exact = solve_survival(g2, derive_weights(g2), ks)[mid]
+        else:
+            x = str(rng.choice([v for v in g.vertex_ids if v not in g.exit_vertices]))
+            exact = solve_survival(g, w, ks)[x]
+        est = estimate_survival(grid, ks, x, SimConfig(grid.step, 4000, 100 + i))
+        assert est.capped == 0
+        if est.standard_error > 0:
+            z.append((est.mean - exact) / est.standard_error)
+    z = np.array(z)
+    assert len(z) >= 40
+    assert np.abs(z).max() < 4.0
+    assert abs(z.mean()) < 0.6
+    assert 0.6 < z.std() < 1.4
 
 
 def test_parallel_edges_with_different_substeps():
@@ -310,19 +490,20 @@ def _pinned_case(name):
     return g, derive_weights(g), KappaSpec.constant(kappa), x, cfg
 
 
-# estimates recorded with one sojourn factor per visit and one draw per
-# move; a change to the sampler's law or to its use of the streams moves them
+# estimates recorded with one sojourn factor per visit, one draw per move
+# and the dead-end branches folded; a change to the sampler's law or to its
+# use of the streams moves them
 PINNED = {
     "path": SimEstimate(mean=0.334438117980957, standard_error=0.003995195393505642,
                         trajectories=2000, capped=0, steps_mean=4.022, steps_max=32),
-    "path-interior": SimEstimate(mean=0.40579405239716165, standard_error=0.008322322055946298,
-                                 trajectories=2000, capped=0, steps_mean=3.2715, steps_max=20),
-    "star3": SimEstimate(mean=0.14179929066605343, standard_error=0.0036304474670839516,
-                         trajectories=2000, capped=0, steps_mean=8.884, steps_max=66),
-    "hub": SimEstimate(mean=0.42971092914823555, standard_error=0.009333556332343057,
-                       trajectories=2000, capped=0, steps_mean=6.142, steps_max=61),
-    "hub-capped": SimEstimate(mean=0.5503830773917173, standard_error=0.007805572818695514,
-                              trajectories=2000, capped=666, steps_mean=3.627, steps_max=6),
+    "path-interior": SimEstimate(mean=0.4084000000000001, standard_error=0.007853378749232042,
+                                 trajectories=2000, capped=0, steps_mean=1.7395, steps_max=2),
+    "star3": SimEstimate(mean=0.1407102923902578, standard_error=0.003119694642884162,
+                         trajectories=2000, capped=0, steps_mean=6.239, steps_max=64),
+    "hub": SimEstimate(mean=0.4302567834097096, standard_error=0.009302208554360682,
+                       trajectories=2000, capped=0, steps_mean=3.887, steps_max=27),
+    "hub-capped": SimEstimate(mean=0.5366640960123463, standard_error=0.008112689639094364,
+                              trajectories=2000, capped=412, steps_mean=3.291, steps_max=6),
 }
 
 
@@ -362,12 +543,12 @@ PINNED_CLI = {
     "chain_m1": "1.5,0.298922746219,0.00345146769942,2000,0.05,7",
     "chain_m2": "1.5,0.130324155042,0.00264503285188,2000,0.05,7",
     "chain_m3": "1.5,0.0227745143435,0.00086624314835,2000,0.05,7",
-    "interval_site": "1.5,0.4,1.24157750981e-18,2000,0.05,7",
-    "interval_zone": "1.5,0.4,1.24157750981e-18,2000,0.05,7",
+    "interval_site": "1.5,0.4,0,2000,0.05,7",
+    "interval_zone": "1.5,0.4,0,2000,0.05,7",
     "path_site": "1.5,0.255490113925,0.00345703043395,2000,0.05,7",
     "star_n2": "1.5,0.245319396339,0.00408152758216,2000,0.05,7",
-    "star_n3": "1.5,0.176833446824,0.00371674172228,2000,0.05,7",
-    "star_n4": "1.5,0.14095494966,0.00369457802206,2000,0.05,7",
+    "star_n3": "1.5,0.180098340474,0.00325734444782,2000,0.05,7",
+    "star_n4": "1.5,0.138603686069,0.00300585824137,2000,0.05,7",
     "ygraph": "1.5,0.627488322304,0.00875742937886,2000,0.05,7",
 }
 
@@ -382,6 +563,49 @@ def test_cli_mc_output_is_byte_stable(capsys):
                 "--n", "2000", "--seed", "7"]
         assert main(args) == 0
         assert capsys.readouterr().out == f"kappa,mean,se,n,delta,seed\n{row}\n"
+
+
+def _long_interval(tmp_path):
+    # interval_site with its edge ten times as long: M_c = 10
+    doc = json.loads((Path(__file__).resolve().parent.parent / "fixtures"
+                      / "interval_site.json").read_text())
+    doc["edges"][0]["length"] = 10.0
+    path = tmp_path / "interval_long.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_sojourn_factor_does_not_overflow(tmp_path, capsys):
+    import warnings
+
+    from graphreact import parse_document, prepare, solve_survival
+    from graphreact.cli import main
+
+    path = _long_interval(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["mc", str(path), "--kappa", "1e308", "--delta", "0.5", "--n", "10",
+                     "--seed", "1"]) == 0
+    mean = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+    assert 0.0 < mean <= 1e-308
+    g, w, start = prepare(parse_document(json.loads(path.read_text())))
+    ks = KappaSpec.constant(1e300)
+    est = simulate(g, w, ks, start, SimConfig(0.5, 10, 1))
+    assert est.mean == pytest.approx(solve_survival(g, w, ks)[start], rel=1e-9)
+
+
+@pytest.mark.parametrize("kappa, n", [("1.5", "2000"), ("0.01", "2000"), ("1.5", "500")])
+def test_constant_product_has_no_error_and_passes_compare(kappa, n, capsys):
+    # every walk from the site c leaves by its one edge to the exit, so
+    # every product is the one sojourn factor
+    from graphreact.cli import main
+
+    doc = str(Path(__file__).resolve().parent.parent / "fixtures" / "interval_site.json")
+    assert main(["compare", doc, "--kappa", kappa, "--delta", "0.05", "--n", n,
+                 "--seed", "7"]) == 0
+    mc_row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert mc_row[0] == "mc"
+    assert mc_row[3:] == ["0", "pass"]
 
 
 def _crowded_star():
