@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cap", type=int, default=5_000_000,
-                   help="most vertex transitions per trajectory (default 5000000)")
+                   help="most moves per trajectory between the walk's states, the sites, "
+                        "exits and start (default 5000000)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("diffuse", help="diffuse-zone collapse table, CSV")

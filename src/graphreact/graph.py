@@ -229,6 +229,14 @@ def validate(g: MetricGraph) -> list[str]:
 
     for k, e in enumerate(g.edges):
         u, w = e.endpoints
+        length, radius = e.length, e.radius
+        if (u != w and u in neighbours and w in neighbours
+                and type(length) is float and 0.0 < length < math.inf
+                and type(radius) is float and 0.0 < radius < math.inf):
+            # a sound edge, the common case: no label to build
+            neighbours[u].append(w)
+            neighbours[w].append(u)
+            continue
         label = f"edge {k} ({u!r}-{w!r})"
         for end, other in ((u, w), (w, u)):
             if end in neighbours:

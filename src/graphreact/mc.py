@@ -44,35 +44,56 @@ walker counts the sojourn it is in.  Where kappa*M_v overflows a float,
 the factor is s/(s + M_v) with s = 1/kappa, the scaling of
 ``kac.survival_on_active``.
 
-Dead-end branches.  Repeatedly strip a vertex of degree 1 that is not
-active, not an exit and not the start.  What goes is a forest of inert
-branches, each hanging off a kept vertex v by one edge.  A walker that
-crosses into one always comes back to v (the branch is finite and
-holds nothing that absorbs) and its product does not change there, so
-the excursion is one more return to v.  The returns to v before it
-leaves by a kept edge are geometric, and the same conditional mean
-gives the sojourn factor 1/(1 + kappa*M'_v) with
+The censored walk.  The product changes only at the active vertices,
+and a walk ends at an exit, so an estimate watches the walk only on a
+set S of states: the active vertices, the exits and the start, where a
+start inside an edge puts both ends of its edge in S.  The walk watched
+on S, the censored chain, is again a Markov chain (Kemeny & Snell,
+*Finite Markov Chains*, 1960, section 6).  Its out-rates come from
+the vertex chain's, r_ij = sum over the edges from i to j of
+p_i(e)/l_e, by state reduction: eliminating a vertex k adds
 
-    M'_v = 1 / sum over kept edges of p_v(e)/l_e,
+    r_ik r_kj / s_k,    s_k = sum over j != k of r_kj,
 
-while the walker leaves by kept edge e with probability proportional to
-p_v(e)/l_e.  The estimate stays unbiased and its variance cannot rise,
-by the same argument.  The start is kept, and for a start inside an
-edge both of its endpoints, with the path that joins them to the rest.
-Folding a start would be exact too, since its walk reaches v before
-anything else happens, but it would start the walk at v: from a start
-like ``path_site``'s, every product would then be the one constant
-1/(1 + kappa*M'_c), right only up to rounding and with a standard error
-of 0, which no 4-sigma window can hold.  A leaf is not stripped where v
-would be left with no kept edge of positive weight, nor, through that
-rule, a branch whose walk could not come back; there the walk is the
-unfolded one.  ``steps_mean``, ``steps_max`` and ``step_cap`` count the
-moves of the folded chain.  Keeping every vertex gives the unfolded
-walk, so the estimates change only where a dead-end branch is folded.
+to r_ij for every i and j other than k.  No step subtracts, so every
+rate keeps its relative accuracy (Grassmann, Taksar & Heyman, *Oper.
+Res.* 33:1107, 1985: GTH).  An i -> i entry that this makes is an
+excursion from i through eliminated vertices back to i, where the
+product does not change: one more return to i, and it is dropped.  The
+vertices go in min-degree order, fewest neighbours first, so dead-end
+branches peel from their leaves and a tree makes no fill.  On a graph
+with many cycles the fill grows toward a dense matrix: reduced in full,
+a 5000-vertex tree with 2500 chords took 35 s on a shared 2-vCPU host,
+where 256 uncensored walks took 1 s.  So a vertex goes only while it has at most
+``_MAX_DEGREE`` rates in and out; once every vertex left has more, they
+all stay states.  Censoring onto more states is exact too.  The returns
+to a state v before the walk moves to another state are geometric, and
+the same conditional mean gives the sojourn factor 1/(1 + kappa*M''_v)
+with
 
-The edge draw.  Row v of ``cum`` is the cumulative leave distribution,
-padded with 1.0 up to the largest degree, and a uniform u leaves by the
-column that counts the row's entries at or below u.  The weights are
+    M''_v = 1 / sum over states j != v of r''_vj,
+
+while the walk moves to state j with probability proportional to
+r''_vj.  The estimate stays unbiased and its variance cannot rise, by
+the same argument.  Where only dead-end branches go, r''_vj is r_vj on
+every edge that stays and M''_v is the sum over those edges, the same
+floats as summing them directly.  A vertex whose elimination would
+leave a neighbour no out-rate to the others stays a state (the end of a
+branch that the walk could not leave, for example), so every state but
+an exit has a way out.  The start stays a state: censoring it away
+would be exact too, since its walk reaches S before anything else
+happens, but it would start the walk on S, and from a start like
+``path_site``'s every product would then be the one constant
+1/(1 + kappa*M''_c), right only up to rounding and with a standard
+error of 0, which no 4-sigma window can hold.  ``steps_mean``,
+``steps_max`` and ``step_cap`` count the moves of the censored chain.
+With every vertex a state the walk is the uncensored one, so the
+estimates change only where a vertex is eliminated.
+
+The edge draw.  Row i of ``cum`` is the cumulative distribution of
+state i's next state, padded with 1.0 up to the largest row, and a
+uniform u moves to the column that counts the row's entries at or below
+u.  The weights are
 nonnegative, so a row never decreases and those entries come first.  A
 Chen-Asau guide table (indexed search, 1974) finds the column without
 reading the row.  Each row is cut into K = 2**s >= 4*width buckets, and
@@ -83,15 +104,15 @@ entries that lie inside that bucket; ``passes``, the largest number of
 entries inside one bucket over all rows, is never more than width - 1.
 K is a power of two and the comparisons are made on the 53-bit integer
 m = u * 2**53 against ceil(c * 2**53), so the bucket, the scaled edges
-and every comparison are exact: each u leaves by the same edge as the
+and every comparison are exact: each u moves to the same state as the
 full count gives, and the estimates are those of a scan of every column,
-bit for bit.  The cost of a transition grows with the entries that share
-a bucket, not with the largest degree.
+bit for bit.  The cost of a move grows with the entries that share a
+bucket, not with the longest row.
 
 Randomness: per-trajectory SplitMix64 streams.  Draw k of trajectory i
 is mix64(key_i + (k+1)*GAMMA), with key_i derived from the master seed
-and i.  Move t of a walk takes draw t and no other: a vertex transition
-draws the edge it leaves by, and the first move from an interior start,
+and i.  Move t of a walk takes draw t and no other: a move from a state
+draws the state it moves to, and the first move from an interior start,
 move 0, draws the end it reaches first.  Results are bit-identical for a
 given (seed, N, step), however the trajectories are blocked.
 """
@@ -99,6 +120,7 @@ given (seed, N, step), however the trajectories are blocked.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 from collections.abc import Sequence
@@ -108,7 +130,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
+from .graph import (
+    EdgeWeights,
+    HalfEdgeTable,
+    MetricGraph,
+    PointOnGraph,
+    locate,
+    require_valid,
+)
 from .harmonic import flux_coefficients, vertex_mask
 from .kac import KappaSpec
 
@@ -117,6 +146,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 1 << 17  # trajectories per block, which bounds memory
 _CHUNK = 1 << 12  # edge draws made at once, shared by the walkers still out
 _COMPACT = 4  # drop the absorbed walkers once they are a quarter
+_MAX_DEGREE = 16  # the most rates in and out of a vertex that is eliminated
 _NODE_TOL = 1e-9  # how far off a grid node a point may be, relative to its edge
 
 
@@ -151,7 +181,8 @@ def _uniform(bits: np.ndarray) -> np.ndarray:
 class SimConfig:
     """Simulation parameters: target grid step, trajectory count, seed.
 
-    ``step_cap`` caps the vertex transitions of one trajectory.
+    ``step_cap`` caps the moves of one trajectory's censored walk, from
+    state to state (see the module docstring).
     """
 
     step: float
@@ -170,8 +201,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Mean and standard error of the survival product, plus the vertex
-    transitions per trajectory."""
+    """Mean and standard error of the survival product, plus the moves of
+    the censored walk per trajectory."""
 
     mean: float
     standard_error: float
@@ -182,7 +213,7 @@ class SimEstimate:
 
     @property
     def biased(self) -> bool:
-        """True when some trajectories hit the transition cap before absorbing."""
+        """True when some trajectories hit the move cap before absorbing."""
         return self.capped > 0
 
 
@@ -191,94 +222,48 @@ class GridChain:
     """Vertex-visit chain of the graph diffusion on a spatial grid.
 
     Grid nodes are numbered vertices first (in graph vertex order), then
-    the interior nodes of each edge, source to target; only the vertices
-    carry tables, one row each with a column per half-edge.  ``cum`` is
-    the cumulative leave distribution and ``nbr`` the far vertices.
-    ``sojourn_mean[v]`` is M_v, the mean local time of a sojourn at v with
-    its returns, and 0 at the absorbing vertices.  ``rates`` holds
-    p_v(e)/l_e for every half-edge of ``graph.half_edge_table``.  These
-    are the tables of the unfolded walk; an estimate walks the folded one
-    (``walk``).  The step decides only which points are grid nodes
-    (``substeps``, ``deltas``); the tables do not depend on it.
+    the interior nodes of each edge, source to target.  ``rates`` holds
+    p_v(e)/l_e for every half-edge of ``graph.half_edge_table``, and
+    ``absorbing`` marks the exits.  An estimate walks the censored chain
+    of its start (``walk``), whose tables are built at the first estimate
+    that asks for its states.  The step decides only which points are
+    grid nodes (``substeps``, ``deltas``); the walks do not depend on it.
     """
 
     graph: MetricGraph
     step: float
     substeps: tuple[int, ...]
     deltas: tuple[float, ...]
-    cum: np.ndarray
-    nbr: np.ndarray
     absorbing: np.ndarray
-    sojourn_mean: np.ndarray
     rates: np.ndarray
     edge_base: tuple[int, ...]
     size: int
 
     @cached_property
-    def _hangs_from(self) -> np.ndarray:
-        """The vertex that each vertex of a dead-end branch hangs from,
-        and -1 at the others: the branches that fold when no start is
-        kept (see the module docstring).  Built at the first estimate."""
-        g = self.graph
-        t = g.half_edge_table
-        nv = len(g.vertex_ids)
-        first = np.searchsorted(t.source, np.arange(nv + 1)).tolist()
-        pairs = np.argsort(t.edge, kind="stable").reshape(-1, 2)
-        twin = np.empty_like(pairs.ravel())
-        twin[pairs] = pairs[:, ::-1]
-        positive = self.rates > 0
-        # the kept edges of positive weight out of each vertex
-        ways_out = np.bincount(t.source, positive, nv).astype(np.intp)
-        degree = np.bincount(t.source, minlength=nv).tolist()
-        fixed = (vertex_mask(g, g.active_vertices) | self.absorbing).tolist()
-        target, twin, positive, ways_out = (
-            a.tolist() for a in (t.target, twin, positive, ways_out))
-        parent = [-1] * nv
-        leaves = [x for x in range(nv) if degree[x] == 1 and not fixed[x]]
-        while leaves:
-            x = leaves.pop()
-            h = next(h for h in range(first[x], first[x + 1]) if parent[target[h]] < 0)
-            v, back = target[h], twin[h]
-            if positive[back] and ways_out[v] == 1:
-                continue  # v would be left with no way out but into its branches
-            parent[x] = v
-            degree[v] -= 1
-            ways_out[v] -= positive[back]
-            if degree[v] == 1 and not fixed[v]:
-                leaves.append(v)
-        return np.array(parent)
+    def _fixed(self) -> np.ndarray:
+        """The vertices that are states of every walk: sites and exits."""
+        return vertex_mask(self.graph, self.graph.active_vertices) | self.absorbing
 
     @cached_property
     def _walks(self) -> dict[bytes, _Walk]:
-        """The folded walks asked for so far, one per kept-vertex set."""
+        """The censored walks asked for so far, one per state set."""
         return {}
 
     def walk(self, start: int) -> _Walk:
-        """The walk from grid node ``start`` with the dead-end branches
-        folded, but not the start or its edge's endpoints.  Its tables
-        are built at the first estimate that keeps the same vertices."""
-        parent = self._hangs_from
-        kept = parent < 0
-        nv = len(kept)
-        if start < nv:
-            ends = [start]
+        """The censored walk from grid node ``start``: its states are the
+        sites, the exits and the start, or for an interior node both ends
+        of its edge, and any vertex that stays for a neighbour's way out
+        (see the module docstring)."""
+        keep = self._fixed.copy()
+        if start < len(keep):
+            keep[start] = True
         else:
             edge = self.graph.edges[self._edge_at(start)]
-            ends = [self.graph.vertex_index[v] for v in edge.endpoints]
-        for v in ends:
-            while not kept[v]:
-                kept[v] = True
-                v = parent[v]
-        key = kept.tobytes()
+            keep[[self.graph.vertex_index[v] for v in edge.endpoints]] = True
+        key = keep.tobytes()
         if key not in self._walks:
-            if kept.all():
-                cum, nbr, sojourn = self.cum, self.nbr, self.sojourn_mean
-            else:
-                t = self.graph.half_edge_table
-                out = kept[t.source] & kept[t.target] & ~self.absorbing[t.source]
-                cum, nbr, sojourn = _leave_tables(nv, t.source[out], t.target[out], self.rates[out])
-            self._walks[key] = _Walk(kept, _EdgeGuide.of(cum),
-                                     np.append(nbr.ravel(), np.full(nbr.shape[1], nv)), sojourn)
+            states, rows = _censor(self.graph.half_edge_table, self.rates, self.absorbing, keep)
+            self._walks[key] = _Walk.of(len(keep), states, rows)
         return self._walks[key]
 
     def _edge_at(self, node: int) -> int:
@@ -305,48 +290,102 @@ class GridChain:
         return self.edge_base[x.edge] + (j - 1)
 
 
+def _censor(
+    t: HalfEdgeTable, rates: np.ndarray, absorbing: np.ndarray, keep: np.ndarray
+) -> tuple[list[int], list[dict[int, float]]]:
+    """GTH state reduction of the vertex chain onto the vertices ``keep``
+    marks, which include the exits (see the module docstring).
+
+    Returns the states, in vertex order, and each state's out-rates as
+    {vertex: rate}: positive, none to itself, and none at an exit.  A
+    row lists the half-edges that stay in half-edge order, merged per far
+    vertex, then the fill in the order it was made.
+    """
+    nv = len(keep)
+    out: list = [{} for _ in range(nv)]
+    into: list = [set() for _ in range(nv)]  # the vertices with a rate to each
+    for i, j, r in zip(t.source.tolist(), t.target.tolist(), rates.tolist()):
+        if r > 0.0 and not absorbing[i]:
+            out[i][j] = out[i].get(j, 0.0) + r
+            into[j].add(i)
+    fixed = keep.tolist()
+    # min-degree order; an entry whose degree is stale is skipped, since
+    # a fresh one was pushed when the degree changed
+    heap = [(len(out[k]) + len(into[k]), k) for k in range(nv) if not fixed[k]]
+    heapq.heapify(heap)
+    while heap:
+        d, k = heapq.heappop(heap)
+        row, came = out[k], into[k]
+        if row is None or d != len(row) + len(came):
+            continue
+        if d > _MAX_DEGREE:
+            break  # every vertex left stays a state
+        if len(row) == 1:
+            (j,) = row
+            if j in came and len(out[j]) == 1:
+                continue  # j would be left no way out; k stays unless its neighbours change
+        total = math.fsum(row.values())
+        for i in came:
+            ri = out[i]
+            share = ri.pop(k) / total
+            for j, r in row.items():
+                if j != i:  # an i -> i entry is a return, and is dropped
+                    ri[j] = ri.get(j, 0.0) + share * r
+                    into[j].add(i)
+        for j in row:
+            into[j].discard(k)
+        out[k] = into[k] = None
+        for v in came | row.keys():
+            if not fixed[v]:
+                heapq.heappush(heap, (len(out[v]) + len(into[v]), v))
+    states = [v for v in range(nv) if out[v] is not None]
+    return states, [out[v] for v in states]
+
+
 @dataclass(frozen=True, eq=False)
 class _Walk:
-    """The walk on a kept-vertex set: the guide table over its ``cum``,
-    its far vertices with a sink row after the vertices, and its sojourn
-    means M'_v."""
+    """The censored walk on a state set.  ``states`` holds the vertex of
+    each state, in vertex order, and ``state`` the state of each vertex,
+    -1 where it is eliminated.  ``cum`` is the cumulative law of the next
+    state, one row per state, with the guide table over it; ``nbr`` holds
+    the next states, flat, with a sink row after the states; and
+    ``sojourn_mean`` holds M''_v, 0 at the exits."""
 
-    kept: np.ndarray
+    states: np.ndarray
+    state: np.ndarray
+    cum: np.ndarray
     guide: _EdgeGuide
     nbr: np.ndarray
     sojourn_mean: np.ndarray
 
-
-def _leave_tables(
-    nv: int, row: np.ndarray, far: np.ndarray, leave: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``cum``, ``nbr`` and the sojourn means of the walk that leaves
-    vertex row[h] by half-edge h toward far[h] at rate leave[h]; the
-    half-edges come vertex by vertex."""
-    degree = np.bincount(row, minlength=nv)
-    total = np.bincount(row, leave, nv)
-    if np.count_nonzero(total) < np.count_nonzero(degree):
-        raise PreconditionError("every vertex but an exit needs a positive edge weight")
-    width = int(degree.max())
-    col = np.arange(len(row)) - (np.cumsum(degree) - degree)[row]
-    p = np.zeros((nv, width))
-    p[row, col] = leave / total[row]
-    nbr = np.zeros((nv, width), dtype=np.intp)
-    nbr[row, col] = far
-    return (
-        # exact top from the last half-edge on, so that u < 1 stays in the row
-        np.where(np.arange(width) >= degree[:, None] - 1, 1.0, p.cumsum(axis=1)),
-        nbr,
-        np.divide(1.0, total, out=np.zeros(nv), where=degree > 0),
-    )
+    @classmethod
+    def of(cls, nv: int, states: list[int], rows: list[dict[int, float]]) -> _Walk:
+        """The tables of the walk that moves from states[i] to vertex j
+        at rate rows[i][j], on a graph of nv vertices."""
+        ns = len(states)
+        state = np.full(nv, -1)
+        state[states] = np.arange(ns)
+        degree = np.array([len(r) for r in rows], dtype=np.intp)
+        row = np.repeat(np.arange(ns), degree)
+        leave = np.fromiter((x for r in rows for x in r.values()), float, len(row))
+        total = np.bincount(row, leave, ns)
+        width = max(1, int(degree.max(initial=0)))
+        col = np.arange(len(row)) - (np.cumsum(degree) - degree)[row]
+        p = np.zeros((ns, width))
+        p[row, col] = leave / total[row]
+        nbr = np.full((ns + 1, width), ns)  # and the sink row
+        nbr[row, col] = state[[j for r in rows for j in r]]
+        # exact top from the last entry on, so that u < 1 stays in the row
+        cum = np.where(np.arange(width) >= degree[:, None] - 1, 1.0, p.cumsum(axis=1))
+        return cls(np.array(states, dtype=np.intp), state, cum, _EdgeGuide.of(cum), nbr.ravel(),
+                   np.divide(1.0, total, out=np.zeros(ns), where=degree > 0))
 
 
 def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     """Subdivide every edge into equal steps close to the target step.
 
     Edge e gets n_e = max(1, round(l_e/step)) substeps of size l_e/n_e.
-    Exit vertices absorb; every other vertex gets its leave tables and
-    its sojourn mean.
+    Exit vertices absorb; every other vertex needs a positive rate out.
     """
     require_valid(g)
     lengths = [e.length for e in g.edges]
@@ -370,11 +409,14 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     if not 0.0 <= leave.min(initial=0.0) <= leave.max(initial=0.0) < math.inf:
         # the edge draw needs rows of cum that never decrease
         raise PreconditionError("edge weights must be finite and nonnegative")
-    cum, nbr, sojourn = _leave_tables(nv, row, t.target[out], leave)
+    degree = np.bincount(row, minlength=nv)
+    total = np.bincount(row, leave, nv)
+    if np.count_nonzero(total) < np.count_nonzero(degree):
+        raise PreconditionError("every vertex but an exit needs a positive edge weight")
     # M_v/m_v = 1/(1 - s_v), a mean of the n_e: from 2**53 on, s_v is 1 in
     # floats, and the grid walk that the factors stand for never leaves v
     rate = np.bincount(row, leave * np.array(substeps, dtype=float)[edge], nv)
-    if np.any(rate * sojourn >= 2.0**53):
+    if np.any(rate * np.divide(1.0, total, out=np.zeros(nv), where=degree > 0) >= 2.0**53):
         raise PreconditionError(f"step {step!r} is too fine for a float grid")
 
     return GridChain(
@@ -382,22 +424,19 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
         step=step,
         substeps=substeps,
         deltas=tuple(length / n for length, n in zip(lengths, substeps)),
-        cum=cum,
-        nbr=nbr,
         absorbing=exits,
-        sojourn_mean=sojourn,
         rates=rates,
         edge_base=tuple(itertools.accumulate((n - 1 for n in substeps[:-1]), initial=nv)),
         size=nv + sum(substeps) - len(substeps),
     )
 
 
-def _sojourn_factors(g: MetricGraph, sojourn: np.ndarray, ks: KappaSpec) -> np.ndarray:
-    factor = np.ones(len(g.vertex_ids))
+def _sojourn_factors(g: MetricGraph, walk: _Walk, ks: KappaSpec) -> np.ndarray:
+    factor = np.ones(len(walk.states))
     active = g.active_vertices
     for vid, kappa in zip(active, ks.values(active).tolist() if active else ()):
-        i = g.vertex_index[vid]
-        m = float(sojourn[i])
+        i = walk.state[g.vertex_index[vid]]
+        m = float(walk.sojourn_mean[i])
         # 1/(1 + kappa*m); past overflow s/(s + m) with s = 1/kappa, which
         # is 0 at an infinite kappa
         km = kappa * m
@@ -457,25 +496,24 @@ def _simulate_block(
     weights_out: np.ndarray,
     steps_out: np.ndarray,
 ) -> int:
-    nv = len(factor)
     keys = _stream_keys(seed, lo, hi)
     local = np.arange(hi - lo)
     t = 0
-    if start >= nv:
+    if start >= len(walk.state):
         # interior node j of edge k: the second endpoint first w.p. j/n_k
         k = grid._edge_at(start)
         j = start - grid.edge_base[k] + 1
-        a, b = (grid.graph.vertex_index[v] for v in grid.graph.edges[k].endpoints)
+        a, b = (walk.state[grid.graph.vertex_index[v]] for v in grid.graph.edges[k].endpoints)
         state = np.where(_uniform(_draws(keys, [0])[0]) * grid.substeps[k] < j, b, a)
         t = 1
     else:
-        state = np.full(hi - lo, start)
+        state = np.full(hi - lo, walk.state[start])
 
-    # the tables get one more vertex, the sink, where absorbed walkers
+    # the tables get one more state, the sink, where absorbed walkers
     # wait until the next compaction
-    sink = nv
+    sink = len(factor)
     fac = np.append(factor, 1.0)
-    stop = np.append(grid.absorbing | (factor == 0.0), False)
+    stop = np.append(grid.absorbing[walk.states] | (factor == 0.0), False)
     edges, nbr = walk.guide, walk.nbr
 
     def retire(state, weight, local) -> int:
@@ -501,7 +539,7 @@ def _simulate_block(
         if not local.size or t >= cap:
             break
         if not len(draws):
-            # the edge draws k = t of the next transitions, a row each, as
+            # the draws k = t of the next moves, a row each, as
             # m = u * 2**53
             span = min(max(1, _CHUNK // local.size), cap - t)
             draws = (_draws(keys, range(t, t + span)) >> np.uint64(11)).view(np.intp)
@@ -524,12 +562,12 @@ def estimate_survival(
     Deterministic for a given (seed, trajectories, grid): trajectory i
     always consumes its own SplitMix64 stream, and the reduction is a
     single pairwise sum over the per-trajectory results in index order.
-    Trajectories hitting the transition cap contribute their running
+    Trajectories hitting the move cap contribute their running
     product and are counted in ``capped``.
     """
     start = grid.node_index(x)
     walk = grid.walk(start)
-    factor = _sojourn_factors(grid.graph, walk.sojourn_mean, ks)
+    factor = _sojourn_factors(grid.graph, walk, ks)
     n = cfg.trajectories
     weights = np.empty(n)
     steps = np.zeros(n, dtype=np.int64)

@@ -6,7 +6,7 @@ package also computes, by a second, independent method.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,3 +74,27 @@ def vertex_flux(
             target = v if u == vertex_id else u
             total += w.at(vertex_id, k) * (potential[target] - fv) / e.length
     return total
+
+
+def censored_rates(g: MetricGraph, w: EdgeWeights, states: Sequence[int]) -> np.ndarray:
+    """Out-rates of the vertex chain watched on ``states`` (vertex rows),
+    from the dense Schur complement R_SS + R_SI (diag(out_I) - R_II)^-1 R_IS.
+
+    R_uv sums w_u(e)/l_e over the edges e between u and v, with no rates
+    out of an exit; I holds the other vertices and out_I their whole row
+    sums of R.  Row i, column j of the result is the rate from
+    states[i] to states[j]; its diagonal, the returns, is 0.
+    """
+    n = len(g.vertex_ids)
+    r = np.zeros((n, n))
+    exits = set(g.exit_vertices)
+    for k, e in enumerate(g.edges):
+        for u, v in (e.endpoints, e.endpoints[::-1]):
+            if u not in exits:
+                r[g.vertex_index[u], g.vertex_index[v]] += w.at(u, k) / e.length
+    s = np.asarray(states)
+    i = np.setdiff1d(np.arange(n), s)
+    reduced = np.diag(r[i].sum(axis=1)) - r[np.ix_(i, i)]
+    out = r[np.ix_(s, s)] + r[np.ix_(s, i)] @ np.linalg.solve(reduced, r[np.ix_(i, s)])
+    np.fill_diagonal(out, 0.0)
+    return out

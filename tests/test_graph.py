@@ -267,3 +267,18 @@ def test_weights_keep_their_own_copy_and_pickle():
     table.clear()  # the weights keep their own copy
     assert w == derive_weights(g)
     assert pickle.loads(pickle.dumps(w)) == w
+
+
+def test_edges_that_are_not_plain_floats_get_every_check():
+    # ints, float subclasses, bools, nan and inf take the checks that
+    # build each message, with the same outcome as before
+    g = MetricGraph(
+        (Vertex("v0"), Vertex("b"), Vertex("c"), Vertex("a", "exit")),
+        (Edge(("v0", "b"), 2), Edge(("b", "c"), np.float64(0.5), True),
+         Edge(("c", "a"), float("nan"), float("inf"))),
+    )
+    assert validate(g) == [
+        "edge 2 ('c'-'a') has non-positive length nan",
+        "edge 2 ('c'-'a') has non-positive radius inf",
+    ]
+    assert validate(MetricGraph(g.vertices, g.edges[:2] + (Edge(("c", "a"), 1.0),))) == []
