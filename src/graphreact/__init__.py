@@ -3,7 +3,7 @@
 Four independent routes to the same quantity: Green-matrix algebra
 (kac), a direct survival solve on the vertex set (feynman_kac), a
 piecewise ODE solve with spread-out reactive zones (diffuse), and a
-Monte Carlo oracle on the embedded grid chain (mc).
+Monte Carlo oracle on the vertex-visit chain (mc).
 """
 
 from .algebra import Polynomial, RationalForm, det

@@ -1,6 +1,9 @@
-"""Monte Carlo survival estimates from the grid walk's vertex-visit chain.
+"""Monte Carlo survival estimates from the vertex-visit chain.
 
-The graph Brownian motion observed on a spatial grid is a simple chain:
+Graph Brownian motion watched at its vertices is a Markov chain, and the
+estimates sample that chain alone, on no spatial grid.  Why its killing
+factors are exact shows on a grid, where the motion is a simple chain
+and the chain at the vertices comes out the same at every step:
 interior grid points step to either neighbor with probability 1/2, and
 a vertex v moves to the first grid point of edge e with probability
 q_e = m_v p_v(e)/step_e, where
@@ -13,17 +16,18 @@ kappa per unit local time contributes an exact factor
 f_v = 1/(1 + kappa*m_v) per visit.  The product of those factors over a
 trajectory's visits to active vertices has the survival probability as
 its mean; no Bernoulli killing and no step-size extrapolation are
-involved.
+involved.  Started at node 1 of an edge with n_e substeps, the simple
+walk reaches the far end before coming back with probability 1/n_e
+(gambler's ruin).  From v, an excursion
+therefore leaves by edge e with probability q_e/n_e and otherwise
+returns to v, with probability s_v.  The edge it leaves by has
+probability proportional to p_v(e)/l_e, independent of the geometric
+number R of returns and of the step.
 
-Only vertex visits change the product, so the walk is sampled at its
-vertices alone.  Started at node 1 of an edge with n_e substeps, the
-simple walk reaches the far end before coming back with probability
-1/n_e (gambler's ruin).  From v, an excursion therefore leaves by edge e
-with probability q_e/n_e and otherwise returns to v, with probability
-s_v.  The edge it leaves by has probability proportional to p_v(e)/l_e,
-independent of the geometric number R of returns and of the step.  A
-start at interior node j of an edge reaches the edge's second endpoint
-first with probability j/n_e.
+A start can be any point of the graph.  At offset a of an edge of
+length l, 0 < a < l, the motion reaches the edge's second endpoint
+before its first with probability a/l, by the same gambler's ruin; an
+offset of 0 or l is a start at that endpoint.
 
 The sojourn factor.  A sojourn at v, the visit with its R returns,
 multiplies the product by f_v**(R+1).  Given the vertices a trajectory
@@ -37,12 +41,12 @@ where M_v is the mean local time of a whole sojourn.  The estimate stays
 unbiased and its variance cannot rise (Rao-Blackwell; Robert & Casella,
 *Monte Carlo Statistical Methods*, 2004, section 4.7).  The returns are
 not simulated, and neither the sojourn factors nor the edge law depend
-on the step: from a vertex the estimate is the same at every step, bit
-for bit.  A walker multiplies in the sojourn factor of its start vertex
-and of every vertex it arrives at, so the running product of a capped
-walker counts the sojourn it is in.  Where kappa*M_v overflows a float,
-the factor is s/(s + M_v) with s = 1/kappa, the scaling of
-``kac.survival_on_active``.
+on a step, so none is read: ``SimConfig.step`` is checked and
+``build_grid`` ignores its step.  A walker multiplies in the sojourn
+factor of its start vertex and of every vertex it arrives at, so the
+running product of a capped walker counts the sojourn it is in.  Where
+kappa*M_v overflows a float, the factor is s/(s + M_v) with
+s = 1/kappa, the scaling of ``kac.survival_on_active``.
 
 The censored walk.  The product changes only at the active vertices,
 and a walk ends at an exit, so an estimate watches the walk only on a
@@ -112,17 +116,17 @@ bucket, not with the longest row.
 Randomness: per-trajectory SplitMix64 streams.  Draw k of trajectory i
 is mix64(key_i + (k+1)*GAMMA), with key_i derived from the master seed
 and i.  Move t of a walk takes draw t and no other: a move from a state
-draws the state it moves to, and the first move from an interior start,
-move 0, draws the end it reaches first.  Results are bit-identical for a
-given (seed, N, step), however the trajectories are blocked.
+draws the state it moves to, and the first move from a start inside an
+edge, move 0, draws the end it reaches first, the second when u*l < a.
+Results are bit-identical for a given (seed, N), however the
+trajectories are blocked.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
-import itertools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,7 +151,6 @@ _BLOCK = 1 << 17  # trajectories per block, which bounds memory
 _CHUNK = 1 << 12  # edge draws made at once, shared by the walkers still out
 _COMPACT = 4  # drop the absorbed walkers once they are a quarter
 _MAX_DEGREE = 16  # the most rates in and out of a vertex that is eliminated
-_NODE_TOL = 1e-9  # how far off a grid node a point may be, relative to its edge
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -162,7 +165,7 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 def _stream_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     idx = np.arange(lo, hi, dtype=np.uint64)
-    base = np.uint64(seed & _MASK64)
+    base = np.uint64(int(seed) & _MASK64)
     return _mix64(base ^ _mix64((idx + np.uint64(1)) * _GAMMA))
 
 
@@ -179,10 +182,11 @@ def _uniform(bits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters: target grid step, trajectory count, seed.
+    """Simulation parameters: step, trajectory count, seed.
 
-    ``step_cap`` caps the moves of one trajectory's censored walk, from
-    state to state (see the module docstring).
+    ``step`` must be finite and positive but is not read: the walk does
+    not depend on a step (see the module docstring).  ``step_cap`` caps
+    the moves of one trajectory's censored walk, from state to state.
     """
 
     step: float
@@ -191,7 +195,13 @@ class SimConfig:
     step_cap: int = 5_000_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
+        # a bool is an Integral; a float fails only inside the walk
+        for name in ("trajectories", "seed", "step_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        if not (isinstance(self.step, numbers.Real) and math.isfinite(self.step)
+                and self.step > 0):
             raise PreconditionError(f"step must be positive, got {self.step!r}")
         if self.trajectories < 1:
             raise PreconditionError("need at least one trajectory")
@@ -219,25 +229,17 @@ class SimEstimate:
 
 @dataclass(frozen=True, eq=False)
 class GridChain:
-    """Vertex-visit chain of the graph diffusion on a spatial grid.
+    """Vertex-visit chain of the graph diffusion.
 
-    Grid nodes are numbered vertices first (in graph vertex order), then
-    the interior nodes of each edge, source to target.  ``rates`` holds
-    p_v(e)/l_e for every half-edge of ``graph.half_edge_table``, and
-    ``absorbing`` marks the exits.  An estimate walks the censored chain
-    of its start (``walk``), whose tables are built at the first estimate
-    that asks for its states.  The step decides only which points are
-    grid nodes (``substeps``, ``deltas``); the walks do not depend on it.
+    ``rates`` holds p_v(e)/l_e for every half-edge of
+    ``graph.half_edge_table``, and ``absorbing`` marks the exits.  An
+    estimate walks the censored chain of its start (``walk``), whose
+    tables are built at the first estimate that asks for its states.
     """
 
     graph: MetricGraph
-    step: float
-    substeps: tuple[int, ...]
-    deltas: tuple[float, ...]
     absorbing: np.ndarray
     rates: np.ndarray
-    edge_base: tuple[int, ...]
-    size: int
 
     @cached_property
     def _fixed(self) -> np.ndarray:
@@ -249,45 +251,20 @@ class GridChain:
         """The censored walks asked for so far, one per state set."""
         return {}
 
-    def walk(self, start: int) -> _Walk:
-        """The censored walk from grid node ``start``: its states are the
-        sites, the exits and the start, or for an interior node both ends
-        of its edge, and any vertex that stays for a neighbour's way out
-        (see the module docstring)."""
+    def walk(self, x: PointOnGraph) -> _Walk:
+        """The censored walk from x, a vertex or a point inside an edge:
+        its states are the sites, the exits and x, or both ends of x's
+        edge, and any vertex that stays for a neighbour's way out (see
+        the module docstring)."""
+        g = self.graph
         keep = self._fixed.copy()
-        if start < len(keep):
-            keep[start] = True
-        else:
-            edge = self.graph.edges[self._edge_at(start)]
-            keep[[self.graph.vertex_index[v] for v in edge.endpoints]] = True
+        ends = (x.vertex,) if x.is_vertex else g.edges[x.edge].endpoints
+        keep[[g.vertex_index[v] for v in ends]] = True
         key = keep.tobytes()
         if key not in self._walks:
-            states, rows = _censor(self.graph.half_edge_table, self.rates, self.absorbing, keep)
+            states, rows = _censor(g.half_edge_table, self.rates, self.absorbing, keep)
             self._walks[key] = _Walk.of(len(keep), states, rows)
         return self._walks[key]
-
-    def _edge_at(self, node: int) -> int:
-        """The edge of an interior grid node."""
-        return bisect.bisect_right(self.edge_base, node) - 1
-
-    def node_index(self, x: PointOnGraph | str) -> int:
-        """Grid node at a point; errors if the point is off-grid."""
-        x = locate(self.graph, x)
-        index = self.graph.vertex_index
-        if x.is_vertex:
-            return index[x.vertex]
-        e = self.graph.edges[x.edge]
-        d = self.deltas[x.edge]
-        j = round(x.offset / d)
-        if abs(x.offset - j * d) > _NODE_TOL * max(1.0, e.length):
-            raise PreconditionError(
-                f"offset {x.offset!r} is not a grid node (step {d})"
-            )
-        if j <= 0:
-            return index[e.endpoints[0]]
-        if j >= self.substeps[x.edge]:
-            return index[e.endpoints[1]]
-        return self.edge_base[x.edge] + (j - 1)
 
 
 def _censor(
@@ -382,28 +359,19 @@ class _Walk:
 
 
 def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
-    """Subdivide every edge into equal steps close to the target step.
+    """The vertex-visit chain of g under the weights w.
 
-    Edge e gets n_e = max(1, round(l_e/step)) substeps of size l_e/n_e.
-    Exit vertices absorb; every other vertex needs a positive rate out.
+    ``step`` is not read (see the module docstring).  Exit vertices
+    absorb; every other vertex needs a positive rate out.
     """
     require_valid(g)
-    lengths = [e.length for e in g.edges]
-    if not (0 < step <= min(lengths)):
-        raise PreconditionError(
-            f"step {step!r} must be in (0, min edge length {min(lengths)}]"
-        )
-
-    substeps = tuple(max(1, int(math.floor(length / step + 0.5))) for length in lengths)
     nv = len(g.vertex_ids)
-
     # the half-edges out of the non-exit vertices, vertex by vertex
     t = g.half_edge_table
     exits = vertex_mask(g, g.exit_vertices)
     out = ~exits[t.source]
-    row, edge = t.source[out], t.edge[out]
-    # p_v(e)/l_e: the rate p_v(e)/step_e into edge e times the chance 1/n_e
-    # of crossing it
+    row = t.source[out]
+    # p_v(e)/l_e, proportional to the chance that v's walk leaves by e
     rates = flux_coefficients(g, w)
     leave = rates[out]
     if not 0.0 <= leave.min(initial=0.0) <= leave.max(initial=0.0) < math.inf:
@@ -413,22 +381,7 @@ def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
     total = np.bincount(row, leave, nv)
     if np.count_nonzero(total) < np.count_nonzero(degree):
         raise PreconditionError("every vertex but an exit needs a positive edge weight")
-    # M_v/m_v = 1/(1 - s_v), a mean of the n_e: from 2**53 on, s_v is 1 in
-    # floats, and the grid walk that the factors stand for never leaves v
-    rate = np.bincount(row, leave * np.array(substeps, dtype=float)[edge], nv)
-    if np.any(rate * np.divide(1.0, total, out=np.zeros(nv), where=degree > 0) >= 2.0**53):
-        raise PreconditionError(f"step {step!r} is too fine for a float grid")
-
-    return GridChain(
-        graph=g,
-        step=step,
-        substeps=substeps,
-        deltas=tuple(length / n for length, n in zip(lengths, substeps)),
-        absorbing=exits,
-        rates=rates,
-        edge_base=tuple(itertools.accumulate((n - 1 for n in substeps[:-1]), initial=nv)),
-        size=nv + sum(substeps) - len(substeps),
-    )
+    return GridChain(graph=g, absorbing=exits, rates=rates)
 
 
 def _sojourn_factors(g: MetricGraph, walk: _Walk, ks: KappaSpec) -> np.ndarray:
@@ -488,7 +441,7 @@ def _simulate_block(
     grid: GridChain,
     walk: _Walk,
     factor: np.ndarray,
-    start: int,
+    start: PointOnGraph,
     seed: int,
     lo: int,
     hi: int,
@@ -499,15 +452,15 @@ def _simulate_block(
     keys = _stream_keys(seed, lo, hi)
     local = np.arange(hi - lo)
     t = 0
-    if start >= len(walk.state):
-        # interior node j of edge k: the second endpoint first w.p. j/n_k
-        k = grid._edge_at(start)
-        j = start - grid.edge_base[k] + 1
-        a, b = (walk.state[grid.graph.vertex_index[v]] for v in grid.graph.edges[k].endpoints)
-        state = np.where(_uniform(_draws(keys, [0])[0]) * grid.substeps[k] < j, b, a)
-        t = 1
+    index = grid.graph.vertex_index
+    if start.is_vertex:
+        state = np.full(hi - lo, walk.state[index[start.vertex]])
     else:
-        state = np.full(hi - lo, walk.state[start])
+        # offset a of an edge of length l: the second endpoint first w.p. a/l
+        e = grid.graph.edges[start.edge]
+        first, second = (walk.state[index[v]] for v in e.endpoints)
+        state = np.where(_uniform(_draws(keys, [0])[0]) * e.length < start.offset, second, first)
+        t = 1
 
     # the tables get one more state, the sink, where absorbed walkers
     # wait until the next compaction
@@ -559,15 +512,21 @@ def estimate_survival(
     """Run cfg.trajectories walks from x and average the products of
     their sojourn factors.
 
-    Deterministic for a given (seed, trajectories, grid): trajectory i
-    always consumes its own SplitMix64 stream, and the reduction is a
-    single pairwise sum over the per-trajectory results in index order.
-    Trajectories hitting the move cap contribute their running
-    product and are counted in ``capped``.
+    x may be any point of the graph; an offset of 0 or the edge length
+    starts at that endpoint.  Deterministic for a given (seed,
+    trajectories, graph, weights): trajectory i always consumes its own
+    SplitMix64 stream, and the reduction is a single pairwise sum over
+    the per-trajectory results in index order.  Trajectories hitting the
+    move cap contribute their running product and are counted in
+    ``capped``.
     """
-    start = grid.node_index(x)
+    g = grid.graph
+    start = locate(g, x)
+    if not start.is_vertex and start.offset in (0.0, g.edges[start.edge].length):
+        # an end of the edge is a start at that vertex
+        start = PointOnGraph.at_vertex(g.edges[start.edge].endpoints[start.offset > 0.0])
     walk = grid.walk(start)
-    factor = _sojourn_factors(grid.graph, walk, ks)
+    factor = _sojourn_factors(g, walk, ks)
     n = cfg.trajectories
     weights = np.empty(n)
     steps = np.zeros(n, dtype=np.int64)
@@ -596,15 +555,16 @@ def simulate(
     x: PointOnGraph | str,
     cfg: SimConfig,
 ) -> SimEstimate:
-    """Convenience wrapper: build the grid at cfg.step and estimate."""
+    """Convenience wrapper: build the chain and estimate."""
     return estimate_survival(build_grid(g, w, cfg.step), ks, x, cfg)
 
 
 def estimate_csv(kappa: float, est: SimEstimate, cfg: SimConfig) -> str:
     """One CSV row per estimate: kappa, mean, se, n, delta, seed."""
     lines = ["kappa,mean,se,n,delta,seed"]
+    # adding 0.0 folds -0.0 into 0.0, as cli._fmt does
     lines.append(
-        f"{kappa:.12g},{est.mean:.12g},{est.standard_error:.12g},"
+        f"{kappa + 0.0:.12g},{est.mean:.12g},{est.standard_error:.12g},"
         f"{est.trajectories},{cfg.step:.12g},{cfg.seed}"
     )
     return "\n".join(lines) + "\n"

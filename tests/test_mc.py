@@ -21,6 +21,7 @@ from graphreact import (
     hitting_split,
     simulate,
 )
+from graphreact.graph import locate
 from helpers import (
     branchy_tree,
     chain_graph,
@@ -32,23 +33,13 @@ from helpers import (
 )
 
 
-def test_grid_substeps_single_edge():
-    g = MetricGraph(
-        (Vertex("v0"), Vertex("a", "exit")),
-        (Edge(("v0", "a"), 1.0),),
-    )
-    grid = build_grid(g, derive_weights(g), 0.25)
-    assert grid.substeps == (4,)
-    assert grid.size == 2 + 3  # two vertices, three interior nodes
-
-
 def test_grid_vertex_transitions_reduce_to_weights():
-    # equal substep sizes at the center: transition probs are p_v(e)
+    # equal edge lengths at the center: transition probs are p_v(e)
     g, _ = star_graph(3, exit_len=1.0, leaf_lengths=(1.0, 1.0))
     w = derive_weights(g)
     grid = _uncensored(build_grid(g, w, 0.25))
     center = grid.graph.vertex_index["c"]
-    probs = np.diff(np.concatenate([[0.0], grid.walk(center).cum[center]]))
+    probs = np.diff(np.concatenate([[0.0], grid.walk(locate(g, "c")).cum[center]]))
     assert np.allclose(sorted(probs[:3]), [1 / 3] * 3, atol=1e-12)
 
 
@@ -59,32 +50,26 @@ def test_grid_mixed_steps_normalized():
     )
     grid = _uncensored(build_grid(g, derive_weights(g), 0.25))
     j = grid.graph.vertex_index["j"]
-    assert grid.walk(j).cum[j, -1] == 1.0
-
-
-def test_grid_interior_point_lookup():
-    g, _ = path_graph(1.0, 1.0)
-    grid = build_grid(g, derive_weights(g), 0.25)
-    node = grid.node_index(PointOnGraph.on_edge(0, 0.5))
-    assert node >= len(g.vertex_ids)
-    assert grid.node_index(PointOnGraph.on_edge(0, 0.25)) != node
-    with pytest.raises(PreconditionError):
-        grid.node_index(PointOnGraph.on_edge(0, 0.3))
+    assert grid.walk(locate(g, "j")).cum[j, -1] == 1.0
 
 
 @pytest.mark.parametrize("offset", [5.0, -0.5, float("nan"), float("inf")])
 def test_grid_rejects_offsets_off_the_edge(offset):
-    # the nearest grid node of such an offset is a vertex, or round() fails
     g, _ = path_graph()
     grid = build_grid(g, derive_weights(g), 0.5)
     with pytest.raises(PreconditionError, match="outside"):
-        grid.node_index(PointOnGraph.on_edge(0, offset))
+        estimate_survival(grid, KappaSpec.constant(1.0), PointOnGraph.on_edge(0, offset),
+                          SimConfig(0.5, 10, 1))
 
 
-def test_step_larger_than_edge_rejected():
-    g, _ = path_graph(1.0, 0.4)
-    with pytest.raises(PreconditionError):
-        build_grid(g, derive_weights(g), 0.5)
+@pytest.mark.parametrize("edge, offset, vertex", [(0, 0.0, "v0"), (0, 1.0, "c"),
+                                                  (1, 0.0, "c"), (1, 1.0, "a")])
+def test_edge_ends_start_at_their_vertex(edge, offset, vertex):
+    g, _ = path_graph()
+    grid = build_grid(g, derive_weights(g), 0.25)
+    ks, cfg = KappaSpec.constant(1.0), SimConfig(0.25, 2000, 5)
+    at_end = estimate_survival(grid, ks, PointOnGraph.on_edge(edge, offset), cfg)
+    assert at_end == estimate_survival(grid, ks, vertex, cfg)
 
 
 def test_kappa_zero_exact():
@@ -145,15 +130,34 @@ def test_absorb_at_sites_matches_hitting_probability():
     assert abs((1.0 - est.mean) - alpha_inf) <= 4.0 * se
 
 
-def test_non_grid_start_rejected():
+def test_any_interior_start_matches_split_solve():
+    # a start is exact anywhere inside an edge, not only at multiples of the step
+    from graphreact import solve_survival, split_at
+
     g, _ = path_graph()
-    w = derive_weights(g)
-    grid = build_grid(g, w, 0.25)
-    with pytest.raises(PreconditionError):
-        estimate_survival(
-            grid, KappaSpec.constant(1.0), PointOnGraph.on_edge(0, 0.33),
-            SimConfig(0.25, 10, 1),
-        )
+    x = PointOnGraph.on_edge(0, 0.33)
+    g2, mid = split_at(g, x)
+    ks = KappaSpec.constant(1.0)
+    exact = solve_survival(g2, derive_weights(g2), ks)[mid]
+    est = simulate(g, derive_weights(g), ks, x, SimConfig(0.25, 40_000, 13))
+    assert abs(est.mean - exact) <= 4.0 * est.standard_error
+
+
+@pytest.mark.parametrize("field, value", [("trajectories", 2.5), ("trajectories", True),
+                                          ("seed", 1.5), ("seed", "7"), ("step_cap", 3.0),
+                                          ("step_cap", False), ("step", "0.25")])
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    args = {"step": 0.25, "trajectories": 10, "seed": 1, field: value}
+    with pytest.raises(PreconditionError, match=field):
+        SimConfig(**args)
+
+
+def test_config_takes_numpy_integers():
+    g, start = path_graph()
+    w, ks = derive_weights(g), KappaSpec.constant(1.0)
+    est = simulate(g, w, ks, start, SimConfig(0.25, 500, 3, step_cap=100))
+    cfg = SimConfig(0.25, np.int64(500), np.int64(3), step_cap=np.int32(100))
+    assert simulate(g, w, ks, start, cfg) == est
 
 
 def test_step_cap_reported_and_biased_flag():
@@ -176,7 +180,7 @@ def test_start_at_exit_is_certain_survival():
 
 
 def test_interior_start_matches_split_solve():
-    # starting from an interior grid node is also exact; compare with the
+    # starting from an interior point is also exact; compare with the
     # field solver after splitting there
     from graphreact import solve_survival, split_at
 
@@ -255,22 +259,20 @@ def _dead_ends(g):
     return parent
 
 
-def _branch_starts(grid):
+def _branch_starts(g):
     """A core vertex, a vertex two folds deep in a dead-end branch, and
-    node 1 of the longest dead-end edge."""
-    g = grid.graph
+    the point a quarter along the longest dead-end edge."""
     parent = _dead_ends(g)
     core = next(v for v in g.vertex_ids
                 if v not in parent and v not in g.active_vertices + g.exit_vertices)
     deep = next(v for v in g.vertex_ids if parent.get(v) in parent)
     dead = max((k for k, e in enumerate(g.edges) if any(v in parent for v in e.endpoints)),
-               key=lambda k: grid.substeps[k])
-    assert grid.substeps[dead] >= 2
-    return core, deep, PointOnGraph.on_edge(dead, grid.deltas[dead])
+               key=lambda k: g.edges[k].length)
+    return core, deep, PointOnGraph.on_edge(dead, g.edges[dead].length / 4)
 
 
 def _uncensored(grid):
-    """The grid with every vertex a state, so that its walks are the
+    """The chain with every vertex a state, so that its walks are the
     uncensored ones."""
     grid.__dict__["_fixed"] = np.ones(len(grid.graph.vertex_ids), dtype=bool)
     return grid
@@ -278,14 +280,14 @@ def _uncensored(grid):
 
 def _states(grid, start):
     """The vertex ids of the states of the walk from ``start``."""
-    walk = grid.walk(grid.node_index(start))
+    walk = grid.walk(locate(grid.graph, start))
     return {grid.graph.vertex_ids[v] for v in walk.states}
 
 
 def _tree_problem():
     g = branchy_tree(np.random.default_rng(2))
     w = derive_weights(g)
-    return g, w, _branch_starts(build_grid(g, w, 0.25))[1]
+    return g, w, _branch_starts(g)[1]
 
 
 @pytest.mark.parametrize("kappa", [1.0, 5.0])
@@ -299,7 +301,7 @@ def test_sample_variance_matches_the_exact_variance(name, kappa):
 
     g, w, start = _tree_problem() if name == "tree" else _fixture(name)
     grid = build_grid(g, w, 0.25)
-    walk = grid.walk(grid.node_index(start))
+    walk = grid.walk(locate(g, start))
     sojourn = {v: walk.sojourn_mean[walk.state[g.vertex_index[v]]] for v in g.active_vertices}
     m1, m2, m3, m4 = (
         solve_survival(g, w, KappaSpec.per_vertex(
@@ -325,7 +327,7 @@ def test_folded_walk_matches_the_survival_with_fewer_moves(which):
     w = derive_weights(g)
     ks = KappaSpec.constant(1.3)
     grid = build_grid(g, w, 0.25)
-    x = dict(zip(["core", "branch", "dead-end edge"], _branch_starts(grid)))[which]
+    x = dict(zip(["core", "branch", "dead-end edge"], _branch_starts(g)))[which]
     if isinstance(x, str):
         exact = solve_survival(g, w, ks)[x]
     else:
@@ -346,7 +348,7 @@ def test_start_and_its_edge_are_never_folded():
     g = branchy_tree(np.random.default_rng(2))
     grid = build_grid(g, derive_weights(g), 0.25)
     fixed = set(g.active_vertices) | set(g.exit_vertices)
-    core, deep, on_edge = _branch_starts(grid)
+    core, deep, on_edge = _branch_starts(g)
     assert deep in _dead_ends(g)
     for x in (core, deep):
         assert _states(grid, x) == fixed | {x}
@@ -426,12 +428,12 @@ def test_censored_rates_match_the_dense_schur_complement(kind):
     from graphreact import mc
     from oracles import censored_rates
 
-    # vertex starts, and node 1 of an edge for an edge index
+    # vertex starts, and the middle of an edge for an edge index
     for g, w, x in _censoring_cases(kind):
-        grid = build_grid(g, w, min(e.length for e in g.edges) / 2)
+        grid = build_grid(g, w, 0.25)
         if not isinstance(x, str):
-            x = PointOnGraph.on_edge(x, grid.deltas[x])
-        walk = grid.walk(grid.node_index(x))
+            x = PointOnGraph.on_edge(x, g.edges[x].length / 2)
+        walk = grid.walk(locate(g, x))
         keep = grid._fixed.copy()
         ends = [x] if isinstance(x, str) else g.edges[x.edge].endpoints
         keep[[g.vertex_index[v] for v in ends]] = True
@@ -458,8 +460,8 @@ def test_sojourn_means_match_the_fold_where_only_dead_ends_go(seed):
     g = MetricGraph(tuple(Vertex(v.id, "active") if v.id not in branches and v.role != "exit"
                           else v for v in tree.vertices), tree.edges)
     assert branches == _dead_ends(g)
-    grid = build_grid(g, derive_weights(g), min(e.length for e in g.edges))
-    walk = grid.walk(grid.node_index(g.active_vertices[0]))
+    grid = build_grid(g, derive_weights(g), 0.25)
+    walk = grid.walk(locate(g, g.active_vertices[0]))
     kept = np.array([v not in branches for v in g.vertex_ids])
     assert np.array_equal(walk.states, kept.nonzero()[0])
     t = g.half_edge_table
@@ -508,7 +510,7 @@ def test_core_starts_share_one_walk(monkeypatch):
     for x in g.active_vertices + g.exit_vertices:
         estimate_survival(grid, ks, x, cfg)
     assert len(grid._walks) == len(built) == 1
-    _, deep, on_edge = _branch_starts(grid)
+    _, deep, on_edge = _branch_starts(g)
     for x in (deep, on_edge, deep, on_edge):
         estimate_survival(grid, ks, x, cfg)
     assert len(grid._walks) == len(built) == 3
@@ -531,17 +533,16 @@ def test_z_scores_against_the_survival_on_random_graphs():
             g = random_graph(rng, max_core=7, max_extra=3, random_radii=True)[0]
         w = derive_weights(g)
         ks = KappaSpec.constant(float(np.exp(rng.uniform(np.log(0.2), np.log(5.0)))))
-        grid = build_grid(g, w, min(e.length for e in g.edges) / 2)
-        inner = [k for k, n in enumerate(grid.substeps) if n > 1]
+        grid = build_grid(g, w, 0.25)
         if i % 2:
-            k = int(rng.choice(inner))
-            x = PointOnGraph.on_edge(k, grid.deltas[k] * int(rng.integers(1, grid.substeps[k])))
+            k = int(rng.integers(len(g.edges)))
+            x = PointOnGraph.on_edge(k, g.edges[k].length * rng.uniform(0.05, 0.95))
             g2, mid = split_at(g, x)
             exact = solve_survival(g2, derive_weights(g2), ks)[mid]
         else:
             x = str(rng.choice([v for v in g.vertex_ids if v not in g.exit_vertices]))
             exact = solve_survival(g, w, ks)[x]
-        est = estimate_survival(grid, ks, x, SimConfig(grid.step, 4000, 100 + i))
+        est = estimate_survival(grid, ks, x, SimConfig(0.25, 4000, 100 + i))
         assert est.capped == 0
         if est.standard_error > 0:
             z.append((est.mean - exact) / est.standard_error)
@@ -553,7 +554,7 @@ def test_z_scores_against_the_survival_on_random_graphs():
 
 
 def test_parallel_edges_with_different_substeps():
-    # an active vertex joined to the next by edges of 1 and 4 substeps
+    # an active vertex joined to the next by edges of lengths 0.25 and 1
     from graphreact import solve_survival
 
     g = MetricGraph(
@@ -567,7 +568,6 @@ def test_parallel_edges_with_different_substeps():
     )
     w = derive_weights(g)
     grid = build_grid(g, w, 0.25)
-    assert grid.substeps == (4, 1, 4, 4)
     ks = KappaSpec.per_vertex({"c": 1.5, "b": 0.7})
     exact = solve_survival(g, w, ks)["v0"]
     est = estimate_survival(grid, ks, "v0", SimConfig(0.25, 40_000, 31))
@@ -575,7 +575,7 @@ def test_parallel_edges_with_different_substeps():
 
 
 def test_off_center_interior_start():
-    # node 1 of 4 on the edge c-a: the exit end is reached first w.p. 1/4
+    # a quarter along the edge c-a: the exit end is reached first w.p. 1/4
     from graphreact import solve_survival, split_at
 
     g, _ = path_graph()
@@ -728,6 +728,30 @@ def test_constant_product_has_no_error_and_passes_compare(kappa, n, capsys):
     assert mc_row[3:] == ["0", "pass"]
 
 
+def test_compare_at_the_default_delta_on_a_short_split_edge(tmp_path, capsys):
+    # the injection splits v0-c 0.05 from v0, shorter than the default
+    # --delta of 0.1
+    from graphreact.cli import main
+
+    doc = json.loads((Path(__file__).resolve().parent.parent / "fixtures"
+                      / "path_site.json").read_text())
+    doc["injection"] = {"edge": ["v0", "c"], "offset": 0.05}
+    path = tmp_path / "path_site.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compare", str(path), "--kappa", "1"]) == 0
+    mc_row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert mc_row[0] == "mc"
+    assert mc_row[-1] == "pass"
+
+
+def test_cli_mc_prints_negative_zero_kappa_as_zero(capsys):
+    from graphreact.cli import main
+
+    doc = str(Path(__file__).resolve().parent.parent / "fixtures" / "path_site.json")
+    assert main(["mc", doc, "--kappa", "-0", "--delta", "0.05", "--n", "10", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "kappa,mean,se,n,delta,seed\n0,1,0,10,0.05,1\n"
+
+
 def _crowded_star():
     # three thin leaves put their boundaries 1e-4 apart, inside the first
     # of the center's buckets
@@ -757,7 +781,7 @@ def test_guide_table_matches_the_column_count(graph):
         "top-bucket": lambda: _weighted_path(0.95),
     }[graph]()
     grid = _uncensored(build_grid(g, w or derive_weights(g), 0.25))
-    cum = grid.walk(0).cum  # one row per vertex
+    cum = grid.walk(locate(g, g.vertex_ids[0])).cum  # one row per vertex
     nv, width = cum.shape
     table = mc._EdgeGuide.of(cum)
     k = 1 << table.shift
