@@ -59,15 +59,12 @@ def _parse_kappa(text: str) -> float:
 
 
 def cmd_validate(args) -> int:
-    try:
-        parsed = parse_document(load_document(args.path))
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    parsed = parse_document(load_document(args.path))
     if parsed.graph.violations:
         for p in parsed.graph.violations:
             print(p)
         return 1
+    prepare(parsed)  # the injection and the weights, as every other command reads them
     print("OK")
     return 0
 
@@ -289,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularSystemError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except GraphReactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,8 @@ Schema (unknown keys are rejected everywhere):
 
 Explicit weights are keyed by vertex id and edge index (as a string, a
 JSON restriction) and override the radius-derived row for that vertex;
-vertices without an explicit row keep the derived weights.
+vertices without an explicit row keep the derived weights.  An edge
+injection's offset runs from the edge's first endpoint over [0, length].
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DocumentError
+from .errors import DocumentError, PreconditionError
 from .graph import (
     Edge,
     EdgeWeights,
@@ -30,7 +31,7 @@ from .graph import (
     PointOnGraph,
     Vertex,
     derive_weights,
-    split_at,
+    locate,
     weights_violations,
 )
 
@@ -208,30 +209,26 @@ def _resolve_weights(
     return resolved
 
 
-def prepare(parsed: ParsedDocument) -> tuple[MetricGraph, EdgeWeights, str | None]:
-    """Resolve a parsed document into (graph, weights, start vertex).
+def prepare(
+    parsed: ParsedDocument,
+) -> tuple[MetricGraph, EdgeWeights, PointOnGraph | str | None]:
+    """Resolve a parsed document into (graph, weights, start).
 
-    An edge-interior injection splits the edge first; an explicit weight
-    row on the far endpoint is re-keyed to the appended child edge
-    (split_at keeps every other edge index stable).
+    The start is the injection as ``locate`` gives it: the vertex id of a
+    vertex or an edge end, the edge point of a point inside an edge, and
+    None without an injection.  No edge is cut: every route takes a point
+    inside an edge as it is.
     """
     g = parsed.graph
-    explicit = parsed.explicit_weights
     start = None
     if parsed.injection is not None:
-        if parsed.injection.is_vertex:
-            start = parsed.injection.vertex
-            if start not in set(g.vertex_ids):
-                raise DocumentError(f"injection: unknown vertex {start!r}")
-        else:
-            k = parsed.injection.edge
-            far = g.edges[k].endpoints[1]
-            g, start = split_at(g, parsed.injection)
-            if explicit and far in explicit and k in explicit[far]:
-                row = dict(explicit[far])
-                row[len(g.edges) - 1] = row.pop(k)
-                explicit = {**explicit, far: row}
-    return g, _resolve_weights(g, explicit), start
+        try:
+            start = locate(g, parsed.injection)
+        except PreconditionError as exc:
+            raise DocumentError(f"injection: {exc}") from None
+        if start.is_vertex:
+            start = start.vertex
+    return g, _resolve_weights(g, parsed.explicit_weights), start
 
 
 def emit_document(parsed: ParsedDocument) -> dict:

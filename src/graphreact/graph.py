@@ -71,10 +71,11 @@ class HalfEdgeTable:
 
 @dataclass(frozen=True)
 class PointOnGraph:
-    """A location on the graph: a vertex, or an interior point of an edge.
+    """A location on the graph: a vertex, or a point of an edge.
 
     The edge form stores the offset from the edge's first endpoint, in
-    length units, strictly inside ``(0, length)``.
+    length units, in ``[0, length]``; ``locate`` turns an end into its
+    vertex.
     """
 
     vertex: str | None = None
@@ -362,27 +363,20 @@ def _fresh_vertex_id(g: MetricGraph, base: str = "x") -> str:
     return f"{base}{n}"
 
 
-def split_at(g: MetricGraph, x: PointOnGraph) -> tuple[MetricGraph, str]:
+def split_at(g: MetricGraph, x: PointOnGraph | str) -> tuple[MetricGraph, str]:
     """Insert a degree-2 inert vertex at an edge-interior point.
 
-    The edge is replaced in place by its first half (same index) and the
-    second half is appended, so other edge indices are stable.  Both
-    halves inherit the parent's radius.  A vertex-form point is a no-op.
+    A reference for tests and users: every route takes the point as it
+    is.  The edge is replaced in place by its first half (same index) and
+    the second half is appended, so other edge indices are stable.  Both
+    halves inherit the parent's radius.  A point that ``locate`` makes a
+    vertex, an edge end included, is a no-op.
     """
+    x = locate(g, x)
     if x.is_vertex:
-        if x.vertex not in g.vertex_index:
-            raise PreconditionError(f"unknown vertex {x.vertex!r}")
         return g, x.vertex
-
-    if not (0 <= x.edge < len(g.edges)):
-        raise PreconditionError(f"edge index {x.edge} out of range")
-    e = g.edges[x.edge]
-    if not (0.0 < x.offset < e.length):
-        raise PreconditionError(
-            f"offset {x.offset!r} outside (0, {e.length}) on edge {x.edge}"
-        )
-
     new_id = _fresh_vertex_id(g)
+    e = g.edges[x.edge]
     u, w = e.endpoints
     edges = list(g.edges)
     edges[x.edge] = Edge((u, new_id), x.offset, e.radius)
@@ -392,27 +386,22 @@ def split_at(g: MetricGraph, x: PointOnGraph) -> tuple[MetricGraph, str]:
 
 
 def resolve_vertex(g: MetricGraph, x: PointOnGraph | str) -> str:
-    """Vertex id of a vertex-form point; edge-interior points must be
-    split first."""
-    if isinstance(x, str):
-        vid = x
-    elif x.is_vertex:
-        vid = x.vertex
-    else:
-        raise PreconditionError(
-            "edge-interior point: split the graph at it first (split_at)"
-        )
-    if vid not in g.vertex_index:
-        raise PreconditionError(f"unknown vertex {vid!r}")
-    return vid
+    """Vertex id of a point that ``locate`` makes a vertex: a vertex id,
+    a vertex-form point or an edge end."""
+    x = locate(g, x)
+    if not x.is_vertex:
+        raise PreconditionError(f"point inside edge {x.edge} is not a vertex")
+    return x.vertex
 
 
 def locate(g: MetricGraph, x: PointOnGraph | str) -> PointOnGraph:
-    """The point x on g, a vertex id becoming a vertex-form point.
+    """The point x on g in its canonical form; the one check of a point.
 
-    Checks that the vertex exists, or that the edge index is in range and
-    the offset lies in [0, length]; an offset of 0 or the length is the
-    edge's endpoint.
+    A vertex id or vertex-form point must name a vertex of g.  An edge
+    point needs an edge index in range and an offset in [0, length]: an
+    offset of exactly 0 (-0.0 too) or the length is that end's vertex
+    point, and one strictly inside stays the edge point.  Anything else
+    raises PreconditionError.
     """
     if isinstance(x, str):
         x = PointOnGraph.at_vertex(x)
@@ -422,7 +411,9 @@ def locate(g: MetricGraph, x: PointOnGraph | str) -> PointOnGraph:
         return x
     if not (0 <= x.edge < len(g.edges)):
         raise PreconditionError(f"edge index {x.edge} out of range")
-    length = g.edges[x.edge].length
-    if not (0.0 <= x.offset <= length):
-        raise PreconditionError(f"offset {x.offset!r} outside [0, {length}]")
+    e = g.edges[x.edge]
+    if not (0.0 <= x.offset <= e.length):
+        raise PreconditionError(f"offset {x.offset!r} outside [0, {e.length}] on edge {x.edge}")
+    if x.offset in (0.0, e.length):
+        return PointOnGraph.at_vertex(e.endpoints[x.offset > 0.0])
     return x

@@ -16,13 +16,14 @@ size at which that beats dense LU (algebra.SPARSE_MIN_ORDER).
 
 The kappa-free work of a problem is solved once and memoized in the
 graph's ``solved`` dict: flux_coefficients under (id(w), "flux") and
-green_and_split under (id(w), "green", start vertex).  An entry holds w
-weakly and is a hit only while that reference still points at w, so a
-reused id gives no false hit, and each miss drops the entries of
-weights that are gone.  The arrays returned and w.p are read-only; a
-failed solve is not stored.  feynman_kac shares only the flux
-coefficients, never the Green solve, so it stays a route independent
-of kac.
+green_and_split under (id(w), "green", start), start being the vertex
+id at a vertex or an edge end and (edge, offset) inside an edge, where
+the Green solve's vertex rows are interpolated.  An entry holds w weakly
+and is a hit only while that reference still points at w, so a reused
+id gives no false hit, and each miss drops the entries of weights that
+are gone.  The arrays returned and w.p are read-only; a failed solve is
+not stored.  feynman_kac shares only the flux coefficients, never the
+Green solve, so it stays a route independent of kac.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Collection
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid, resolve_vertex
+from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
 from . import algebra
 
 
@@ -133,27 +134,37 @@ def green_and_split(
     A walk from x collects local time on the active set only after its
     first hit there, so G[x, A] = H_x . G[A, A], where H_x[c] is the
     probability that c is the first active vertex hit before any exit.
+    x is any point: every Green function is affine along an edge, so at
+    offset a of an edge (u, v) of length l, G[x, A] is
+    (1 - t) G[u, A] + t G[v, A] with t = a/l, from the same Green solve.
     A small solve against G[A, A] gives H_x, clipped at 0 against
     roundoff; its sum is ``alpha_inf``.  Memoized: see the module
     docstring.
     """
     require_valid(g)
-    start = resolve_vertex(g, x)
-    return _memo(g, w, ("green", start), lambda: _green_and_split(g, w, start))
+    x = locate(g, x)
+    start = x.vertex if x.is_vertex else (x.edge, x.offset)
+    return _memo(g, w, ("green", start), lambda: _green_and_split(g, w, x))
 
 
 def _green_and_split(
-    g: MetricGraph, w: EdgeWeights, start: str
+    g: MetricGraph, w: EdgeWeights, x: PointOnGraph
 ) -> tuple[GreenMatrix, HittingSplit]:
     active = g.active_vertices
     if not active:
         return GreenMatrix((), np.zeros((0, 0))), HittingSplit(0.0, np.zeros(0), ())
     gm, f = _green(g, w)
     h = np.zeros(len(active))
-    if start in active:
-        h[active.index(start)] = 1.0
-    elif start not in g.exit_vertices:
-        h = np.maximum(algebra.solve_many(gm.entries.T, f[g.vertex_index[start], :]), 0.0)
+    if x.vertex in active:
+        h[active.index(x.vertex)] = 1.0
+    elif x.vertex not in g.exit_vertices:  # a point inside an edge has vertex None
+        if x.is_vertex:
+            row = f[g.vertex_index[x.vertex], :]
+        else:
+            e, t = g.edges[x.edge], x.offset / g.edges[x.edge].length
+            u, v = f[[g.vertex_index[end] for end in e.endpoints], :]
+            row = (1.0 - t) * u + t * v
+        h = np.maximum(algebra.solve_many(gm.entries.T, row), 0.0)
     alpha_inf = float(h.sum())
     return gm, HittingSplit(alpha_inf, _frozen(h / alpha_inf if alpha_inf > 0.0 else h), active)
 

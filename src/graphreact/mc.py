@@ -203,8 +203,9 @@ class SimConfig:
         if not (isinstance(self.step, numbers.Real) and math.isfinite(self.step)
                 and self.step > 0):
             raise PreconditionError(f"step must be positive, got {self.step!r}")
-        if self.trajectories < 1:
-            raise PreconditionError("need at least one trajectory")
+        if self.trajectories < 2:
+            # one product has no spread to estimate a standard error from
+            raise PreconditionError("need at least two trajectories")
         if self.step_cap < 1:
             raise PreconditionError("step_cap must be >= 1")
 
@@ -512,21 +513,17 @@ def estimate_survival(
     """Run cfg.trajectories walks from x and average the products of
     their sojourn factors.
 
-    x may be any point of the graph; an offset of 0 or the edge length
-    starts at that endpoint.  Deterministic for a given (seed,
-    trajectories, graph, weights): trajectory i always consumes its own
-    SplitMix64 stream, and the reduction is a single pairwise sum over
-    the per-trajectory results in index order.  Trajectories hitting the
+    x may be any point of the graph; ``locate`` makes an edge end its
+    vertex.  Deterministic for a given (seed, trajectories, graph,
+    weights): trajectory i always consumes its own SplitMix64 stream,
+    and the reduction is a single pairwise sum over the per-trajectory
+    results in index order.  Trajectories hitting the
     move cap contribute their running product and are counted in
     ``capped``.
     """
-    g = grid.graph
-    start = locate(g, x)
-    if not start.is_vertex and start.offset in (0.0, g.edges[start.edge].length):
-        # an end of the edge is a start at that vertex
-        start = PointOnGraph.at_vertex(g.edges[start.edge].endpoints[start.offset > 0.0])
+    start = locate(grid.graph, x)
     walk = grid.walk(start)
-    factor = _sojourn_factors(g, walk, ks)
+    factor = _sojourn_factors(grid.graph, walk, ks)
     n = cfg.trajectories
     weights = np.empty(n)
     steps = np.zeros(n, dtype=np.int64)

@@ -13,7 +13,7 @@ import numpy as np
 from graphreact import algebra
 from graphreact.algebra import Polynomial
 from graphreact.errors import PreconditionError
-from graphreact.graph import EdgeWeights, MetricGraph
+from graphreact.graph import EdgeWeights, MetricGraph, PointOnGraph, split_at
 from graphreact.harmonic import GreenMatrix
 from graphreact.kac import KappaSpec
 
@@ -98,3 +98,22 @@ def censored_rates(g: MetricGraph, w: EdgeWeights, states: Sequence[int]) -> np.
     out = r[np.ix_(s, s)] + r[np.ix_(s, i)] @ np.linalg.solve(reduced, r[np.ix_(i, s)])
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def cut_at(
+    g: MetricGraph, w: EdgeWeights, x: PointOnGraph
+) -> tuple[MetricGraph, EdgeWeights, str]:
+    """g cut at the point x inside an edge, with a new vertex there.
+
+    split_at makes the graph.  The new vertex gets weight 1/2 on each
+    half, and the far end's weight on the cut edge moves to the appended
+    second half; every other weight is w's.  Returns the cut graph, its
+    weights and the new vertex: a start at that vertex is a start at x.
+    """
+    g2, mid = split_at(g, x)
+    k, appended = x.edge, len(g2.edges) - 1
+    far = g.edges[k].endpoints[1]
+    table = dict(w.p)
+    table[(far, appended)] = table.pop((far, k))
+    table[(mid, k)] = table[(mid, appended)] = 0.5
+    return g2, EdgeWeights(table), mid

@@ -6,13 +6,23 @@ from pathlib import Path
 import pytest
 
 from graphreact import (
+    ActiveZoneSpec,
     DocumentError,
+    KappaSpec,
+    PointOnGraph,
+    SimConfig,
+    collapse_study,
+    conversion,
     emit_document,
+    evaluate_at,
     parse_document,
     prepare,
+    simulate,
+    solve_survival,
     validate,
 )
 from graphreact.cli import main
+from oracles import cut_at
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -80,17 +90,28 @@ def test_explicit_weights_override_and_validate():
         prepare(parse_document(doc))
 
 
-def test_edge_injection_splits_and_remaps_weights():
+def test_edge_injection_with_explicit_weights_matches_a_cut_graph():
+    # the start stays a point inside edge 0, and c's explicit row keeps
+    # its keys; a graph cut there, with c's weight on edge 0 moved to the
+    # appended half, gives the same numbers on every route
     doc = path_site_doc()
     doc["weights"] = {"c": {"0": 0.3, "1": 0.7}}
     doc["injection"] = {"edge": ["v0", "c"], "offset": 0.25}
-    g, w, start = prepare(parse_document(doc))
-    assert validate(g) == []
-    assert sum(start in e.endpoints for e in g.edges) == 2
-    # c's explicit row follows the renamed child edge (old index 0 -> appended)
-    assert w.at("c", len(g.edges) - 1) == 0.3
-    assert w.at("c", 1) == 0.7
-    assert w.at(start, 0) == pytest.approx(0.5)
+    parsed = parse_document(doc)
+    g, w, start = prepare(parsed)
+    assert g is parsed.graph and start == PointOnGraph.on_edge(0, 0.25)
+    assert (w.at("c", 0), w.at("c", 1)) == (0.3, 0.7)
+    g2, w2, mid = cut_at(g, w, start)
+    assert w2.at("c", len(g2.edges) - 1) == 0.3
+    ks = KappaSpec.constant(1.0)
+    psi = solve_survival(g2, w2, ks)[mid]
+    assert conversion(g, w, start, ks).psi == pytest.approx(psi, abs=1e-12)
+    assert evaluate_at(solve_survival(g, w, ks), start) == pytest.approx(psi, abs=1e-12)
+    zone = ActiveZoneSpec(rate=1.0, delta=1.0, diffusion=1.0, h=0.1)
+    assert collapse_study(g, w, zone, [0.1], start)[0].psi_h == pytest.approx(
+        collapse_study(g2, w2, zone, [0.1], mid)[0].psi_h, abs=1e-12)
+    est = simulate(g, w, ks, start, SimConfig(0.25, 20_000, 3))
+    assert abs(est.mean - psi) <= 4.0 * est.standard_error
 
 
 def test_injection_unknown_edge():
@@ -169,6 +190,27 @@ def test_cli_validate(tmp_path, capsys):
 
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, problem", [
+    ({"injection": {"vertex": "ghost"}}, "injection: unknown vertex 'ghost'"),
+    ({"injection": {"edge": ["v0", "c"], "offset": 7.5}}, "injection: offset 7.5 outside [0, 1.0]"),
+    ({"weights": {"c": {"0": 0.25, "1": 0.5}}}, "weights at vertex 'c' sum to 0.75"),
+], ids=["unknown-vertex", "offset-off-the-edge", "weights-off-one"])
+def test_cli_validate_rejects_what_convert_rejects(field, problem, tmp_path, capsys):
+    path = _write(tmp_path, {**path_site_doc(), **field})
+    for command in (["validate"], ["convert", "--kappa", "1"]):
+        assert main([command[0], path, *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and problem in err
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.0, 0.25, 1.0])
+def test_cli_validate_takes_every_offset_on_the_edge(offset, tmp_path, capsys):
+    path = _write(tmp_path, {**path_site_doc(),
+                             "injection": {"edge": ["v0", "c"], "offset": offset}})
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == "OK\n"
 
 
 def test_cli_convert_path_site(tmp_path, capsys):
@@ -286,6 +328,33 @@ def test_cli_mc_csv(tmp_path, capsys):
     assert fields[0] == "1" and fields[3] == "2000" and fields[5] == "42"
     assert main(args) == 0
     assert capsys.readouterr().out == first  # byte-stable under the same seed
+
+
+def test_cli_mc_needs_two_trajectories(tmp_path, capsys):
+    # one product has no spread: its standard error read 0, and compare
+    # held mc to the cross-route tolerance alone
+    path = _write(tmp_path, path_site_doc())
+    for command in (["mc", "--kappa", "1", "--delta", "0.1", "--n", "1", "--seed", "1"],
+                    ["compare", "--kappa", "1", "--n", "1"]):
+        assert main([command[0], path, *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "two trajectories" in err
+
+
+def test_cli_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # what numpy raises when --n asks for more than the host can hold
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    monkeypatch.setattr("graphreact.mc.estimate_survival", too_large)
+    path = _write(tmp_path, path_site_doc())
+    args = ["mc", path, "--kappa", "1", "--delta", "0.1", "--n", "1000000000000", "--seed", "1"]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: out of memory: Unable to allocate 7.28 TiB")
+    assert "Traceback" not in err
 
 
 def test_cli_diffuse_csv(tmp_path, capsys):

@@ -129,7 +129,7 @@ def _numbers(command: str, out: str) -> list[float]:
 @example(["diffuse", ZONE_FIXTURE, "--k=1e9", "--delta=1", "--diffusion=1", "--h-list=0.1"])
 @example(["diffuse", ZONE_FIXTURE, "--k=1e300", "--delta=1", "--diffusion=1", "--h-list=0.1"])
 @example(["mc", FIXTURE, "--kappa=1", "--delta=1e-20", "--n=50", "--seed=1", "--cap=50"])
-@example(["mc", FIXTURE, "--kappa=inf", "--delta=0.5", "--n=1", "--seed=0", "--cap=1"])
+@example(["mc", FIXTURE, "--kappa=inf", "--delta=0.5", "--n=2", "--seed=0", "--cap=1"])
 @example(["compare", FIXTURE, "--kappa=1e308", "--delta=0.1", "--n=200", "--seed=3"])
 def test_cli_never_warns_and_prints_alphas_in_unit_interval(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -229,9 +229,13 @@ def test_split_identity_on_vertex_point():
 
 def test_split_offset_out_of_range():
     g, _ = path_graph()
-    for off in (0.0, 1.0, -0.5, 2.0):
+    for off in (-0.5, 2.0):
         with pytest.raises(PreconditionError):
             split_at(g, PointOnGraph.on_edge(0, off))
+    # an end of the edge is its vertex: nothing to split
+    for off, end in ((0.0, "v0"), (1.0, "c")):
+        g2, vid = split_at(g, PointOnGraph.on_edge(0, off))
+        assert g2 is g and vid == end
 
 
 def test_point_form_validation():

@@ -313,6 +313,26 @@ def test_a_different_start_gets_its_own_entry(monkeypatch):
     assert len(calls) == 2 + 4
 
 
+@pytest.mark.parametrize("route", [
+    lambda g, w, x: conversion(g, w, x, KappaSpec.constant(0.7)), hitting_split, rational_form,
+], ids=["conversion", "hitting_split", "rational_form"])
+def test_an_edge_end_reuses_its_vertex_memo_entry(monkeypatch, route):
+    g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))  # v0 -1- c1 -0.5- c2 -0.8- c3 -0.7- a
+    w = derive_weights(g)
+    calls = _count_vertex_solves(monkeypatch, g)
+    ends = {"v0": [(0, 0.0), (0, -0.0)], "c2": [(1, 0.5), (2, 0.0), (2, -0.0)]}
+    for vertex, points in ends.items():
+        route(g, w, vertex)
+        for edge, offset in points:
+            route(g, w, PointOnGraph.on_edge(edge, offset))
+    assert len(calls) == 2
+    # a point inside an edge has its own entry
+    for _ in range(2):
+        route(g, w, PointOnGraph.on_edge(2, 0.3))
+    assert len(calls) == 3
+    assert {key[2] for key in g.solved if key[1] == "green"} == {"v0", "c2", (2, 0.3)}
+
+
 def test_survival_solve_shares_only_the_flux_coefficients():
     g, start, _ = chain_graph((1.0, 0.5, 0.8))
     w = derive_weights(g)

@@ -152,6 +152,12 @@ def test_config_rejects_values_of_the_wrong_type(field, value):
         SimConfig(**args)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_config_needs_two_trajectories(n):
+    with pytest.raises(PreconditionError, match="two trajectories"):
+        SimConfig(0.25, n, 1)
+
+
 def test_config_takes_numpy_integers():
     g, start = path_graph()
     w, ks = derive_weights(g), KappaSpec.constant(1.0)
