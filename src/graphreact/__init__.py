@@ -38,19 +38,11 @@ from .graph import (
     Vertex,
     derive_weights,
     require_valid,
-    resolve_vertex,
-    split_at,
     uniform_weights,
     validate,
     weights_violations,
 )
-from .harmonic import (
-    GreenMatrix,
-    HittingSplit,
-    green_matrix,
-    hitting_split,
-    mean_local_time,
-)
+from .harmonic import GreenMatrix, HittingSplit, green_matrix, hitting_split
 from .kac import (
     ConversionResult,
     KappaSpec,
@@ -112,17 +104,14 @@ __all__ = [
     "green_matrix",
     "hitting_split",
     "load_document",
-    "mean_local_time",
     "parse_document",
     "placement_leading_coeff",
     "prepare",
     "rational_form",
     "require_valid",
-    "resolve_vertex",
     "simulate",
     "solve_diffuse",
     "solve_survival",
-    "split_at",
     "survival_on_active",
     "uniform_weights",
     "validate",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input or validation problem, 2 numerical
-failure.  All numeric output uses 12 significant digits; randomness
-enters only through --seed.  ``main`` builds its parser once per process.
+Exit codes: 0 success, 1 input or validation problem (or a reader that
+closed stdout early), 2 numerical failure.  All numeric output uses 12
+significant digits; randomness enters only through --seed.  ``main``
+builds its parser once per process.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -279,7 +281,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors; those are input errors
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull, so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DocumentError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

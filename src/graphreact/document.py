@@ -14,7 +14,8 @@ Schema (unknown keys are rejected everywhere):
 Explicit weights are keyed by vertex id and edge index (as a string, a
 JSON restriction) and override the radius-derived row for that vertex;
 vertices without an explicit row keep the derived weights.  An edge
-injection's offset runs from the edge's first endpoint over [0, length].
+injection's pair is the [from, to] of exactly one edge, and its offset
+runs from ``from`` over [0, length].
 """
 
 from __future__ import annotations
@@ -178,11 +179,15 @@ def parse_document(doc: dict) -> ParsedDocument:
 
 
 def _find_edge(g: MetricGraph, u: str, v: str) -> int:
-    # first match in document order; parallel edges need reordering to
-    # address the later ones
-    for k, e in enumerate(g.edges):
-        if set(e.endpoints) == {u, v}:
-            return k
+    """The one edge whose [from, to] is [u, v]."""
+    found = [k for k, e in enumerate(g.edges) if e.endpoints == (u, v)]
+    if len(found) > 1:
+        raise DocumentError(f"injection: [{u!r}, {v!r}] names edges {found}, not one edge")
+    if found:
+        return found[0]
+    if (v, u) in (e.endpoints for e in g.edges):
+        raise DocumentError(f"injection: the edge between {u!r} and {v!r} "
+                            f"is stored as [{v!r}, {u!r}]")
     raise DocumentError(f"injection: no edge between {u!r} and {v!r}")
 
 

@@ -34,9 +34,6 @@ class SurvivalField:
     def __getitem__(self, vertex_id: str) -> float:
         return self.values[vertex_id]
 
-    def at(self, x: PointOnGraph | str) -> float:
-        return evaluate_at(self, x)
-
 
 def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalField:
     """Solve the survival boundary problem on the vertex set.

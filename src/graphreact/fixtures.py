@@ -1,13 +1,11 @@
 """Canonical graph documents with known conversion curves.
 
 These are the worked examples used throughout the tests and docs.  Each
-fixture carries its graph document, the expected conversion curve (when
-one is asserted) and a provenance tag:
+fixture carries its graph document, the expected conversion curve, its
+limit alpha_inf and a provenance tag:
 
 * ``closed-form``  - textbook-style closed formula for this topology
 * ``derived``      - value derived by hand and cross-checked in tests
-* ``candidate``    - closed form whose defining topology is not pinned
-                     down; shipped for reference, never asserted
 
 The chain fixtures carry the recursion oracle: the one-line recursion
 uses the unweighted Kirchhoff convention, so it reproduces the engines
@@ -26,10 +24,10 @@ from .kac import chain_alpha_recursive
 class Fixture:
     name: str
     description: str
-    document: dict | None
-    expected_alpha: Callable[[float], float] | None
+    document: dict
+    expected_alpha: Callable[[float], float]
     provenance: str
-    expected_alpha_inf: float | None = None
+    expected_alpha_inf: float
     zone: dict | None = None
     notes: str = ""
 
@@ -185,44 +183,9 @@ def _interval_zone() -> Fixture:
     )
 
 
-def _candidates() -> list[Fixture]:
-    shared = (
-        "candidate closed form whose defining topology is not pinned down; "
-        "kept for reference and never asserted"
-    )
-    return [
-        Fixture(
-            name="candidate_two_arm_site",
-            description="site reachable through two entrance arms",
-            document=None,
-            expected_alpha=None,
-            provenance="candidate",
-            notes=shared
-            + "; alpha(inf) = l1/(l0+l1), lambda = 2 l (l0+l1)/(l0+l1+l)",
-        ),
-        Fixture(
-            name="candidate_site_row",
-            description="row of sites acting like one site",
-            document=None,
-            expected_alpha=None,
-            provenance="candidate",
-            notes=shared + "; alpha = 2 (l0 + n l) kappa / (1 + 2 (l0 + n l) kappa)",
-        ),
-        Fixture(
-            name="candidate_two_site_branch",
-            description="two sites on a branch, quadratic over quadratic",
-            document=None,
-            expected_alpha=None,
-            provenance="candidate",
-            notes=shared
-            + "; alpha = 3 l (1 + l1 kappa) kappa / (1 + 3 l (1 + l1 kappa) kappa)",
-        ),
-    ]
-
-
 def fixture_suite() -> list[Fixture]:
-    """All shipped fixtures, asserted ones first."""
-    suite = [
+    """All shipped fixtures."""
+    return [
         _path_site(),
         _interval_site(),
         _star(2, (0.6,)),
@@ -234,5 +197,3 @@ def fixture_suite() -> list[Fixture]:
         _ygraph(),
         _interval_zone(),
     ]
-    suite.extend(_candidates())
-    return suite

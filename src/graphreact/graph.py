@@ -1,4 +1,4 @@
-"""Metric-graph data model: vertex roles, edge weights, points, surgery.
+"""Metric-graph data model: vertex roles, edge weights, points.
 
 A metric graph is a finite set of vertices joined by undirected edges
 carrying positive lengths.  Every edge also carries a relative radius,
@@ -160,16 +160,13 @@ class MetricGraph:
         """``validate(self)``, computed once: the graph never changes."""
         return tuple(validate(self))
 
-    def vertices_with_role(self, role: str) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices if v.role == role)
-
     @cached_property
     def active_vertices(self) -> tuple[str, ...]:
-        return self.vertices_with_role("active")
+        return tuple(v.id for v in self.vertices if v.role == "active")
 
     @cached_property
     def exit_vertices(self) -> tuple[str, ...]:
-        return self.vertices_with_role("exit")
+        return tuple(v.id for v in self.vertices if v.role == "exit")
 
 
 @dataclass(frozen=True)
@@ -351,47 +348,6 @@ def weights_violations(g: MetricGraph, w: EdgeWeights) -> list[str]:
                 f"weights at vertex {vid!r} sum to {sum(row)!r}, expected 1"
             )
     return problems
-
-
-def _fresh_vertex_id(g: MetricGraph, base: str = "x") -> str:
-    taken = g.vertex_index
-    if base not in taken:
-        return base
-    n = 2
-    while f"{base}{n}" in taken:
-        n += 1
-    return f"{base}{n}"
-
-
-def split_at(g: MetricGraph, x: PointOnGraph | str) -> tuple[MetricGraph, str]:
-    """Insert a degree-2 inert vertex at an edge-interior point.
-
-    A reference for tests and users: every route takes the point as it
-    is.  The edge is replaced in place by its first half (same index) and
-    the second half is appended, so other edge indices are stable.  Both
-    halves inherit the parent's radius.  A point that ``locate`` makes a
-    vertex, an edge end included, is a no-op.
-    """
-    x = locate(g, x)
-    if x.is_vertex:
-        return g, x.vertex
-    new_id = _fresh_vertex_id(g)
-    e = g.edges[x.edge]
-    u, w = e.endpoints
-    edges = list(g.edges)
-    edges[x.edge] = Edge((u, new_id), x.offset, e.radius)
-    edges.append(Edge((new_id, w), e.length - x.offset, e.radius))
-    vertices = g.vertices + (Vertex(new_id, "inert"),)
-    return MetricGraph(vertices, tuple(edges), g.dimension), new_id
-
-
-def resolve_vertex(g: MetricGraph, x: PointOnGraph | str) -> str:
-    """Vertex id of a point that ``locate`` makes a vertex: a vertex id,
-    a vertex-form point or an edge end."""
-    x = locate(g, x)
-    if not x.is_vertex:
-        raise PreconditionError(f"point inside edge {x.edge} is not a vertex")
-    return x.vertex
 
 
 def locate(g: MetricGraph, x: PointOnGraph | str) -> PointOnGraph:

@@ -182,15 +182,3 @@ def green_matrix(g: MetricGraph, w: EdgeWeights) -> GreenMatrix:
     if not g.active_vertices:
         raise PreconditionError("graph has no active vertices")
     return _green(g, w)[0]
-
-
-def mean_local_time(g: MetricGraph, w: EdgeWeights, c: str) -> float:
-    """Expected local time at the unique active vertex, started there."""
-    active = g.active_vertices
-    if len(active) != 1:
-        raise PreconditionError(
-            f"mean_local_time needs exactly one active vertex, got {len(active)}"
-        )
-    if active[0] != c:
-        raise PreconditionError(f"vertex {c!r} is not the active vertex {active[0]!r}")
-    return float(green_matrix(g, w).entries[0, 0])

@@ -13,7 +13,7 @@ import numpy as np
 from graphreact import algebra
 from graphreact.algebra import Polynomial
 from graphreact.errors import PreconditionError
-from graphreact.graph import EdgeWeights, MetricGraph, PointOnGraph, split_at
+from graphreact.graph import Edge, EdgeWeights, MetricGraph, PointOnGraph, Vertex, locate
 from graphreact.harmonic import GreenMatrix
 from graphreact.kac import KappaSpec
 
@@ -98,6 +98,38 @@ def censored_rates(g: MetricGraph, w: EdgeWeights, states: Sequence[int]) -> np.
     out = r[np.ix_(s, s)] + r[np.ix_(s, i)] @ np.linalg.solve(reduced, r[np.ix_(i, s)])
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _fresh_vertex_id(g: MetricGraph, base: str = "x") -> str:
+    taken = g.vertex_index
+    if base not in taken:
+        return base
+    n = 2
+    while f"{base}{n}" in taken:
+        n += 1
+    return f"{base}{n}"
+
+
+def split_at(g: MetricGraph, x: PointOnGraph | str) -> tuple[MetricGraph, str]:
+    """Insert a degree-2 inert vertex at an edge-interior point.
+
+    Every route takes the point as it is; this cut is the reference they
+    are checked against.  The edge is replaced in place by its first half
+    (same index) and the second half is appended, so other edge indices
+    are stable.  Both halves inherit the parent's radius.  A point that
+    ``locate`` makes a vertex, an edge end included, is a no-op.
+    """
+    x = locate(g, x)
+    if x.is_vertex:
+        return g, x.vertex
+    new_id = _fresh_vertex_id(g)
+    e = g.edges[x.edge]
+    u, w = e.endpoints
+    edges = list(g.edges)
+    edges[x.edge] = Edge((u, new_id), x.offset, e.radius)
+    edges.append(Edge((new_id, w), e.length - x.offset, e.radius))
+    vertices = g.vertices + (Vertex(new_id, "inert"),)
+    return MetricGraph(vertices, tuple(edges), g.dimension), new_id
 
 
 def cut_at(

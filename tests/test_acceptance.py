@@ -240,7 +240,8 @@ def test_criterion_9_property_suites():
             res = conversion(g, w, start, KappaSpec.constant(1e6))
             assert abs(res.alpha - res.alpha_inf) <= 1e-4
 
-        from graphreact import PointOnGraph, split_at
+        from graphreact import PointOnGraph
+        from oracles import split_at
 
         for _ in range(50):
             g, start = random_graph(rng, random_radii=False)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -121,6 +124,15 @@ def test_injection_unknown_edge():
         parse_document(doc)
 
 
+def test_injection_pair_tells_apart_parallel_edges_stored_either_way():
+    doc = path_site_doc()
+    doc["edges"].append({**doc["edges"][0], "from": "c", "to": "v0"})
+    doc["injection"] = {"edge": ["v0", "c"], "offset": 0.25}
+    assert parse_document(doc).injection == PointOnGraph.on_edge(0, 0.25)
+    doc["injection"]["edge"] = ["c", "v0"]
+    assert parse_document(doc).injection == PointOnGraph.on_edge(2, 0.25)
+
+
 def _write(tmp_path, doc, name="g.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -196,7 +208,11 @@ def test_cli_validate(tmp_path, capsys):
     ({"injection": {"vertex": "ghost"}}, "injection: unknown vertex 'ghost'"),
     ({"injection": {"edge": ["v0", "c"], "offset": 7.5}}, "injection: offset 7.5 outside [0, 1.0]"),
     ({"weights": {"c": {"0": 0.25, "1": 0.5}}}, "weights at vertex 'c' sum to 0.75"),
-], ids=["unknown-vertex", "offset-off-the-edge", "weights-off-one"])
+    ({"injection": {"edge": ["c", "v0"], "offset": 0.25}}, "stored as ['v0', 'c']"),
+    ({"edges": path_site_doc()["edges"] * 2, "injection": {"edge": ["v0", "c"], "offset": 0.25}},
+     "['v0', 'c'] names edges [0, 2], not one edge"),
+], ids=["unknown-vertex", "offset-off-the-edge", "weights-off-one", "reversed-pair",
+        "parallel-pair"])
 def test_cli_validate_rejects_what_convert_rejects(field, problem, tmp_path, capsys):
     path = _write(tmp_path, {**path_site_doc(), **field})
     for command in (["validate"], ["convert", "--kappa", "1"]):
@@ -502,3 +518,34 @@ def test_cli_rational_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert out == ""
     assert err.startswith("numerical failure:")
     assert "Warning" not in err and "Traceback" not in err
+
+
+def _closed_early(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of the CLI whose reader closes stdout after 100 bytes.
+
+    The CLI runs with Python's default buffered stdout: an unbuffered one
+    drops the rest of a single write that the closed pipe cuts short, and
+    raises nothing.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "graphreact.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**env, "PYTHONPATH": str(src)})
+    proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("command", ["green", "sweep"])
+def test_cli_reader_closing_stdout_early_exits_1_quietly(command, tmp_path):
+    if command == "green":  # ~2 MB of output, written row by row
+        argv = ["green", _write(tmp_path, _uniform_chain_doc(400))]
+    else:  # one write of ~180 KB, well past a 64 KiB pipe buffer
+        argv = ["sweep", str(FIXTURES / "path_site.json"), "--kappa-min", "0",
+                "--kappa-max", "10", "--steps", "2000"]
+    code, err = _closed_early(argv)
+    assert code == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err

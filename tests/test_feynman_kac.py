@@ -10,9 +10,9 @@ from graphreact import (
     evaluate_at,
     hitting_split,
     solve_survival,
-    split_at,
 )
 from helpers import chain_graph, path_graph, random_graph, star_graph, y_graph
+from oracles import split_at
 
 
 def test_star_hand_solved_system():

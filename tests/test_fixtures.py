@@ -18,10 +18,6 @@ from helpers import kappa_samples
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def asserted():
-    return [f for f in fixture_suite() if f.document is not None]
-
-
 def test_suite_contents():
     names = {f.name for f in fixture_suite()}
     for required in (
@@ -41,15 +37,13 @@ def test_suite_contents():
 
 
 def test_documents_valid():
-    for f in asserted():
+    for f in fixture_suite():
         parsed = parse_document(f.document)
         assert validate(parsed.graph) == [], f.name
 
 
 def test_expected_curves_match_engine():
-    for f in asserted():
-        if f.expected_alpha is None:
-            continue
+    for f in fixture_suite():
         g, w, start = prepare(parse_document(f.document))
         for kappa in kappa_samples(20):
             got = conversion(g, w, start, KappaSpec.constant(float(kappa))).alpha
@@ -59,9 +53,7 @@ def test_expected_curves_match_engine():
 
 
 def test_expected_alpha_inf():
-    for f in asserted():
-        if f.expected_alpha_inf is None:
-            continue
+    for f in fixture_suite():
         g, w, start = prepare(parse_document(f.document))
         hs = hitting_split(g, w, start)
         assert hs.alpha_inf == pytest.approx(f.expected_alpha_inf, abs=1e-10), f.name
@@ -80,19 +72,18 @@ def test_star_alpha_ignores_leaf_lengths():
 
 
 def test_files_on_disk_match_suite():
-    for f in asserted():
+    for f in fixture_suite():
         path = FIXTURES / f"{f.name}.json"
         assert path.exists(), f.name
         assert json.loads(path.read_text()) == f.document
 
 
-def test_candidates_are_unasserted():
-    candidates = [f for f in fixture_suite() if f.provenance == "candidate"]
-    assert len(candidates) == 3
-    for f in candidates:
-        assert f.document is None
-        assert f.expected_alpha is None
-        assert f.notes
+def test_every_fixture_is_asserted():
+    for f in fixture_suite():
+        assert isinstance(f.document, dict), f.name
+        assert callable(f.expected_alpha), f.name
+        assert isinstance(f.expected_alpha_inf, float), f.name
+        assert f.provenance in ("closed-form", "derived"), f.name
 
 
 def test_interval_zone_fixture_carries_parameters():

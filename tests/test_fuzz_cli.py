@@ -1,6 +1,8 @@
 """Fuzzed convert/sweep/hit/rational/green/diffuse/mc/compare calls on
 the fixture documents, and validate/convert/mc calls on fixture
-documents with one or two fields replaced by hostile values.
+documents with one or two fields replaced by hostile values, half of them
+first injected on an edge named by its stored pair, the reversed pair or
+a pair that a parallel edge shares.
 
 Every call must exit with 0, 1 or 2, write no traceback and no warning,
 and print only finite numbers, with alphas, survivals and first-hit
@@ -177,9 +179,28 @@ def _holds_int_past_floats(node) -> bool:
     return isinstance(node, int) and abs(node) > sys.float_info.max
 
 
+def _inject_on_edge(doc: dict, k: int, pair: str) -> dict:
+    """doc injected halfway along edge k, naming it by its stored pair, by
+    the reversed pair, or by a pair that a parallel copy of it shares."""
+    edge = doc["edges"][k]
+    ends = [edge["from"], edge["to"]]
+    if pair == "parallel":
+        doc["edges"].append(dict(edge))
+    doc["injection"] = {"edge": ends[::-1] if pair == "reversed" else ends,
+                        "offset": edge["length"] / 2}
+    return doc
+
+
+def _fixture(name: str) -> dict:
+    return json.loads((FIXTURE_DIR / name).read_text())
+
+
 @st.composite
 def hostile_documents(draw):
     doc = json.loads(Path(draw(st.sampled_from(FIXTURES))).read_text())
+    if draw(st.booleans()):
+        _inject_on_edge(doc, draw(st.integers(0, len(doc["edges"]) - 1)),
+                        draw(st.sampled_from(["stored", "reversed", "parallel"])))
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
         *parents, key = draw(st.sampled_from(list(_field_paths(doc))))
         node = doc
@@ -192,6 +213,8 @@ def hostile_documents(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(hostile_documents())
 @example(json.loads(Path(ZONE_FIXTURE).read_text()) | {"dimension": 10**400})
+@example(_inject_on_edge(_fixture("path_site.json"), 0, "reversed"))
+@example(_inject_on_edge(_fixture("path_site.json"), 0, "parallel"))
 def test_cli_survives_hostile_documents(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "hostile.json"
     path.write_text(json.dumps(doc))

@@ -14,12 +14,12 @@ from graphreact import (
     derive_weights,
     load_document,
     parse_document,
-    split_at,
     uniform_weights,
     validate,
     weights_violations,
 )
 from helpers import path_graph, random_graph
+from oracles import split_at
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -7,24 +7,21 @@ from graphreact import (
     Edge,
     KappaSpec,
     MetricGraph,
-    PreconditionError,
     SingularSystemError,
     Vertex,
     conversion,
     derive_weights,
     green_matrix,
     hitting_split,
-    mean_local_time,
     rational_form,
     solve_survival,
-    split_at,
     uniform_weights,
     PointOnGraph,
 )
 from graphreact import algebra
 from graphreact.harmonic import flux_coefficients, flux_system, green_and_split
 from helpers import chain_graph, kappa_samples, path_graph, random_graph, star_graph, y_graph
-from oracles import vertex_flux
+from oracles import split_at, vertex_flux
 
 
 def test_flux_of_constant_is_zero():
@@ -180,31 +177,24 @@ def test_green_weighted_reciprocity_and_positivity():
     assert checked >= 20
 
 
+def _single_site_local_time(g):
+    gm = green_matrix(g, derive_weights(g))
+    assert gm.active == ("c",)
+    return gm.entries[0, 0]
+
+
 def test_mean_local_time_variants():
     g, _ = path_graph(0.4, 1.0)
-    w = derive_weights(g)
-    assert mean_local_time(g, w, "c") == pytest.approx(2.0, abs=1e-12)
+    assert _single_site_local_time(g) == pytest.approx(2.0, abs=1e-12)
 
     g1 = MetricGraph(
         (Vertex("c", "active"), Vertex("a", "exit")),
         (Edge(("c", "a"), 1.0),),
     )
-    assert mean_local_time(g1, derive_weights(g1), "c") == pytest.approx(1.0, abs=1e-12)
+    assert _single_site_local_time(g1) == pytest.approx(1.0, abs=1e-12)
 
     g2, _ = star_graph(4, exit_len=0.5)
-    assert mean_local_time(g2, derive_weights(g2), "c") == pytest.approx(
-        4 * 0.5, abs=1e-12
-    )
-
-
-def test_mean_local_time_preconditions():
-    g, _, _ = chain_graph((1.0, 0.5, 0.5))
-    w = derive_weights(g)
-    with pytest.raises(PreconditionError):
-        mean_local_time(g, w, "c1")
-    gp, _ = path_graph()
-    with pytest.raises(PreconditionError):
-        mean_local_time(gp, derive_weights(gp), "v0")
+    assert _single_site_local_time(g2) == pytest.approx(4 * 0.5, abs=1e-12)
 
 
 def test_degree2_insertion_leaves_green_and_split_invariant():

@@ -132,7 +132,8 @@ def test_absorb_at_sites_matches_hitting_probability():
 
 def test_any_interior_start_matches_split_solve():
     # a start is exact anywhere inside an edge, not only at multiples of the step
-    from graphreact import solve_survival, split_at
+    from graphreact import solve_survival
+    from oracles import split_at
 
     g, _ = path_graph()
     x = PointOnGraph.on_edge(0, 0.33)
@@ -188,7 +189,8 @@ def test_start_at_exit_is_certain_survival():
 def test_interior_start_matches_split_solve():
     # starting from an interior point is also exact; compare with the
     # field solver after splitting there
-    from graphreact import solve_survival, split_at
+    from graphreact import solve_survival
+    from oracles import split_at
 
     g, _ = path_graph()
     w = derive_weights(g)
@@ -327,7 +329,8 @@ def test_sample_variance_matches_the_exact_variance(name, kappa):
 @pytest.mark.parametrize("which", ["core", "branch", "dead-end edge"])
 def test_folded_walk_matches_the_survival_with_fewer_moves(which):
     # the censored walk against the survival and against the uncensored walk
-    from graphreact import solve_survival, split_at
+    from graphreact import solve_survival
+    from oracles import split_at
 
     g = branchy_tree(np.random.default_rng(2))
     w = derive_weights(g)
@@ -525,7 +528,8 @@ def test_core_starts_share_one_walk(monkeypatch):
 def test_z_scores_against_the_survival_on_random_graphs():
     # trees with dead-end branches, hubs and cyclic graphs, from vertex
     # and interior starts
-    from graphreact import solve_survival, split_at
+    from graphreact import solve_survival
+    from oracles import split_at
 
     rng = np.random.default_rng(2024)
     z = []
@@ -582,7 +586,8 @@ def test_parallel_edges_with_different_substeps():
 
 def test_off_center_interior_start():
     # a quarter along the edge c-a: the exit end is reached first w.p. 1/4
-    from graphreact import solve_survival, split_at
+    from graphreact import solve_survival
+    from oracles import split_at
 
     g, _ = path_graph()
     x = PointOnGraph.on_edge(1, 0.25)

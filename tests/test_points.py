@@ -23,7 +23,6 @@ from graphreact import (
     evaluate_at,
     hitting_split,
     rational_form,
-    resolve_vertex,
     simulate,
     solve_diffuse,
     solve_survival,
@@ -61,7 +60,7 @@ ENDS = [(0, 0.0, "v0"), (0, -0.0, "v0"), (0, 0.7, "c"),
 def test_locate_makes_an_edge_end_its_vertex(edge, offset, vertex):
     g, _ = path_graph(0.7, 1.3)
     assert locate(g, PointOnGraph.on_edge(edge, offset)) == PointOnGraph.at_vertex(vertex)
-    assert resolve_vertex(g, PointOnGraph.on_edge(edge, offset)) == vertex
+    assert locate(g, PointOnGraph.on_edge(edge, offset)) == locate(g, vertex)
 
 
 def test_locate_keeps_a_point_inside_an_edge_and_rejects_the_rest():
@@ -69,8 +68,7 @@ def test_locate_keeps_a_point_inside_an_edge_and_rejects_the_rest():
     inside = PointOnGraph.on_edge(1, 0.4)
     assert locate(g, inside) is inside
     assert locate(g, "c") == PointOnGraph.at_vertex("c")
-    with pytest.raises(PreconditionError, match="not a vertex"):
-        resolve_vertex(g, inside)
+    assert not locate(g, inside).is_vertex
     for bad in ("ghost", PointOnGraph.on_edge(2, 0.1), PointOnGraph.on_edge(0, 0.7000001),
                 PointOnGraph.on_edge(0, -1e-300), PointOnGraph.on_edge(0, math.nan)):
         with pytest.raises(PreconditionError):

@@ -12,9 +12,9 @@ from graphreact import (
     hitting_split,
     rational_form,
     solve_survival,
-    split_at,
 )
 from helpers import kappa_samples, random_graph
+from oracles import split_at
 
 
 def test_alpha_monotone_in_kappa():
