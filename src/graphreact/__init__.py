@@ -50,7 +50,6 @@ from .kac import (
     conversion,
     placement_leading_coeff,
     rational_form,
-    survival_on_active,
 )
 from .mc import (
     GridChain,
@@ -112,7 +111,6 @@ __all__ = [
     "simulate",
     "solve_diffuse",
     "solve_survival",
-    "survival_on_active",
     "uniform_weights",
     "validate",
     "weights_violations",

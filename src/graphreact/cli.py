@@ -36,8 +36,14 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
+    elif not hasattr(sys.stdout, "buffer"):  # a text stream, such as io.StringIO
         sys.stdout.write(text)
+    else:
+        # an unbuffered stdout drops what a closing reader cut short: write it all, or EPIPE
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
 
 
 def _load_problem(path: str, need_injection: bool = True):

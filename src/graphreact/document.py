@@ -262,6 +262,7 @@ def emit_document(parsed: ParsedDocument) -> dict:
             doc["injection"] = {"vertex": parsed.injection.vertex}
         else:
             e = g.edges[parsed.injection.edge]
+            _find_edge(g, *e.endpoints)  # DocumentError if parallel edges share the pair
             doc["injection"] = {
                 "edge": [e.endpoints[0], e.endpoints[1]],
                 "offset": parsed.injection.offset,

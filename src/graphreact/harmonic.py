@@ -1,35 +1,43 @@
-"""Hitting splits and the active-site Green matrix.
+"""Hitting splits, the sites' reduced network and the Green matrix.
 
-Both quantities come from harmonic problems on the graph: a function
-with zero flux at a vertex and fixed boundary values is affine along
-every edge, so it is determined by its vertex values alone.  The flux
-functional at a vertex v is
+All three come from harmonic problems: a function with zero flux at a
+vertex and fixed boundary values is affine along every edge, so its
+vertex values determine it.  The flux functional at a vertex v is
 
-    rho_v(F) = sum over half-edges e out of v of p_v(e) * (F(t(e)) - F(v)) / l_e,
+    rho_v(F) = sum over half-edges e out of v of p_v(e) * (F(t(e)) - F(v)) / l_e.
 
-and one assembly of these functionals serves every vertex system in the
-package: the Green solve here and the survival solve in feynman_kac.
-flux_coefficients gives every p_v(e)/l_e as one array, in the order of
-the graph's cached half-edge table, and flux_system turns it into a
-Triplets list of entries, which algebra factors with SuperLU above the
-size at which that beats dense LU (algebra.SPARSE_MIN_ORDER).
+flux_coefficients gives every p_v(e)/l_e, in the order of the graph's
+cached half-edge table, and flux_system turns them into the Triplets of
+a vertex system, which algebra factors densely or with SuperLU by size;
+feynman_kac's survival solve is assembled the same way.
 
-The kappa-free work of a problem is solved once and memoized in the
-graph's ``solved`` dict: flux_coefficients under (id(w), "flux") and
-green_and_split under (id(w), "green", start), start being the vertex
-id at a vertex or an edge end and (edge, offset) inside an edge, where
-the Green solve's vertex rows are interpolated.  An entry holds w weakly
-and is a hit only while that reference still points at w, so a reused
-id gives no false hit, and each miss drops the entries of weights that
-are gone.  The arrays returned and w.p are read-only; a failed solve is
-not stored.  feynman_kac shares only the flux coefficients, never the
-Green solve, so it stays a route independent of kac.
+One solve, with the m active sites and the exits fixed, gives the
+harmonic measures H: H[v, j] is the probability that the walk from v
+reaches active[j] first among the sites and exits, and a start's split
+is its row of H.  Watched on the sites, the walk is a network, the Kron
+reduction of the flux system, with rates
+
+    R[i, j] = sum over half-edges e out of active[i] of p(e)/l_e * H[t(e), j],
+
+column m the exits and the diagonal dropped.  Its Laplacian
+L = diag(R 1) - R[:, :m] is G[A, A]^-1; every rate is a sum of
+nonnegative terms, as in GTH state reduction, so L needs no subtraction.
+
+site_network is memoized per (g, w) in the graph's ``solved`` dict under
+(id(w), "sites"), flux_coefficients under (id(w), "flux").  The start is
+not in the key: a new start costs no solve, and H (n-by-m floats) is
+kept while w lives.  An entry holds w weakly and is a hit only while
+that reference still points at w, so a reused id gives no false hit,
+and each miss drops the entries of weights that are gone.  The arrays
+returned and w.p are read-only; a failed solve is not stored.
+feynman_kac shares only the flux coefficients, so it stays a route
+independent of kac.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection
 
 import numpy as np
@@ -64,6 +72,34 @@ class GreenMatrix:
 
     active: tuple[str, ...]
     entries: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SiteNetwork:
+    """The walk watched on the active sites: L, its exit rates R[:, m] = L 1,
+    H over the sites (a row per vertex) and the split of every start asked."""
+
+    active: tuple[str, ...]
+    laplacian: np.ndarray
+    exit_rates: np.ndarray
+    measures: np.ndarray
+    splits: dict = field(default_factory=dict)
+
+    def split(self, g: MetricGraph, x: PointOnGraph | str) -> HittingSplit:
+        """The first-hit split from x; at t = a/l along an edge (u, v), from
+        the row (1 - t) H[u] + t H[v]."""
+        x = locate(g, x)
+        if x not in self.splits:
+            if x.is_vertex:
+                h = self.measures[g.vertex_index[x.vertex]]
+            else:
+                e, t = g.edges[x.edge], x.offset / g.edges[x.edge].length
+                u, v = self.measures[[g.vertex_index[end] for end in e.endpoints]]
+                h = (1.0 - t) * u + t * v
+            alpha_inf = float(h.sum())
+            p = h / alpha_inf if alpha_inf > 0.0 else np.zeros(len(h))
+            self.splits[x] = HittingSplit(alpha_inf, _frozen(p), self.active)
+        return self.splits[x]
 
 
 def _memo(g: MetricGraph, w: EdgeWeights, key: tuple, solve):
@@ -109,76 +145,46 @@ def vertex_mask(g: MetricGraph, vertices: Collection[str]) -> np.ndarray:
     return mask
 
 
-def _green(g: MetricGraph, w: EdgeWeights) -> tuple[GreenMatrix, np.ndarray]:
-    """The Green matrix, plus the expected local times at the active
-    vertices (columns) from every vertex (rows, in vertex order).
-
-    For each active vertex c, solve the edge-affine problem vanishing on
-    all exits with zero flux everywhere except rho_c = -1; by optional
-    stopping its value at a vertex is the expected local time at c.
-    """
-    active = g.active_vertices
-    rows = [g.vertex_index[c] for c in active]
-    b = np.zeros((len(g.vertex_ids), len(active)))
-    b[rows, np.arange(len(active))] = -1.0
-    a = flux_system(g, flux_coefficients(g, w), vertex_mask(g, g.exit_vertices))
-    f = algebra.solve_many(a, b)
-    return GreenMatrix(active, _frozen(f[rows, :])), f
-
-
-def green_and_split(
-    g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str
-) -> tuple[GreenMatrix, HittingSplit]:
-    """The Green matrix and the first-hit split from x, from one solve.
-
-    A walk from x collects local time on the active set only after its
-    first hit there, so G[x, A] = H_x . G[A, A], where H_x[c] is the
-    probability that c is the first active vertex hit before any exit.
-    x is any point: every Green function is affine along an edge, so at
-    offset a of an edge (u, v) of length l, G[x, A] is
-    (1 - t) G[u, A] + t G[v, A] with t = a/l, from the same Green solve.
-    A small solve against G[A, A] gives H_x, clipped at 0 against
-    roundoff; its sum is ``alpha_inf``.  Memoized: see the module
-    docstring.
-    """
+def site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
+    """The sites' reduced network; memoized (see the module docstring)."""
     require_valid(g)
-    x = locate(g, x)
-    start = x.vertex if x.is_vertex else (x.edge, x.offset)
-    return _memo(g, w, ("green", start), lambda: _green_and_split(g, w, x))
+    return _memo(g, w, ("sites",), lambda: _site_network(g, w))
 
 
-def _green_and_split(
-    g: MetricGraph, w: EdgeWeights, x: PointOnGraph
-) -> tuple[GreenMatrix, HittingSplit]:
-    active = g.active_vertices
-    if not active:
-        return GreenMatrix((), np.zeros((0, 0))), HittingSplit(0.0, np.zeros(0), ())
-    gm, f = _green(g, w)
-    h = np.zeros(len(active))
-    if x.vertex in active:
-        h[active.index(x.vertex)] = 1.0
-    elif x.vertex not in g.exit_vertices:  # a point inside an edge has vertex None
-        if x.is_vertex:
-            row = f[g.vertex_index[x.vertex], :]
-        else:
-            e, t = g.edges[x.edge], x.offset / g.edges[x.edge].length
-            u, v = f[[g.vertex_index[end] for end in e.endpoints], :]
-            row = (1.0 - t) * u + t * v
-        h = np.maximum(algebra.solve_many(gm.entries.T, row), 0.0)
-    alpha_inf = float(h.sum())
-    return gm, HittingSplit(alpha_inf, _frozen(h / alpha_inf if alpha_inf > 0.0 else h), active)
+def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
+    active, t, index = g.active_vertices, g.half_edge_table, g.vertex_index
+    n, m = len(index), len(active)
+    # the right-hand column of each vertex: its site number, m at an exit
+    # and m + 1, a zero row of the identity below, at every other vertex
+    col = np.full(n, m + 1)
+    col[[index[c] for c in active]] = np.arange(m)
+    col[[index[x] for x in g.exit_vertices]] = m
+    coeff = flux_coefficients(g, w)
+    h = algebra.solve_many(flux_system(g, coeff, col <= m), np.eye(m + 2, m + 1)[col])
+    np.maximum(h, 0.0, out=h)  # LU roundoff can leave -1e-16 where a probability is 0
+    # R = C H, C[i, v] the coefficients from active[i] to v: CSR at many sites
+    src = col[t.source]
+    if m > algebra.SPARSE_MIN_ORDER:
+        from scipy.sparse import csr_matrix
+        c = csr_matrix((coeff, (src, t.target)), shape=(m + 2, n))
+    else:
+        c = np.bincount(src * n + t.target, coeff, (m + 2) * n).reshape(m + 2, n)
+    r = c[:m] @ h
+    r.flat[:: m + 2] = 0.0  # a return to the site left is no move
+    lap = -r[:, :m]
+    lap.flat[:: m + 1] = r.sum(axis=1)
+    return SiteNetwork(active, _frozen(lap), _frozen(r)[:, m], _frozen(h)[:, :m])
 
 
-def hitting_split(
-    g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str
-) -> HittingSplit:
+def hitting_split(g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str) -> HittingSplit:
     """First-hit distribution over active vertices, from start point x."""
-    return green_and_split(g, w, x)[1]
+    return site_network(g, w).split(g, x)
 
 
 def green_matrix(g: MetricGraph, w: EdgeWeights) -> GreenMatrix:
-    """Local-time matrix over the active vertices."""
-    require_valid(g)
-    if not g.active_vertices:
+    """Local-time matrix over the active vertices, L^-1."""
+    net = site_network(g, w)
+    if not net.active:
         raise PreconditionError("graph has no active vertices")
-    return _green(g, w)[0]
+    inverse = algebra.solve_many(net.laplacian, np.eye(len(net.active)))
+    return GreenMatrix(net.active, _frozen(inverse))

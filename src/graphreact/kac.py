@@ -1,18 +1,16 @@
-"""Survival and conversion probabilities from the Green matrix.
+"""Survival and conversion probabilities on the sites' reduced network.
 
 Killing a diffusion at rate kappa per unit of local time at the active
-vertices turns survival into linear algebra on the local-time matrix G:
-the survival probabilities started on the active set solve
+vertices turns survival into linear algebra on the sites.  With L the
+Laplacian of the walk watched on them, the inverse of the local-time
+matrix G, and M_kappa the diagonal of site strengths, the survival
+probabilities started on the sites solve (L + M_kappa) psi = L 1, whose
+right side is each site's rate to the exits.  The first-hit split takes
+that to any start point.  For uniform kappa the eigenvectors of L make
+the curve a mixture of single-site curves lam kappa / (1 + lam kappa),
+one per eigenvalue 1/lam of L: its closed rational form in kappa.
 
-    (I + G M_kappa) psi = 1,
-
-with M_kappa the diagonal of site strengths.  Conversion from an
-arbitrary start point combines that with the first-hit split.  For
-uniform kappa the eigendecomposition of G makes the whole curve a
-mixture of single-site curves L kappa / (1 + L kappa), one per
-eigenvalue L, which yields its closed rational form in kappa.
-
-G and the split do not depend on kappa, and harmonic memoizes them on
+L and the splits do not depend on kappa, and harmonic memoizes them on
 the graph, so a kappa sweep is plain per-point calls to conversion.
 """
 
@@ -28,7 +26,7 @@ from . import algebra
 from .algebra import Polynomial, RationalForm
 from .errors import PreconditionError, SingularSystemError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
-from .harmonic import GreenMatrix, green_and_split, green_matrix
+from .harmonic import SiteNetwork, green_matrix, site_network
 
 
 @dataclass(frozen=True)
@@ -93,20 +91,19 @@ class ConversionResult:
         return tuple(pj * sj for pj, sj in zip(self.p, self.site_survival))
 
 
-def survival_on_active(gm: GreenMatrix, ks: KappaSpec) -> np.ndarray:
-    """Survival probabilities started on the active set: solve
-    (I + G M_kappa) psi = 1.
+def survival_on_active(net: SiteNetwork, ks: KappaSpec) -> np.ndarray:
+    """Survival probabilities started on the active set: (L + M_kappa) psi = L 1.
 
     The columns are scaled by s_j = 1/max(1, kappa_j), so the solve is
-    (S + G diag(min(kappa_j, 1))) y = 1 with psi = S y, and no entry
+    (L S + diag(min(kappa_j, 1))) y = L 1 with psi = S y, and no entry
     overflows at huge finite kappa.  An infinite kappa_j is the limit
-    s_j = 0: the site absorbs, and psi_j = 0.
+    s_j = 0: the site absorbs, and psi_j = 0 exactly.
     """
-    values = ks.values(gm.active)
+    values = ks.values(net.active)
     s = 1.0 / np.maximum(values, 1.0)
-    a = gm.entries * np.minimum(values, 1.0)
-    a.flat[:: len(s) + 1] += s
-    return s * algebra.solve_many(a, np.ones(len(s)))
+    a = net.laplacian * s
+    a.flat[:: len(s) + 1] += np.minimum(values, 1.0)
+    return s * algebra.solve_many(a, net.exit_rates)
 
 
 def conversion(
@@ -114,34 +111,21 @@ def conversion(
 ) -> ConversionResult:
     """Conversion probability from start point x at strengths ks.
 
-    Kappa per site, finite or not, and finite uniform kappa go through
-    the survival solve on the active set.  Uniform infinity is handled
-    symbolically (alpha equals the hitting probability alpha_inf).
+    Every kappa but uniform 0 goes through the survival solve on the
+    active set, where an infinite kappa gives survival exactly 0 (and
+    alpha the hitting probability alpha_inf).
     """
-    gm, hs = green_and_split(g, w, x)
+    net = site_network(g, w)
+    hs = net.split(g, x)
     sites = hs.active
     if not sites:
         return ConversionResult(0.0, 1.0, 0.0, (), (), ())
 
-    if ks.is_uniform and ks.uniform == 0.0:
-        ratios = np.ones(len(sites))
-    elif ks.is_uniform and math.isinf(ks.uniform):
-        ratios = np.zeros(len(sites))
-    else:
-        ratios = survival_on_active(gm, ks)
-
-    if hs.alpha_inf == 0.0 or (ks.is_uniform and ks.uniform == 0.0):
-        alpha = 0.0
-    else:
-        alpha = hs.alpha_inf * (1.0 - float(hs.p @ ratios))
-    return ConversionResult(
-        alpha=alpha,
-        psi=1.0 - alpha,
-        alpha_inf=hs.alpha_inf,
-        sites=sites,
-        p=tuple(float(v) for v in hs.p),
-        site_survival=tuple(float(v) for v in ratios),
-    )
+    zero = ks.is_uniform and ks.uniform == 0.0
+    ratios = np.ones(len(sites)) if zero else survival_on_active(net, ks)
+    alpha = 0.0 if zero or hs.alpha_inf == 0.0 else hs.alpha_inf * (1.0 - float(hs.p @ ratios))
+    return ConversionResult(alpha, 1.0 - alpha, hs.alpha_inf, sites,
+                            tuple(map(float, hs.p)), tuple(map(float, ratios)))
 
 
 def _running_products(lam: np.ndarray) -> list[np.ndarray]:
@@ -157,8 +141,9 @@ def rational_form(
 ) -> RationalForm:
     """Conversion as an explicit ratio of polynomials in kappa.
 
-    With G = V diag(lambda) V^-1 and c = (p V) * (V^-1 1), whose entries
-    sum to 1, the curve is a mixture of single-site curves:
+    With L = V diag(mu) V^-1, G = L^-1 has eigenvalues lambda = 1/mu on
+    the same vectors; with c = (p V) * (V^-1 1), whose entries sum to 1,
+    the curve is a mixture of single-site curves:
 
         alpha = alpha_inf * sum_i c_i kappa lambda_i / (1 + kappa lambda_i).
 
@@ -170,10 +155,12 @@ def rational_form(
     coefficients are then real up to roundoff and their real parts kept.
     Coefficients that a float cannot hold raise SingularSystemError.
     """
-    gm, hs = green_and_split(g, w, x)
+    net = site_network(g, w)
+    hs = net.split(g, x)
     if not hs.active:
         return RationalForm(Polynomial(), Polynomial((1.0,)))
-    lam, vecs = np.linalg.eig(gm.entries)
+    mu, vecs = np.linalg.eig(net.laplacian)
+    lam = 1.0 / mu
     try:
         c = (hs.p @ vecs) * np.linalg.solve(vecs, np.ones(len(lam)))
     except np.linalg.LinAlgError:

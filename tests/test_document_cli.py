@@ -12,6 +12,7 @@ from graphreact import (
     ActiveZoneSpec,
     DocumentError,
     KappaSpec,
+    ParsedDocument,
     PointOnGraph,
     SimConfig,
     collapse_study,
@@ -444,6 +445,19 @@ def test_round_trip_preserves_weights_and_dimension():
     assert w1.p == w2.p
 
 
+def test_emit_rejects_an_injection_on_a_shared_edge_pair():
+    doc = path_site_doc()
+    doc["edges"].append({"from": "v0", "to": "c", "length": 2.0, "radius": 1.0})
+    g = parse_document(doc).graph
+    for k in (0, 2):  # either edge of the pair: [v0, c] names both
+        parsed = ParsedDocument(g, None, PointOnGraph.on_edge(k, 0.25))
+        with pytest.raises(DocumentError, match=r"names edges \[0, 2\]"):
+            emit_document(parsed)
+    # the edge to the exit is the only one stored as [c, a]
+    again = parse_document(emit_document(ParsedDocument(g, None, PointOnGraph.on_edge(1, 0.5))))
+    assert again.injection == PointOnGraph.on_edge(1, 0.5)
+
+
 def test_cli_convert_validates_once(tmp_path, capsys, monkeypatch):
     import graphreact.graph as graph_mod
 
@@ -509,6 +523,15 @@ def test_cli_rational_long_uniform_chain(tmp_path, capsys):
     assert all(math.isfinite(c) for c in num + den)
 
 
+def test_cli_convert_long_uniform_chain_prints_no_negative_number(tmp_path, capsys):
+    # psi_kac printed -3.5886849048e-12 here, and 178 site_survival rows < 0
+    assert main(["convert", _write(tmp_path, _uniform_chain_doc(400)), "--kappa", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "psi_kac   = 0\n" in out
+    numbers = [tok for line in out.splitlines() for tok in line.replace(" = ", ",").split(",")]
+    assert not [tok for tok in numbers if tok.startswith("-")]
+
+
 def test_cli_rational_overflow_is_a_numerical_failure(tmp_path, capsys):
     # at 600 sites the coefficients pass 1e308: this printed a row of nan
     with warnings.catch_warnings():
@@ -520,15 +543,16 @@ def test_cli_rational_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert "Warning" not in err and "Traceback" not in err
 
 
-def _closed_early(argv: list[str]) -> tuple[int, str]:
+def _closed_early(argv: list[str], unbuffered: bool) -> tuple[int, str]:
     """Exit code and stderr of the CLI whose reader closes stdout after 100 bytes.
 
-    The CLI runs with Python's default buffered stdout: an unbuffered one
-    drops the rest of a single write that the closed pipe cuts short, and
-    raises nothing.
+    With an unbuffered stdout (PYTHONUNBUFFERED) the closed pipe cuts a
+    single write short instead of raising, and the CLI must still see it.
     """
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "graphreact.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env={**env, "PYTHONPATH": str(src)})
@@ -546,6 +570,7 @@ def test_cli_reader_closing_stdout_early_exits_1_quietly(command, tmp_path):
     else:  # one write of ~180 KB, well past a 64 KiB pipe buffer
         argv = ["sweep", str(FIXTURES / "path_site.json"), "--kappa-min", "0",
                 "--kappa-max", "10", "--steps", "2000"]
-    code, err = _closed_early(argv)
-    assert code == 1
-    assert "Traceback" not in err and "Exception ignored" not in err, err
+    for unbuffered in (False, True):
+        code, err = _closed_early(argv, unbuffered)
+        assert code == 1, unbuffered
+        assert "Traceback" not in err and "Exception ignored" not in err, err

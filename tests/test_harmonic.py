@@ -19,9 +19,9 @@ from graphreact import (
     PointOnGraph,
 )
 from graphreact import algebra
-from graphreact.harmonic import flux_coefficients, flux_system, green_and_split
+from graphreact.harmonic import flux_coefficients, flux_system, site_network
 from helpers import chain_graph, kappa_samples, path_graph, random_graph, star_graph, y_graph
-from oracles import split_at, vertex_flux
+from oracles import censored_rates, split_at, vertex_flux
 
 
 def test_flux_of_constant_is_zero():
@@ -217,6 +217,23 @@ def test_degree2_insertion_leaves_green_and_split_invariant():
         assert np.max(np.abs(hs.p - hs2.p)) <= 1e-10
 
 
+@pytest.mark.parametrize("chords", [0, 2], ids=["trees", "chords"])
+def test_site_rates_match_the_dense_schur_complement(chords):
+    rng = np.random.default_rng(40 + chords)
+    for i in range(20):
+        g, _ = random_graph(rng, max_core=7, max_extra=chords, random_radii=(i % 2 == 0))
+        w = derive_weights(g)
+        net = site_network(g, w)
+        m = len(net.active)
+        states = [g.vertex_index[v] for v in net.active + g.exit_vertices]
+        oracle = censored_rates(g, w, states)[:m]
+        want = np.column_stack((oracle[:, :m], oracle[:, m:].sum(axis=1)))
+        got = np.column_stack((-net.laplacian, net.exit_rates))
+        got[:, :m].flat[:: m + 1] = 0.0
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.diag(net.laplacian), want.sum(axis=1), rtol=1e-12, atol=0.0)
+
+
 def _fresh(g):
     """The same graph as a new object, with nothing memoized on it."""
     return MetricGraph(g.vertices, g.edges, g.dimension)
@@ -288,10 +305,10 @@ def test_weights_made_anew_do_not_grow_the_memo():
     want = conversion(_fresh(g), derive_weights(g), start, ks)
     for _ in range(20):
         assert conversion(g, derive_weights(g), start, ks) == want
-    assert len(g.solved) <= 2  # the flux and Green entries of the last weights
+    assert len(g.solved) <= 2  # the flux and sites entries of the last weights
 
 
-def test_a_different_start_gets_its_own_entry(monkeypatch):
+def test_a_different_start_reuses_the_entry(monkeypatch):
     g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
     w = derive_weights(g)
     calls = _count_vertex_solves(monkeypatch, g)
@@ -299,8 +316,8 @@ def test_a_different_start_gets_its_own_entry(monkeypatch):
     for start in ("v0", "c2", "v0", "c2"):
         g2 = _fresh(g)
         assert conversion(g, w, start, ks) == conversion(g2, derive_weights(g2), start, ks)
-    # one solve per start on g, and one per fresh graph
-    assert len(calls) == 2 + 4
+    # one solve on g for every start, and one per fresh graph
+    assert len(calls) == 1 + 4
 
 
 @pytest.mark.parametrize("route", [
@@ -315,12 +332,11 @@ def test_an_edge_end_reuses_its_vertex_memo_entry(monkeypatch, route):
         route(g, w, vertex)
         for edge, offset in points:
             route(g, w, PointOnGraph.on_edge(edge, offset))
-    assert len(calls) == 2
-    # a point inside an edge has its own entry
+    # a point inside an edge reads the same entry: the start is not in the key
     for _ in range(2):
         route(g, w, PointOnGraph.on_edge(2, 0.3))
-    assert len(calls) == 3
-    assert {key[2] for key in g.solved if key[1] == "green"} == {"v0", "c2", (2, 0.3)}
+    assert len(calls) == 1
+    assert [key[1:] for key in g.solved] == [("flux",), ("sites",)]
 
 
 def test_survival_solve_shares_only_the_flux_coefficients():
@@ -329,7 +345,7 @@ def test_survival_solve_shares_only_the_flux_coefficients():
     solve_survival(g, w, KappaSpec.constant(1.0))
     assert [key[1:] for key in g.solved] == [("flux",)]
     conversion(g, w, start, KappaSpec.constant(1.0))
-    assert sorted(key[1:] for key in g.solved) == [("flux",), ("green", start)]
+    assert sorted(key[1:] for key in g.solved) == [("flux",), ("sites",)]
 
 
 def test_a_failed_solve_is_not_memoized(monkeypatch):
@@ -342,21 +358,21 @@ def test_a_failed_solve_is_not_memoized(monkeypatch):
 
     monkeypatch.setattr(algebra, "solve_many", failing)
     with pytest.raises(SingularSystemError):
-        green_and_split(g, w, start)
+        site_network(g, w)
     monkeypatch.setattr(algebra, "solve_many", solve)
-    gm, hs = green_and_split(g, w, start)
-    assert hs.alpha_inf == pytest.approx(1.0, abs=1e-12)
+    assert hitting_split(g, w, start).alpha_inf == pytest.approx(1.0, abs=1e-12)
 
 
 def test_memoized_arrays_and_weights_reject_writes():
     g, start, _ = chain_graph((1.0, 0.5, 0.8))
     w = derive_weights(g)
-    for x in (start, "c2"):
-        gm, hs = green_and_split(g, w, x)
+    net = site_network(g, w)
+    for a in (green_matrix(g, w).entries, net.laplacian, net.exit_rates, net.measures):
         with pytest.raises(ValueError):
-            gm.entries[0, 0] = 1.0
+            a[0] = 1.0
+    for x in (start, "c2", PointOnGraph.on_edge(1, 0.2)):
         with pytest.raises(ValueError):
-            hs.p[0] = 0.5
+            hitting_split(g, w, x).p[0] = 0.5
     with pytest.raises(ValueError):
         flux_coefficients(g, w)[0] = 1.0
     with pytest.raises(TypeError):

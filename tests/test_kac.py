@@ -21,8 +21,9 @@ from graphreact import (
     placement_leading_coeff,
     rational_form,
     solve_survival,
-    survival_on_active,
 )
+from graphreact.harmonic import SiteNetwork
+from graphreact.kac import survival_on_active
 from helpers import (
     chain_graph,
     degree1_graph,
@@ -41,9 +42,15 @@ def _gm(entries, sites=None):
     return GreenMatrix(tuple(sites), entries)
 
 
+def _net(gm):
+    """The sites' network whose Green matrix is gm: L = inv(G), exit rates L 1."""
+    lap = np.linalg.inv(gm.entries)
+    return SiteNetwork(gm.active, lap, lap.sum(axis=1), np.eye(len(lap)))
+
+
 def test_survival_kappa_zero_is_one():
     gm = _gm(random_green_matrix(np.random.default_rng(0), 3))
-    psi = survival_on_active(gm, KappaSpec.constant(0.0))
+    psi = survival_on_active(_net(gm), KappaSpec.constant(0.0))
     assert np.allclose(psi, 1.0, atol=1e-14)
 
 
@@ -51,7 +58,7 @@ def test_survival_single_site_exponential_mean():
     lam = 2.0
     gm = _gm([[lam]])
     for kappa in (0.1, 1.0, 7.5):
-        psi = survival_on_active(gm, KappaSpec.constant(kappa))
+        psi = survival_on_active(_net(gm), KappaSpec.constant(kappa))
         assert psi[0] == pytest.approx(1.0 / (1.0 + lam * kappa), abs=1e-14)
 
 
@@ -59,7 +66,7 @@ def test_survival_det_matches_solve_on_chain():
     g, _, _ = chain_graph((1.0, 0.5, 0.5))
     gm = green_matrix(g, derive_weights(g))
     ks = KappaSpec.constant(1.3)
-    psi = survival_on_active(gm, ks)
+    psi = survival_on_active(_net(gm), ks)
     for j in range(2):
         assert survival_det(gm, ks, j) == pytest.approx(psi[j], abs=1e-12)
 
@@ -90,7 +97,7 @@ def test_cramer_identity_hundred_instances():
             ks = KappaSpec.per_vertex(
                 {s: float(rng.uniform(0.0, 10.0)) for s in gm.active}
             )
-        psi = survival_on_active(gm, ks)
+        psi = survival_on_active(_net(gm), ks)
         for j in range(n):
             assert survival_det(gm, ks, j) == pytest.approx(psi[j], abs=1e-12)
 
@@ -407,3 +414,15 @@ def test_conversion_uniform_400_site_chain_matches_recursion():
     for kappa in (1e-3, 0.02, 0.3, 3.0, 10.0):
         alpha = conversion(g, w, start, KappaSpec.constant(kappa)).alpha
         assert alpha == pytest.approx(chain_alpha_recursive(gaps, 2.0 * kappa), abs=1e-9)
+
+
+@pytest.mark.parametrize("sites", [400, 500])
+def test_long_uniform_chain_survival_is_never_negative(sites):
+    # solving back against G[A, A] printed psi_kac -3.59e-12 and 178
+    # negative site survivals at 400 sites, psi_kac -8.17e-13 at 500
+    g, start, _ = chain_graph((1.0,) * (sites + 1))
+    res = conversion(g, derive_weights(g), start, KappaSpec.constant(1.0))
+    assert res.alpha_inf == 1.0
+    assert res.p == (1.0,) + (0.0,) * (sites - 1)
+    assert res.psi >= 0.0
+    assert min(res.site_survival) >= 0.0
