@@ -94,27 +94,27 @@ class ConversionResult:
 def survival_on_active(net: SiteNetwork, ks: KappaSpec) -> np.ndarray:
     """Survival probabilities started on the active set: (L + M_kappa) psi = L 1.
 
-    The columns are scaled by s_j = 1/max(1, kappa_j), so the solve is
-    (L S + diag(min(kappa_j, 1))) y = L 1 with psi = S y, and no entry
-    overflows at huge finite kappa.  An infinite kappa_j is the limit
-    s_j = 0: the site absorbs, and psi_j = 0 exactly.
+    The same solve gives phi = 1 - psi from (L + M_kappa) phi = M_kappa 1; each
+    is accurate where it is the smaller, and psi is 1 - phi where phi is.  The
+    columns are scaled by s_j = 1/max(1, kappa_j), so nothing overflows at huge
+    finite kappa; an infinite kappa_j is s_j = 0: the site absorbs, psi_j = 0,
+    and phi_j = 1 moves -L[:, j] to phi's right side.
     """
     values = ks.values(net.active)
     s = 1.0 / np.maximum(values, 1.0)
     a = net.laplacian * s
     a.flat[:: len(s) + 1] += np.minimum(values, 1.0)
-    return s * algebra.solve_many(a, net.exit_rates)
+    gone = np.isinf(values)
+    kill = np.where(gone, 0.0, values) - net.laplacian @ gone if gone.any() else values
+    psi, phi = s * algebra.solve_many(a, np.array((net.exit_rates, kill)).T).T
+    return np.where(phi < psi, 1.0 - phi, psi)
 
 
 def conversion(
     g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str, ks: KappaSpec
 ) -> ConversionResult:
-    """Conversion probability from start point x at strengths ks.
-
-    Every kappa but uniform 0 goes through the survival solve on the
-    active set, where an infinite kappa gives survival exactly 0 (and
-    alpha the hitting probability alpha_inf).
-    """
+    """Conversion probability from start point x at strengths ks; every kappa
+    but uniform 0 goes through the survival solve on the active set."""
     net = site_network(g, w)
     hs = net.split(g, x)
     sites = hs.active

@@ -426,3 +426,21 @@ def test_long_uniform_chain_survival_is_never_negative(sites):
     assert res.p == (1.0,) + (0.0,) * (sites - 1)
     assert res.psi >= 0.0
     assert min(res.site_survival) >= 0.0
+
+
+def test_tiny_kappa_keeps_alpha_accurate_and_nonnegative():
+    # psi solved from L alone is 1 within cond(L) * eps, and alpha = 1 - p.psi
+    # lost it: 8.9e-14 here for 1.6e-11, and -4.2e-15 on random graphs
+    g, start, _ = chain_graph((1.0,) * 401)
+    w = derive_weights(g)
+    slope = float(green_matrix(g, w).entries[0].sum())  # alpha ~ kappa (G 1)[c1]
+    for kappa in (1e-16, 1e-12):
+        alpha = conversion(g, w, start, KappaSpec.constant(kappa)).alpha
+        assert alpha == pytest.approx(kappa * slope, rel=1e-4)
+    rng = np.random.default_rng(4)
+    for i in range(200):
+        g, start = random_graph(rng, max_core=8, max_extra=4 if i % 2 else 0, max_active=4)
+        w = derive_weights(g)
+        for kappa in (1e-300, 1e-16, 1e-12, 1e-8):
+            res = conversion(g, w, start, KappaSpec.constant(kappa))
+            assert res.alpha >= 0.0 and max(res.site_survival) <= 1.0
