@@ -40,7 +40,7 @@ from . import algebra
 from .errors import PreconditionError
 from .feynman_kac import evaluate_at, solve_survival
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
-from .harmonic import flux_system, vertex_mask
+from .harmonic import flux_coefficients, flux_system, vertex_mask
 from .kac import KappaSpec
 
 
@@ -198,6 +198,7 @@ class _ZonedGraph:
         self.exits = vertex_mask(g, g.exit_vertices)
         self.b = self.exits.astype(float)
         self.p = w.along(t.keys)
+        self.flux = flux_coefficients(g, w)  # p/l, which raises where it overflows
         self.near, self.far = active[t.source], active[t.target]
         self.zones = self.near + self.far.astype(float)  # zones on the half-edge's edge
         self.any_zone = bool(active.any())
@@ -215,7 +216,7 @@ class _ZonedGraph:
         mu = zone.mu
         fixed, inner = self.exits, None
         if not (self.any_zone and mu * a > 0):  # k = 0, or k/(h D) or h*delta underflowed
-            coeff, kill = self.p / t.length, 0.0
+            coeff, kill = self.flux, 0.0
         else:
             cz, kz = _zone_port(mu, a)
             if math.isinf(cz):

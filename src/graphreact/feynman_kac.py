@@ -6,10 +6,10 @@ edge-affine, equals 1 at the exits, and at every other vertex satisfies
     sum over half-edges e out of v of p_v(e) * (F(t(e)) - F(v)) / l_e = kappa_v F(v)
 
 with kappa_v zero at inert vertices.  That is one linear system in the
-vertex values: the flux matrix that harmonic assembles for the Green
-solve, with the killing term on the diagonal.  It is solved here with no
-reference to the Green matrix itself, so the two routes can be checked
-against each other.
+vertex values: the flux matrix that harmonic assembles for the sites'
+network solve, with the killing term on the diagonal.  It is solved here
+with no reference to that network or to the Green matrix, so the two
+routes can be checked against each other.
 """
 
 from __future__ import annotations

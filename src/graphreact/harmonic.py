@@ -42,7 +42,7 @@ from typing import Collection
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SingularSystemError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
 from . import algebra
 
@@ -51,10 +51,10 @@ from . import algebra
 class HittingSplit:
     """Probability of reaching an active vertex before any exit.
 
-    ``alpha_inf`` is that probability from the start point; ``p[j]`` is
-    the probability the first active vertex hit is ``active[j]``,
-    conditional on hitting one at all.  When ``alpha_inf`` is zero the
-    split is all zeros by convention.
+    ``alpha_inf`` is that probability from the start point, never above
+    1; ``p[j]`` is the probability the first active vertex hit is
+    ``active[j]``, conditional on hitting one at all.  When ``alpha_inf``
+    is zero the split is all zeros by convention.
     """
 
     alpha_inf: float
@@ -96,9 +96,10 @@ class SiteNetwork:
                 e, t = g.edges[x.edge], x.offset / g.edges[x.edge].length
                 u, v = self.measures[[g.vertex_index[end] for end in e.endpoints]]
                 h = (1.0 - t) * u + t * v
-            alpha_inf = float(h.sum())
-            p = h / alpha_inf if alpha_inf > 0.0 else np.zeros(len(h))
-            self.splits[x] = HittingSplit(alpha_inf, _frozen(p), self.active)
+            total = float(h.sum())
+            p = h / total if total > 0.0 else np.zeros(len(h))
+            # roundoff can lift the sum of a row of H an ulp above 1
+            self.splits[x] = HittingSplit(min(total, 1.0), _frozen(p), self.active)
         return self.splits[x]
 
 
@@ -119,9 +120,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def flux_coefficients(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
-    """p_v(e)/l_e for every half-edge, in the order of g.half_edge_table."""
+    """p_v(e)/l_e for every half-edge, in the order of g.half_edge_table.
+
+    A finite weight over a length so short that the ratio overflows raises
+    SingularSystemError; a weight that is not finite is left to the caller.
+    """
+    return _memo(g, w, ("flux",), lambda: _frozen(_flux(g, w)))
+
+
+def _flux(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
     t = g.half_edge_table
-    return _memo(g, w, ("flux",), lambda: _frozen(w.along(t.keys) / t.length))
+    p = w.along(t.keys)
+    with np.errstate(over="ignore"):
+        c = p / t.length
+    over = np.isinf(c) & np.isfinite(p)
+    if np.count_nonzero(over):
+        vertex, edge = t.keys[over.argmax()]
+        raise SingularSystemError(f"p/l overflows a float at vertex {vertex!r} on edge {edge} "
+                                  f"(length {g.edges[edge].length!r})")
+    return c
 
 
 def flux_system(

@@ -76,7 +76,8 @@ class ConversionResult:
     ``site_survival[j]`` is the survival probability started at active
     site j; the per-site contributions to survival are
     ``p[j] * site_survival[j]`` and
-    alpha = alpha_inf * (1 - sum of those contributions).
+    alpha = alpha_inf * (1 - sum of those contributions), kept within
+    [0, alpha_inf] against roundoff.
     """
 
     alpha: float
@@ -124,6 +125,7 @@ def conversion(
     zero = ks.is_uniform and ks.uniform == 0.0
     ratios = np.ones(len(sites)) if zero else survival_on_active(net, ks)
     alpha = 0.0 if zero or hs.alpha_inf == 0.0 else hs.alpha_inf * (1.0 - float(hs.p @ ratios))
+    alpha = min(max(alpha, 0.0), hs.alpha_inf)  # p may sum an ulp above 1
     return ConversionResult(alpha, 1.0 - alpha, hs.alpha_inf, sites,
                             tuple(map(float, hs.p)), tuple(map(float, ratios)))
 

@@ -432,6 +432,29 @@ def test_cli_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["convert", "--kappa", "1"],
+    ["sweep", "--kappa-min", "0", "--kappa-max", "1", "--steps", "3"],
+    ["rational"],
+    ["green"],
+    ["hit"],
+    ["mc", "--kappa", "1", "--delta", "0.1", "--n", "100", "--seed", "1"],
+    ["diffuse", "--k", "2", "--delta", "0.1", "--diffusion", "1", "--h-list", "0.1"],
+    ["compare", "--kappa", "1", "--n", "100"],
+], ids=lambda command: command[0])
+def test_cli_edge_too_short_for_its_flux_exits_two(command, tmp_path, capsys):
+    # p/l overflows on c1-c2: convert warned twice and printed "residual nan
+    # exceeds nan", and mc called the weights unusable
+    doc = json.loads((FIXTURES / "chain_m3.json").read_text())
+    doc["edges"][1]["length"] = 1e-310
+    path = _write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], path, *command[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: p/l overflows a float at vertex 'c1' on edge 1 (length 1e-310)\n")
+
+
 def test_round_trip_preserves_weights_and_dimension():
     doc = path_site_doc()
     doc["dimension"] = 2

@@ -444,3 +444,19 @@ def test_tiny_kappa_keeps_alpha_accurate_and_nonnegative():
         for kappa in (1e-300, 1e-16, 1e-12, 1e-8):
             res = conversion(g, w, start, KappaSpec.constant(kappa))
             assert res.alpha >= 0.0 and max(res.site_survival) <= 1.0
+
+
+def test_conversion_stays_within_zero_alpha_inf_one():
+    # the sum of a row of H came out 1 + 2.2e-16 on draw 26, started at n3,
+    # so psi printed -2.2e-16 at kappa = inf; 469 of these 10500 conversions
+    # left 0 <= alpha <= alpha_inf <= 1 and 75 had a negative alpha or psi
+    rng = np.random.default_rng(9)
+    kappas = (0.0, 1e-9, 0.1, 1.0, 10.0, 1e9, math.inf)
+    for i in range(1500):
+        g, start = random_graph(rng, max_core=8, max_extra=4 if i % 2 else 0, max_active=4,
+                                random_radii=(i % 3 == 0))
+        w = derive_weights(g)
+        for kappa in kappas:
+            res = conversion(g, w, start, KappaSpec.constant(kappa))
+            assert 0.0 <= res.alpha <= res.alpha_inf <= 1.0, (i, kappa, res)
+            assert 0.0 <= res.psi <= 1.0, (i, kappa, res)

@@ -643,14 +643,21 @@ def test_estimates_pinned_bit_for_bit(case):
     assert simulate(*_pinned_case(case)) == PINNED[case]
 
 
+# (_BLOCK, _CHUNK, _COMPACT): blocks of 7 that compact at half; the same
+# blocks compacting while their draw block holds hundreds of rows; one block
+# of every walk that compacts only once all are parked; and blocks of 500
+# that compact at an eighth
+BLOCKINGS = [(7, 5, 2), (7, 4096, 2), (2000, 3, 1), (500, 4096, 8)]
+
+
 @pytest.mark.parametrize("case", list(PINNED))
 def test_estimates_do_not_depend_on_blocking(case, monkeypatch):
     from graphreact import mc
 
-    monkeypatch.setattr(mc, "_BLOCK", 7)
-    monkeypatch.setattr(mc, "_CHUNK", 5)
-    monkeypatch.setattr(mc, "_COMPACT", 2)
-    assert simulate(*_pinned_case(case)) == PINNED[case]
+    for blocking in BLOCKINGS:
+        for name, value in zip(("_BLOCK", "_CHUNK", "_COMPACT"), blocking):
+            monkeypatch.setattr(mc, name, value)
+        assert simulate(*_pinned_case(case)) == PINNED[case], blocking
 
 
 def test_guide_table_built_once_per_grid(monkeypatch):
