@@ -22,7 +22,7 @@ from .document import load_document, parse_document, prepare
 from .errors import DocumentError, GraphReactError, PreconditionError, SingularSystemError
 from .feynman_kac import evaluate_at, solve_survival
 from .kac import KappaSpec, conversion, rational_form
-from .harmonic import green_matrix, hitting_split
+from .harmonic import flux_coefficients, green_matrix, hitting_split
 
 
 _ROUTE_TOL = 1e-9  # how far two routes to the same survival may differ
@@ -72,7 +72,12 @@ def cmd_validate(args) -> int:
         for p in parsed.graph.violations:
             print(p)
         return 1
-    prepare(parsed)  # the injection and the weights, as every other command reads them
+    # the injection and the weights, as every other command reads them
+    g, w, _ = prepare(parsed)
+    # a weight is at most 1, so p/l can overflow only on a length at or
+    # below the float nearest 1/max, where 1/l is already inf
+    if min((e.length for e in g.edges), default=math.inf) <= 1.0 / sys.float_info.max:
+        flux_coefficients(g, w)
     print("OK")
     return 0
 

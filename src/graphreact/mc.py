@@ -122,19 +122,40 @@ Results are bit-identical for a given (seed, N), however the
 trajectories are blocked.
 
 Blocks.  The walkers of a block of ``_BLOCK`` move together, one numpy
-pass per move.  A walker that stops waits in a sink row that leads to
-itself, and once the waiting walkers are a quarter of the block
-(``_COMPACT``) the others are gathered into shorter arrays.  The gather
-builds their index once, with ``flatnonzero``, and takes every array with
-it.  A gather through a boolean mask costs numpy about 5 ns an element
-when the mask is random, and compaction made five of them, the block of
-draws among them.  On a 2-vCPU Xeon at 16384 walkers with a random
-quarter stopped, one mask gather took ~75 us and that of the draws ~130
-us, against ~18 us for ``flatnonzero`` and ~19 us for each integer
-take.  By index, an estimate of mc-oracle's ``tree50`` went from ~2.6 to
-~1.55 ms, of ``path_site`` from ~1.4 to ~0.95 ms and of ``chain_m3``
-from ~2.6 to ~2.3 ms (best of 3 s, in one process), with the same
-estimates bit for bit.
+pass per move.  A walker carries its state as a code, state << shift,
+the first bucket of its row of the guide table, and a move does only
+this: it takes the next row of draws, walks the guide (and its
+``passes``) to the leave column, looks up the next state's code there,
+multiplies in that state's sojourn factor, and counts the walkers that
+arrived at a stopping state, an exit or a zero factor.  A move into a
+stopping state takes its factor and leads straight to a sink that leads
+to itself with factor 1, so an arrived walker's product is final and it
+stays, parked, in the arrays.  The tables a move reads hold one entry per
+column, (states + 1) * width of them, made for each estimate; a table
+per bucket would be 2**11 entries a row at a hub.  No walker counts its
+own moves: an arrival at move t adds t to a running sum, and a capped
+walker adds the cap, so ``steps_mean`` is that integer sum over n, the
+float that the mean of the counts gives while the sum stays below
+2**53, and ``steps_max`` is the last move with an arrival, or the cap.
+
+Once the parked walkers are half the block (``_COMPACT``), the block
+writes every product out, parked or not, gathers the live walkers by
+one ``flatnonzero`` index and takes every array with it, the block of
+draws among them; a live walker's product is written again later.  A
+boolean mask gather costs numpy about 5 ns an element when the mask is
+random, against ~1 ns for an integer take.  A parked walker costs only
+its share of a move's few elementwise operations, and a compaction
+costs the write, the index and five takes, so fewer compactions pay
+for the parked walkers that they carry longer.  On a 2-vCPU Xeon,
+mc-oracle's three estimates (``path_site``, ``chain_m3``, ``tree50``;
+the sum of each one's best over 600 rounds in one process, alternating
+with the earlier loop) took 5.35-5.78 ms when a move retired its
+arrivals at once and compacted at a quarter, 4.50-4.76 ms with this
+move and compaction at a quarter, and 4.22-4.47 ms with compaction at
+half.  Over 200 rounds, compaction at a third read 4.65 ms, and
+``_COMPACT`` = 1, which compacts only once every walker is parked,
+13.2 ms.  Larger draw blocks gain nothing: ``_CHUNK`` = 1 << 14 read
+within 3% of 1 << 12, either way.
 """
 
 from __future__ import annotations
@@ -164,7 +185,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 1 << 17  # trajectories per block, which bounds memory
 _CHUNK = 1 << 12  # edge draws made at once, shared by the walkers still out
-_COMPACT = 4  # drop the absorbed walkers once they are a quarter
+_COMPACT = 2  # drop the parked walkers once they are half the block
 _MAX_DEGREE = 16  # the most rates in and out of a vertex that is eliminated
 
 
@@ -455,9 +476,10 @@ class _EdgeGuide:
         least[: nv * width] = np.ceil(cum * 2.0**53).ravel()
         return cls(shift, guide, least, int(np.bincount(low[inside]).max(initial=0)))
 
-    def leave(self, state: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Flat index of the leave column of each walker for draws m."""
-        idx = self.guide[(state << self.shift) + (m >> (53 - self.shift))]
+    def leave(self, code: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Flat index of the leave column of each walker for draws m; a
+        walker's code is its row's first bucket, state << shift."""
+        idx = self.guide[code + (m >> (53 - self.shift))]
         for _ in range(self.passes):
             idx += m >= self.least[idx]
         return idx
@@ -473,10 +495,12 @@ def _simulate_block(
     hi: int,
     cap: int,
     weights_out: np.ndarray,
-    steps_out: np.ndarray,
-) -> int:
+) -> tuple[int, int, int]:
+    """Walk trajectories lo to hi - 1 and write their products into
+    ``weights_out``.  Returns the walkers that reached the cap, the sum of
+    every walker's moves and the most moves of one."""
     keys = _stream_keys(seed, lo, hi)
-    local = np.arange(hi - lo)
+    slot = np.arange(lo, hi)
     t = 0
     index = grid.graph.vertex_index
     if start.is_vertex:
@@ -488,48 +512,52 @@ def _simulate_block(
         state = np.where(_uniform(_draws(keys, [0])[0]) * e.length < start.offset, second, first)
         t = 1
 
-    # the tables get one more state, the sink, where absorbed walkers
-    # wait until the next compaction
+    # a walker carries the code of its state, and one that arrives at an
+    # exit or a zero factor goes on to the sink, which leads to itself
+    edges = walk.guide
     sink = len(factor)
-    fac = np.append(factor, 1.0)
     stop = np.append(grid.absorbing[walk.states] | (factor == 0.0), False)
-    edges, nbr = walk.guide, walk.nbr
-
-    def retire(state, weight, local) -> int:
-        """Record and park the walkers that reached an absorbing vertex."""
-        hit = stop[state]
-        if not hit.any():
-            return 0
-        fin = hit.nonzero()[0]
-        weights_out[lo + local[fin]] = weight[fin]
-        steps_out[lo + local[fin]] = t
-        state[fin] = sink
-        return fin.size
+    fac = np.append(factor, 1.0)
+    after = np.where(stop, sink, np.arange(sink + 1)) << edges.shift
+    to, gain, arrive = after[walk.nbr], fac[walk.nbr], stop[walk.nbr]
+    parked_code = sink << edges.shift
 
     # the sojourn at the vertex each walker is on is counted on arrival
     weight = fac[state]
-    parked = retire(state, weight, local)
-    draws = np.empty((0, hi - lo))
+    code = after[state]
+    parked = int(np.count_nonzero(stop[state]))
+    steps_sum, steps_max = t * parked, t if parked else 0
+    draws = np.empty((0, hi - lo), dtype=np.intp)
     while True:
-        if parked and (_COMPACT * parked >= state.size or t >= cap):
-            kept = np.flatnonzero(state != sink)
-            local, state, weight, keys = (a.take(kept) for a in (local, state, weight, keys))
+        if parked and _COMPACT * parked >= code.size:
+            # a parked walker's product is final
+            weights_out[slot] = weight
+            kept = np.flatnonzero(code != parked_code)
+            slot, code, weight, keys = (a.take(kept) for a in (slot, code, weight, keys))
             draws, parked = draws.take(kept, axis=1), 0
-        if not local.size or t >= cap:
+        if not code.size or t >= cap:
             break
         if not len(draws):
             # the draws k = t of the next moves, a row each, as
             # m = u * 2**53
-            span = min(max(1, _CHUNK // local.size), cap - t)
+            span = min(max(1, _CHUNK // code.size), cap - t)
             draws = (_draws(keys, range(t, t + span)) >> np.uint64(11)).view(np.intp)
-        state = nbr[edges.leave(state, draws[0])]
+        idx = edges.leave(code, draws[0])
         draws = draws[1:]
         t += 1
-        weight *= fac[state]
-        parked += retire(state, weight, local)
-    weights_out[lo + local] = weight
-    steps_out[lo + local] = t
-    return local.size
+        code = to[idx]
+        weight *= gain[idx]
+        arrived = int(np.count_nonzero(arrive[idx]))
+        if arrived:
+            parked += arrived
+            steps_sum += t * arrived
+            steps_max = t
+    weights_out[slot] = weight
+    capped = code.size - parked
+    if capped:
+        steps_sum += t * capped
+        steps_max = t
+    return capped, steps_sum, steps_max
 
 
 def estimate_survival(
@@ -551,12 +579,11 @@ def estimate_survival(
     factor = _sojourn_factors(grid.graph, walk, ks)
     n = cfg.trajectories
     weights = np.empty(n)
-    steps = np.zeros(n, dtype=np.int64)
-    capped = sum(
-        _simulate_block(grid, walk, factor, start, cfg.seed, lo, min(lo + _BLOCK, n),
-                        cfg.step_cap, weights, steps)
-        for lo in range(0, n, _BLOCK)
-    )
+    capped = steps_sum = steps_max = 0
+    for lo in range(0, n, _BLOCK):
+        c, s, most = _simulate_block(grid, walk, factor, start, cfg.seed, lo,
+                                     min(lo + _BLOCK, n), cfg.step_cap, weights)
+        capped, steps_sum, steps_max = capped + c, steps_sum + s, max(steps_max, most)
     return SimEstimate(
         mean=float(np.mean(weights)),
         # a product that is the same on every trajectory has no error,
@@ -565,8 +592,10 @@ def estimate_survival(
                         if weights.min() < weights.max() else 0.0),
         trajectories=n,
         capped=capped,
-        steps_mean=float(np.mean(steps)),
-        steps_max=int(np.max(steps)),
+        # the sum of integers below 2**53 is exact, so this is np.mean of
+        # the per-walker counts, as a float
+        steps_mean=steps_sum / n,
+        steps_max=steps_max,
     )
 
 

@@ -100,6 +100,74 @@ def censored_rates(g: MetricGraph, w: EdgeWeights, states: Sequence[int]) -> np.
     return out
 
 
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def scalar_walks(
+    grid, ks: KappaSpec, x: PointOnGraph | str, seed: int, n: int, cap: int
+) -> tuple[list[float], list[int], list[bool]]:
+    """Each of n trajectories of ``mc.estimate_survival``'s censored walk,
+    one at a time in Python floats and integers.
+
+    Trajectory i reads draw k of its SplitMix64 stream,
+    mix64(key_i + (k+1)*GAMMA), for move k.  Its next state is the count
+    of the entries of its row of ``walk.cum`` at or below the uniform,
+    found by a scan of every column, and each arrival multiplies in the
+    state's sojourn factor 1/(1 + kappa*M), or s/(s + M) with s = 1/kappa
+    where kappa*M overflows.  A walk stops at an exit, at a factor of 0,
+    or after ``cap`` moves.  Returns each product, its move count and
+    whether it reached the cap.
+    """
+    g = grid.graph
+    start = locate(g, x)
+    walk = grid.walk(start)
+    width = walk.cum.shape[1]
+    factor = [1.0] * len(walk.states)
+    sites = g.active_vertices
+    for vid, kappa in zip(sites, ks.values(sites).tolist() if sites else ()):
+        i = int(walk.state[g.vertex_index[vid]])
+        m = float(walk.sojourn_mean[i])
+        factor[i] = (1.0 / (1.0 + kappa * m) if kappa * m < float("inf")
+                     else (1.0 / kappa) / (1.0 / kappa + m))
+    absorbing = grid.absorbing[walk.states].tolist()
+    stop = [a or f == 0.0 for a, f in zip(absorbing, factor)]
+    cum, nbr = walk.cum.tolist(), walk.nbr.tolist()
+    index = g.vertex_index
+    products, moves, capped = [], [], []
+    for i in range(n):
+        key = _mix64((seed & _MASK64) ^ _mix64((i + 1) * _GAMMA & _MASK64))
+
+        def uniform(k):
+            return (_mix64((key + (k + 1) * _GAMMA) & _MASK64) >> 11) * 2.0**-53
+
+        t = 0
+        if start.is_vertex:
+            state = int(walk.state[index[start.vertex]])
+        else:
+            e = g.edges[start.edge]
+            first, second = (int(walk.state[index[v]]) for v in e.endpoints)
+            state = second if uniform(0) * e.length < start.offset else first
+            t = 1
+        weight = factor[state]
+        while not stop[state] and t < cap:
+            u = uniform(t)
+            column = sum(u >= c for c in cum[state][:-1])
+            state = nbr[state * width + column]
+            t += 1
+            weight *= factor[state]
+        products.append(weight)
+        moves.append(t)
+        capped.append(not stop[state])
+    return products, moves, capped
+
+
 def _fresh_vertex_id(g: MetricGraph, base: str = "x") -> str:
     taken = g.vertex_index
     if base not in taken:

@@ -441,6 +441,7 @@ def test_cli_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     ["mc", "--kappa", "1", "--delta", "0.1", "--n", "100", "--seed", "1"],
     ["diffuse", "--k", "2", "--delta", "0.1", "--diffusion", "1", "--h-list", "0.1"],
     ["compare", "--kappa", "1", "--n", "100"],
+    ["validate"],
 ], ids=lambda command: command[0])
 def test_cli_edge_too_short_for_its_flux_exits_two(command, tmp_path, capsys):
     # p/l overflows on c1-c2: convert warned twice and printed "residual nan
@@ -453,6 +454,25 @@ def test_cli_edge_too_short_for_its_flux_exits_two(command, tmp_path, capsys):
         assert main([command[0], path, *command[1:]]) == 2
     assert capsys.readouterr().err == (
         "numerical failure: p/l overflows a float at vertex 'c1' on edge 1 (length 1e-310)\n")
+
+
+def test_validate_checks_the_flux_from_the_float_nearest_one_over_max(tmp_path, capsys):
+    # v0 has one edge, weight 1: 1/l is inf at l = 1/max, which rounds
+    # down, and finite at the next float up
+    doc = json.loads((FIXTURES / "chain_m3.json").read_text())
+    shortest = 1.0 / sys.float_info.max
+    doc["edges"][0]["length"] = shortest
+    path = _write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert main(["convert", path, "--kappa", "1"]) == 2
+        assert capsys.readouterr().err == err
+    assert err.startswith("numerical failure: p/l overflows a float at vertex 'v0' on edge 0")
+    doc["edges"][0]["length"] = math.nextafter(shortest, 1.0)
+    assert main(["validate", _write(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == "OK\n"
 
 
 def test_round_trip_preserves_weights_and_dimension():

@@ -31,6 +31,7 @@ from helpers import (
     star_graph,
     y_graph,
 )
+from oracles import scalar_walks
 
 
 def test_grid_vertex_transitions_reduce_to_weights():
@@ -608,17 +609,39 @@ def test_capped_product_counts_the_current_visit():
     assert est.mean == pytest.approx(1.0 / 2.0, rel=1e-12)
 
 
+def _trap_graph():
+    # from the junction j a walk meets the site c0, the leaf site c1
+    # (sojourn mean 2), the site c2 in front of the exit a, or the exit b
+    g = MetricGraph(
+        (Vertex("x0"), Vertex("j"), Vertex("c0", "active"), Vertex("c1", "active"),
+         Vertex("c2", "active"), Vertex("a", "exit"), Vertex("b", "exit")),
+        (Edge(("x0", "j"), 1.0), Edge(("j", "c0"), 1.0), Edge(("j", "c1"), 2.0),
+         Edge(("j", "c2"), 0.8), Edge(("c2", "a"), 1.0), Edge(("j", "b"), 1.5)),
+    )
+    return g
+
+
+# c0 absorbs at once, c1's 1e308 takes the s/(s + M) branch, and c2 is finite
+_TRAP_MIX = KappaSpec.per_vertex({"c0": math.inf, "c1": 1e308, "c2": 0.7})
+
+
 def _pinned_case(name):
     path, _ = path_graph()
     hub, hub_start = hub_graph(np.random.default_rng(64))
+    trap = _trap_graph()
     g, x, kappa, cfg = {
         "path": (path, "v0", 1.0, SimConfig(0.05, 2000, 11)),
         "path-interior": (path, PointOnGraph.on_edge(1, 0.25), 2.0, SimConfig(0.25, 2000, 8)),
         "star3": (*star_graph(3), 2.0, SimConfig(0.25, 2000, 5)),
         "hub": (hub, hub_start, 1.5, SimConfig(0.25, 2000, 3)),
         "hub-capped": (hub, hub_start, 0.7, SimConfig(0.25, 2000, 4, step_cap=6)),
+        "trap-inf": (trap, PointOnGraph.on_edge(0, 0.4), math.inf, SimConfig(0.25, 2000, 12)),
+        "trap-mix": (trap, "j", _TRAP_MIX, SimConfig(0.25, 2000, 13)),
+        "trap-mix-capped": (trap, "x0", _TRAP_MIX, SimConfig(0.25, 2000, 14, step_cap=3)),
+        "trap-at-site": (trap, "c0", _TRAP_MIX, SimConfig(0.25, 200, 15)),
     }[name]
-    return g, derive_weights(g), KappaSpec.constant(kappa), x, cfg
+    ks = kappa if isinstance(kappa, KappaSpec) else KappaSpec.constant(kappa)
+    return g, derive_weights(g), ks, x, cfg
 
 
 # estimates recorded with one sojourn factor per visit, one draw per move
@@ -635,12 +658,44 @@ PINNED = {
                        trajectories=2000, capped=0, steps_mean=3.887, steps_max=27),
     "hub-capped": SimEstimate(mean=0.5366640960123463, standard_error=0.008112689639094364,
                               trajectories=2000, capped=412, steps_mean=3.291, steps_max=6),
+    # walks that stop at a zero factor, recorded with every stopped walker
+    # retired after the move that stopped it
+    "trap-inf": SimEstimate(mean=0.207, standard_error=0.00906181870703335, trajectories=2000,
+                            capped=0, steps_mean=3.1725, steps_max=9),
+    "trap-mix": SimEstimate(mean=0.3454335528211061, standard_error=0.00900321106034862,
+                            trajectories=2000, capped=0, steps_mean=2.2915, steps_max=14),
+    "trap-mix-capped": SimEstimate(mean=0.3476079108875499, standard_error=0.00896285404931549,
+                                   trajectories=2000, capped=141, steps_mean=1.6835,
+                                   steps_max=3),
+    "trap-at-site": SimEstimate(mean=0.0, standard_error=0.0, trajectories=200, capped=0,
+                                steps_mean=0.0, steps_max=0),
 }
 
 
 @pytest.mark.parametrize("case", list(PINNED))
 def test_estimates_pinned_bit_for_bit(case):
     assert simulate(*_pinned_case(case)) == PINNED[case]
+
+
+@pytest.mark.parametrize("case", ["path-interior", "hub-capped", "trap-inf", "trap-mix",
+                                  "trap-mix-capped", "trap-at-site"])
+def test_estimates_match_the_scalar_walker(case):
+    g, w, ks, x, cfg = _pinned_case(case)
+    grid = build_grid(g, w, cfg.step)
+    products, moves, capped = scalar_walks(grid, ks, x, cfg.seed, cfg.trajectories,
+                                           cfg.step_cap)
+    weights, n = np.array(products), cfg.trajectories
+    est = estimate_survival(grid, ks, x, cfg)
+    assert type(est.steps_mean) is float and type(est.steps_max) is int
+    assert est == SimEstimate(
+        mean=float(np.mean(weights)),
+        standard_error=(float(np.std(weights, ddof=1) / math.sqrt(n))
+                        if weights.min() < weights.max() else 0.0),
+        trajectories=n,
+        capped=sum(capped),
+        steps_mean=float(np.mean(moves)),
+        steps_max=max(moves),
+    )
 
 
 # (_BLOCK, _CHUNK, _COMPACT): blocks of 7 that compact at half; the same
@@ -824,8 +879,8 @@ def test_guide_table_matches_the_column_count(graph):
     for v in range(nv):
         state = np.full(m.size, v)
         expect = (m[:, None] * 2.0**-53 >= cum[v, :-1]).sum(axis=1)
-        assert np.array_equal(table.leave(state, m) - v * width, expect), v
-    assert (table.leave(np.full(m.size, nv), m) == nv * width).all()
+        assert np.array_equal(table.leave(state << table.shift, m) - v * width, expect), v
+    assert (table.leave(np.full(m.size, nv << table.shift), m) == nv * width).all()
 
 
 def test_grid_rejects_missing_and_unusable_weights():
