@@ -612,13 +612,12 @@ def test_capped_product_counts_the_current_visit():
 def _trap_graph():
     # from the junction j a walk meets the site c0, the leaf site c1
     # (sojourn mean 2), the site c2 in front of the exit a, or the exit b
-    g = MetricGraph(
+    return MetricGraph(
         (Vertex("x0"), Vertex("j"), Vertex("c0", "active"), Vertex("c1", "active"),
          Vertex("c2", "active"), Vertex("a", "exit"), Vertex("b", "exit")),
         (Edge(("x0", "j"), 1.0), Edge(("j", "c0"), 1.0), Edge(("j", "c1"), 2.0),
          Edge(("j", "c2"), 0.8), Edge(("c2", "a"), 1.0), Edge(("j", "b"), 1.5)),
     )
-    return g
 
 
 # c0 absorbs at once, c1's 1e308 takes the s/(s + M) branch, and c2 is finite
@@ -658,8 +657,8 @@ PINNED = {
                        trajectories=2000, capped=0, steps_mean=3.887, steps_max=27),
     "hub-capped": SimEstimate(mean=0.5366640960123463, standard_error=0.008112689639094364,
                               trajectories=2000, capped=412, steps_mean=3.291, steps_max=6),
-    # walks that stop at a zero factor, recorded with every stopped walker
-    # retired after the move that stopped it
+    # walks that stop at a zero factor, recorded with the loop that moved
+    # each stopped walker to the sink within the move that stopped it
     "trap-inf": SimEstimate(mean=0.207, standard_error=0.00906181870703335, trajectories=2000,
                             capped=0, steps_mean=3.1725, steps_max=9),
     "trap-mix": SimEstimate(mean=0.3454335528211061, standard_error=0.00900321106034862,
