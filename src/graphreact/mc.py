@@ -512,8 +512,9 @@ def _simulate_block(
         state = np.where(_uniform(_draws(keys, [0])[0]) * e.length < start.offset, second, first)
         t = 1
 
-    # a walker carries the code of its state, and one that arrives at an
-    # exit or a zero factor goes on to the sink, which leads to itself
+    # a walker carries the code of its state; a move into an exit or a
+    # zero factor takes that state's factor and lands in the sink, which
+    # leads to itself
     edges = walk.guide
     sink = len(factor)
     stop = np.append(grid.absorbing[walk.states] | (factor == 0.0), False)
