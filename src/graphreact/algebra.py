@@ -5,6 +5,15 @@ A system is a dense square numpy array or, for the vertex systems, a
 right-hand columns at once and refined at most twice, which guarantees a
 residual bound; a failure raises SingularSystemError.
 
+A stack of K systems of one order is a (K, n, n) array, or Triplets with
+K rows of values; its right-hand sides carry the same leading axis.  A
+kappa sweep is such a stack: its callers assemble all its systems in a
+few array operations, where one call per point repeats them all.  Each
+system of a stack is factored, solved and refined on its own, so its
+solution and its error are the ones it has alone.  Callers cut a long
+stack into blocks (``blocks``) of at most STACK_ENTRIES matrix entries,
+K n^2 floats, so that a long grid never allocates them all at once.
+
 The factorization is chosen by size.  Triplets of order above
 SPARSE_MIN_ORDER go to SuperLU (scipy.sparse.linalg.splu, COLAMD
 ordering); everything else, including every m-by-m Green-matrix system,
@@ -47,6 +56,10 @@ RTOL = 1e-10
 #: see the module docstring)
 SPARSE_MIN_ORDER = 150
 
+#: most matrix entries, points times order squared, in one stack of
+#: systems; ``blocks`` cuts a longer stack into pieces of this size
+STACK_ENTRIES = 1 << 20
+
 
 @functools.cache
 def _lapack():
@@ -57,14 +70,12 @@ def _lapack():
 
 
 def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial pivoting (LAPACK dgetrf).
+    """LU factorization with partial pivoting (LAPACK dgetrf) of a square
+    float array.
 
     Returns (lu, piv) in LAPACK's packed form, piv 0-based.  Raises on an
     exactly zero pivot.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise PreconditionError(f"matrix must be square, got shape {a.shape}")
     lu, piv, info = _lapack()[0](a)
     if info > 0:
         raise SingularSystemError(
@@ -77,10 +88,16 @@ def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _lapack()[1](lu, piv, b)[0]
 
 
+def _dense_factor(a: np.ndarray):
+    """a, with the solve of its LU factor."""
+    return a, functools.partial(_lu_solve, *_factor(a))
+
+
 @dataclass(frozen=True, eq=False)
 class Triplets:
     """An n-by-n matrix as (row, column, value) entries; entries at the
-    same position add up.  ``len`` is the order n."""
+    same position add up.  ``len`` is the order n.  ``vals`` of shape
+    (K, entries) is a stack of K matrices with the same entries."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -91,52 +108,74 @@ class Triplets:
         return self.n
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.n, self.n
+    def shape(self) -> tuple[int, ...]:
+        return (*self.vals.shape[:-1], self.n, self.n)
 
     def dense(self) -> np.ndarray:
         n = self.n
-        return np.bincount(self.rows * n + self.cols, self.vals, n * n).reshape(n, n)
+        index = self.rows * n + self.cols
+        if self.vals.ndim == 1:
+            return np.bincount(index, self.vals, n * n).reshape(n, n)
+        k = len(self.vals)  # one matrix after another
+        index = (index + np.arange(0, k * n * n, n * n)[:, None]).ravel()
+        return np.bincount(index, self.vals.ravel(), k * n * n).reshape(k, n, n)
 
 
-def _sparse_factor(t: Triplets):
-    """The CSC matrix and the solve of its SuperLU factor (COLAMD order)."""
+def _sparse_factors(t: Triplets):
+    """Each matrix of t in CSC form, with the solve of its SuperLU factor
+    (COLAMD order)."""
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
     # CSC straight from the column-sorted entries; splu sums repeats
     order = np.lexsort((t.rows, t.cols))
     starts = np.searchsorted(t.cols[order], np.arange(t.n + 1))
-    a = csc_matrix((t.vals[order], t.rows[order], starts), shape=t.shape)
-    try:
-        lu = splu(a)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularSystemError(f"matrix is singular to working precision: {exc}") from None
-    return a, lu.solve
+    for vals in t.vals.reshape(-1, len(order))[:, order]:
+        a = csc_matrix((vals, t.rows[order], starts), shape=(t.n, t.n))
+        try:
+            lu = splu(a)
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise SingularSystemError(f"matrix is singular to working precision: {exc}") from None
+        yield a, lu.solve
+
+
+def blocks(count: int, order: int) -> list[slice]:
+    """Consecutive slices that cover range(count), each of at least one
+    and at most STACK_ENTRIES // order**2 points."""
+    step = max(1, STACK_ENTRIES // max(order * order, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def solve_many(a: np.ndarray | Triplets, b: np.ndarray) -> np.ndarray:
     """Solve a x = b for a vector or a matrix of right-hand columns.
 
     ``a`` is a dense array, or Triplets, which SuperLU factors when the
-    order exceeds SPARSE_MIN_ORDER.  Refines the solution until
+    order exceeds SPARSE_MIN_ORDER.  A (K, n, n) array, or Triplets with
+    K rows of values, is a stack of K systems, and b then has the same
+    leading axis.  Refines each solution until
     ||a x - b||_inf <= RTOL * (1 + ||b||_inf) per column, and raises
     SingularSystemError if two refinement passes cannot get there.
     """
-    if not isinstance(a, Triplets):
-        a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise PreconditionError(
-            f"shape mismatch: matrix {a.shape} vs right-hand side {b.shape}"
-        )
     if isinstance(a, Triplets) and a.n > SPARSE_MIN_ORDER:
-        a, solve = _sparse_factor(a)
+        factors, shape = _sparse_factors(a), a.shape
     else:
-        if isinstance(a, Triplets):
-            a = a.dense()
-        lu, piv = _factor(a)
-        solve = functools.partial(_lu_solve, lu, piv)
+        a = np.asarray(a.dense() if isinstance(a, Triplets) else a, dtype=float)
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+            raise PreconditionError(f"matrix must be square, got shape {a.shape}")
+        factors, shape = map(_dense_factor, a if a.ndim == 3 else (a,)), a.shape
+    b = np.asarray(b, dtype=float)
+    if b.shape[: len(shape) - 1] != shape[:-1]:
+        raise PreconditionError(
+            f"shape mismatch: matrix {shape} vs right-hand side {b.shape}"
+        )
+    if len(shape) == 3:
+        return np.array([_refined(*factor, bk) for factor, bk in zip(factors, b)])
+    return _refined(*next(factors), b)
+
+
+def _refined(a, solve, b: np.ndarray) -> np.ndarray:
+    """The solution of a x = b by solve, the solve of a's factor, refined
+    to solve_many's residual bound."""
     rhs = b.reshape(b.shape[0], -1)
     x = solve(rhs)
     for _ in range(2):
@@ -162,6 +201,9 @@ def solve_many(a: np.ndarray | Triplets, b: np.ndarray) -> np.ndarray:
 
 def det(a: np.ndarray) -> float:
     """Determinant from the same LU factor; 0.0 when singular."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise PreconditionError(f"matrix must be square, got shape {a.shape}")
     try:
         lu, piv = _factor(a)
     except SingularSystemError:

@@ -20,8 +20,8 @@ from . import diffuse as diffuse_mod
 from . import mc as mc_mod
 from .document import load_document, parse_document, prepare
 from .errors import DocumentError, GraphReactError, PreconditionError, SingularSystemError
-from .feynman_kac import evaluate_at, solve_survival
-from .kac import KappaSpec, conversion, rational_form
+from .feynman_kac import evaluate_at, solve_survival, survival_curve
+from .kac import KappaSpec, conversion, conversion_curve, rational_form
 from .harmonic import flux_coefficients, green_matrix, hitting_split
 
 
@@ -120,12 +120,12 @@ def cmd_sweep(args) -> int:
             grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
         else:
             grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
+    specs = [KappaSpec.constant(kappa) for kappa in grid.tolist()]
     lines = ["kappa,alpha,psi,method"]
-    for kappa in grid:
-        ks = KappaSpec.constant(float(kappa))
-        res = conversion(g, w, start, ks)
+    for kappa, res, field in zip(grid, conversion_curve(g, w, start, specs),
+                                 survival_curve(g, w, specs)):
         lines.append(f"{kappa:.12g},{_fmt(res.alpha)},{_fmt(res.psi)},kac")
-        psi = evaluate_at(solve_survival(g, w, ks), start)
+        psi = evaluate_at(field, start)
         lines.append(f"{kappa:.12g},{_fmt(1.0 - psi)},{_fmt(psi)},fk")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

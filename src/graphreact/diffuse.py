@@ -20,10 +20,12 @@ Introduction to Quantum Graphs, ch. 3).  Eliminating the junctions
 chains an edge's segments in series.  Couplings and kills are written
 through e^{-mu a} as sums of nonnegative terms (the stabilized form of
 Ascher, Mattheij & Russell, Numerical Solution of BVPs for ODEs, sect.
-4), so nothing overflows or cancels as mu grows.  The flux conditions
-then form the vertex system of the point-site survival solve, with p*c
-off the diagonal and the kills on it.  If k/(h D) overflows, every zone
-absorbs at once and its vertex is fixed at 0.  As h decreases to 0 the
+4), so nothing overflows or cancels as mu grows, and they are formed
+from x = mu a = delta sqrt(k h / D) and a, never from mu, which can
+overflow where x is small.  The flux conditions then form the vertex
+system of the point-site survival solve, with p*c off the diagonal and
+the kills on it.  If the kill overflows, every zone absorbs at once and
+its vertex is fixed at 0.  As h decreases to 0 the
 solution converges (first order in h) to the point-site survival at
 strength kappa = k*delta/D, which is what collapse_study tabulates.
 """
@@ -77,19 +79,30 @@ class ActiveZoneSpec:
         return math.sqrt(self.rate / self.h / self.diffusion)
 
     @property
+    def mu_width(self) -> float:
+        """mu times the zone width; where mu overflows, delta sqrt(k h / D),
+        which stays finite while it is below the largest float."""
+        mu = self.mu
+        if math.isfinite(mu):
+            return mu * self.zone_width
+        return math.sqrt(self.rate) * math.sqrt(self.h) / math.sqrt(self.diffusion) * self.delta
+
+    @property
     def zone_width(self) -> float:
         return self.h * self.delta
 
 
-def _zone_port(mu: float, a: float) -> tuple[float, float]:
-    """Coupling mu csch(mu a) and per-end kill mu tanh(mu a / 2) of a zone
-    segment of length a, written through e^{-mu a}; mu a must be > 0.  An
-    infinite mu gives (0, inf): the zone absorbs at once."""
-    if math.isinf(mu):
+def _zone_port(x: float, a: float, mu: float = math.inf) -> tuple[float, float]:
+    """Coupling mu csch x = (x / sinh x) / a and per-end kill
+    mu tanh(x / 2) = x tanh(x / 2) / a of a zone segment of length a, with
+    x = mu a > 0, written through e^{-x}.  A finite mu scales them, which
+    rounds as it always has; where mu overflows, the forms in x and a hold.
+    An infinite x gives (0, inf): the zone absorbs at once."""
+    if math.isinf(x):
         return 0.0, math.inf
-    x = mu * a
     e = math.exp(-x)
-    return 2.0 * mu * e / -math.expm1(-2.0 * x), mu * -math.expm1(-x) / (1.0 + e)
+    scale, a = (mu, 1.0) if math.isfinite(mu) else (x, a)
+    return 2.0 * scale * e / -math.expm1(-2.0 * x) / a, scale * -math.expm1(-x) / (1.0 + e) / a
 
 
 @dataclass(frozen=True)
@@ -97,9 +110,9 @@ class Segment:
     """One piece of an edge: its offset range and its solved values, u0 at
     ``start`` and u1 at the far end.
 
-    Inside a zone (``reactive``, decay rate ``mu``) u(s) is
-    (u0 sinh mu(length - s) + u1 sinh mu s) / sinh(mu length), elsewhere
-    affine; the views evaluate it in forms scaled by e^{-mu length}.
+    Inside a zone (``reactive``, ``x`` = mu * length with mu the decay
+    rate) u(s) is (u0 sinh mu(length - s) + u1 sinh mu s) / sinh x,
+    elsewhere affine; the views evaluate it in forms scaled by e^{-x}.
     """
 
     start: float
@@ -107,10 +120,10 @@ class Segment:
     reactive: bool
     u0: float
     u1: float
-    mu: float = 0.0
+    x: float = 0.0
 
     def _port(self) -> tuple[float, float]:
-        return _zone_port(self.mu, self.length) if self.reactive else (1.0 / self.length, 0.0)
+        return _zone_port(self.x, self.length) if self.reactive else (1.0 / self.length, 0.0)
 
     @property
     def slope(self) -> float:
@@ -128,10 +141,10 @@ class Segment:
             return self.u0 + (self.u1 - self.u0) * s / self.length
         if not 0.0 < s < self.length:
             return self.u0 if s <= 0.0 else self.u1
-        x, y = self.mu * s, self.mu * (self.length - s)
+        x, y = self.x * (s / self.length), self.x * ((self.length - s) / self.length)
         return (self.u0 * math.exp(-x) * math.expm1(-2.0 * y)
                 + self.u1 * math.exp(-y) * math.expm1(-2.0 * x)
-                ) / math.expm1(-2.0 * self.mu * self.length)
+                ) / math.expm1(-2.0 * self.x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,26 +165,26 @@ class PiecewiseSolution:
         """Each edge's pieces in offset order: a zone at each active end
         and the plain part between."""
         g, values = self.graph, self.vertex_values
-        a, mu = self.zone.zone_width, self.zone.mu
+        a, x = self.zone.zone_width, self.zone.mu_width
         ends = {}  # (edge, end vertex): the value at the inner end of the zone there
         if self.inner is not None:
             t = g.half_edge_table
             near, fc, s2 = self.inner
             u = np.array([values[v] for v in g.vertex_ids])
-            j = (_zone_port(mu, a)[0] * u[t.source] + fc * u[t.target]) / s2
+            j = (_zone_port(x, a, self.zone.mu)[0] * u[t.source] + fc * u[t.target]) / s2
             for i in np.flatnonzero(near).tolist():
                 ends[int(t.edge[i]), g.vertex_ids[t.source[i]]] = float(j[i])
         out = {}
         for k, e in enumerate(g.edges):
             first, last = e.endpoints
             u0, u1 = ends.get((k, first)), ends.get((k, last))
-            segs = [Segment(0.0, a, True, values[first], u0, mu)] if u0 is not None else []
+            segs = [Segment(0.0, a, True, values[first], u0, x)] if u0 is not None else []
             plain = e.length - a * ((u0 is not None) + (u1 is not None))
             segs.append(Segment(a if segs else 0.0, plain, False,
                                 values[first] if u0 is None else u0,
                                 values[last] if u1 is None else u1))
             if u1 is not None:
-                segs.append(Segment(e.length - a, a, True, u1, values[last], mu))
+                segs.append(Segment(e.length - a, a, True, u1, values[last], x))
             out[k] = tuple(segs)
         return out
 
@@ -213,12 +226,12 @@ class _ZonedGraph:
             k = int(t.edge[(self.near | self.far) & (a >= t.length / 2)].min())
             raise PreconditionError(f"zone width {a} must be < half of edge {k} "
                                     f"(length {g.edges[k].length})")
-        mu = zone.mu
+        x = zone.mu_width
         fixed, inner = self.exits, None
-        if not (self.any_zone and mu * a > 0):  # k = 0, or k/(h D) or h*delta underflowed
+        if not (self.any_zone and x > 0):  # k = 0, or mu * h * delta underflowed
             coeff, kill = self.flux, 0.0
         else:
-            cz, kz = _zone_port(mu, a)
+            cz, kz = _zone_port(x, a, zone.mu)
             if math.isinf(cz):
                 raise PreconditionError(f"zone width {a!r} is too narrow to resolve")
             wall = math.isinf(kz)

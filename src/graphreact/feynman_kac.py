@@ -15,13 +15,14 @@ routes can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import algebra
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
 from .harmonic import flux_coefficients, flux_system, vertex_mask
-from .kac import KappaSpec
+from .kac import KappaSpec, strengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,16 +41,44 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
 
     Exits carry value 1; active vertices with infinite strength carry
     value 0 (instant absorption); every other vertex gets its flux
-    equation with the killing term on the diagonal.
+    equation with the killing term on the diagonal.  This is the
+    one-point case of survival_curve.
+    """
+    require_valid(g)
+    kappa = np.zeros(len(g.vertex_ids))
+    kappa[[g.vertex_index[c] for c in g.active_vertices]] = ks.values(g.active_vertices)
+    return SurvivalField(g, dict(zip(g.vertex_ids, _vertex_values(g, w, kappa).tolist())))
+
+
+def survival_curve(
+    g: MetricGraph, w: EdgeWeights, specs: Sequence[KappaSpec]
+) -> list[SurvivalField]:
+    """The survival field at each strength in specs.
+
+    The systems of a block of points (algebra.blocks) are one stack;
+    each field is the one that solve_survival gives alone.
     """
     require_valid(g)
     active = g.active_vertices
-    kappa = np.zeros(len(g.vertex_ids))
-    kappa[[g.vertex_index[c] for c in active]] = ks.values(active)
+    kappa = np.zeros((len(specs), len(g.vertex_ids)))
+    kappa[:, [g.vertex_index[c] for c in active]] = strengths(specs, active)
+    fields = []
+    for block in algebra.blocks(*kappa.shape):
+        values = _vertex_values(g, w, kappa[block]).tolist()
+        fields += [SurvivalField(g, dict(zip(g.vertex_ids, row))) for row in values]
+    return fields
+
+
+def _vertex_values(g: MetricGraph, w: EdgeWeights, kappa: np.ndarray) -> np.ndarray:
+    """The vertex values at strengths kappa over the vertices, (n,) or
+    (K, n) for a stack of K points.  The flux coefficients are shared;
+    kappa moves only the diagonals of the active vertices and fixes those
+    of infinite strength, so a stack is one flux_system call and one
+    algebra.solve_many call, dense or factored point by point with
+    SuperLU by order."""
     exits = vertex_mask(g, g.exit_vertices)
     a = flux_system(g, flux_coefficients(g, w), exits | np.isinf(kappa), kappa)
-    sol = algebra.solve_many(a, exits.astype(float))
-    return SurvivalField(g, dict(zip(g.vertex_ids, sol.tolist())))
+    return algebra.solve_many(a, np.zeros(kappa.shape) + exits)
 
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:

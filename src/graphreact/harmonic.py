@@ -147,12 +147,15 @@ def flux_system(
     """Matrix whose row v is rho_v - kill[v] as a linear form in the vertex
     values, with an identity row at each vertex where the boolean mask
     ``fixed`` is set, so that the right-hand side sets its value.
-    ``coeff`` is flux_coefficients(g, w)."""
+    ``coeff`` is flux_coefficients(g, w).  A (K, n) mask, with kill of
+    shape (K, n), gives the stack of K such matrices: they share the
+    flux coefficients and differ on the diagonal and in the fixed rows."""
     t = g.half_edge_table
-    n = len(fixed)
-    c = np.where(fixed[t.source], 0.0, coeff)
-    diag = np.where(fixed, 1.0, -np.bincount(t.source, c, n) - kill)
-    return algebra.Triplets(t.rows, t.cols, np.concatenate((c, diag)), n)
+    n = fixed.shape[-1]
+    # a fixed row's flux never enters: its coefficients are 0 and its diagonal 1
+    c = np.where(fixed.take(t.source, axis=-1), 0.0, coeff)
+    diag = np.where(fixed, 1.0, -np.bincount(t.source, coeff, n) - kill)
+    return algebra.Triplets(t.rows, t.cols, np.concatenate((c, diag), axis=-1), n)
 
 
 def vertex_mask(g: MetricGraph, vertices: Collection[str]) -> np.ndarray:

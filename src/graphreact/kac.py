@@ -11,7 +11,10 @@ the curve a mixture of single-site curves lam kappa / (1 + lam kappa),
 one per eigenvalue 1/lam of L: its closed rational form in kappa.
 
 L and the splits do not depend on kappa, and harmonic memoizes them on
-the graph, so a kappa sweep is plain per-point calls to conversion.
+the graph.  conversion_curve takes a whole kappa grid: only the
+diagonal and the scaling of the survival system move with kappa, so the
+systems of its points are stacked for algebra.solve_many; conversion is
+its one-point case, on the same survival_on_active.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import algebra
 from .algebra import Polynomial, RationalForm
 from .errors import PreconditionError, SingularSystemError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, require_valid
-from .harmonic import SiteNetwork, green_matrix, site_network
+from .harmonic import HittingSplit, SiteNetwork, green_matrix, site_network
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,25 @@ class KappaSpec:
         return np.array([self.per_site[s] for s in sites], dtype=float)
 
 
+def strengths(specs: Sequence[KappaSpec], sites: Sequence[str]) -> np.ndarray:
+    """kappa at the sites for each spec, one row per spec: (K, len(sites))."""
+    m = len(sites)
+    rows = [[ks.uniform] * m if ks.is_uniform else ks.values(sites) for ks in specs]
+    return np.array(rows, dtype=float).reshape(len(specs), m)
+
+
 @dataclass(frozen=True)
 class ConversionResult:
     """Conversion probability alpha and survival psi = 1 - alpha.
 
     ``site_survival[j]`` is the survival probability started at active
     site j; the per-site contributions to survival are
-    ``p[j] * site_survival[j]`` and
+    ``p[j] * site_survival[j]``,
     alpha = alpha_inf * (1 - sum of those contributions), kept within
-    [0, alpha_inf] against roundoff.
+    [0, alpha_inf] against roundoff, and
+    psi = (1 - alpha_inf) + alpha_inf * (sum of those contributions), kept
+    within [1 - alpha_inf, 1]: it is 1 - alpha without the cancellation,
+    so a survival far below 1e-16 keeps its digits.
     """
 
     alpha: float
@@ -92,42 +105,83 @@ class ConversionResult:
         return tuple(pj * sj for pj, sj in zip(self.p, self.site_survival))
 
 
-def survival_on_active(net: SiteNetwork, ks: KappaSpec) -> np.ndarray:
-    """Survival probabilities started on the active set: (L + M_kappa) psi = L 1.
+def survival_on_active(net: SiteNetwork, kappa: np.ndarray) -> np.ndarray:
+    """Survival probabilities started on the active set, (L + M_kappa) psi = L 1,
+    for strengths kappa of shape (m,), or (K, m) for a stack of K points;
+    the result has the shape of kappa.
 
     The same solve gives phi = 1 - psi from (L + M_kappa) phi = M_kappa 1; each
     is accurate where it is the smaller, and psi is 1 - phi where phi is.  The
     columns are scaled by s_j = 1/max(1, kappa_j), so nothing overflows at huge
     finite kappa; an infinite kappa_j is s_j = 0: the site absorbs, psi_j = 0,
-    and phi_j = 1 moves -L[:, j] to phi's right side.
+    and phi_j = 1 moves -L[:, j] to phi's right side.  The systems
+    L S + diag(min(kappa, 1)) of a stack are one stack for algebra.solve_many.
     """
-    values = ks.values(net.active)
-    s = 1.0 / np.maximum(values, 1.0)
-    a = net.laplacian * s
-    a.flat[:: len(s) + 1] += np.minimum(values, 1.0)
-    gone = np.isinf(values)
-    kill = np.where(gone, 0.0, values) - net.laplacian @ gone if gone.any() else values
-    psi, phi = s * algebra.solve_many(a, np.array((net.exit_rates, kill)).T).T
+    m = kappa.shape[-1]
+    s = 1.0 / np.maximum(kappa, 1.0)
+    a = net.laplacian * s[..., None, :]
+    a.reshape(-1, m * m)[:, :: m + 1] += np.minimum(kappa, 1.0)
+    kill = kappa
+    gone = np.isinf(kappa)
+    if gone.any():
+        kill = np.where(gone, 0.0, kappa) - (net.laplacian @ gone[..., None])[..., 0]
+    rhs = np.empty((*kappa.shape, 2))
+    rhs[..., 0] = net.exit_rates
+    rhs[..., 1] = kill
+    sol = s[..., None] * algebra.solve_many(a, rhs)
+    psi, phi = sol[..., 0], sol[..., 1]
     return np.where(phi < psi, 1.0 - phi, psi)
 
 
 def conversion(
     g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str, ks: KappaSpec
 ) -> ConversionResult:
-    """Conversion probability from start point x at strengths ks; every kappa
-    but uniform 0 goes through the survival solve on the active set."""
+    """Conversion probability from start point x at strengths ks: the
+    one-point case of conversion_curve, one row of survival_on_active."""
     net = site_network(g, w)
     hs = net.split(g, x)
-    sites = hs.active
-    if not sites:
-        return ConversionResult(0.0, 1.0, 0.0, (), (), ())
+    if not hs.active:
+        return _NO_SITES
+    return _result(hs, ks, survival_on_active(net, ks.values(hs.active)))
 
-    zero = ks.is_uniform and ks.uniform == 0.0
-    ratios = np.ones(len(sites)) if zero else survival_on_active(net, ks)
-    alpha = 0.0 if zero or hs.alpha_inf == 0.0 else hs.alpha_inf * (1.0 - float(hs.p @ ratios))
-    alpha = min(max(alpha, 0.0), hs.alpha_inf)  # p may sum an ulp above 1
-    return ConversionResult(alpha, 1.0 - alpha, hs.alpha_inf, sites,
-                            tuple(map(float, hs.p)), tuple(map(float, ratios)))
+
+def conversion_curve(
+    g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str, specs: Sequence[KappaSpec]
+) -> list[ConversionResult]:
+    """Conversion probability from start point x at each strength in specs.
+
+    The survival solves on the active set are stacked in blocks of
+    algebra.blocks; each result is the one that conversion gives at its
+    kappa alone.
+    """
+    net = site_network(g, w)
+    hs = net.split(g, x)
+    if not hs.active:
+        return [_NO_SITES] * len(specs)
+    kappa = strengths(specs, hs.active)
+    ratios = np.empty(kappa.shape)
+    for block in algebra.blocks(len(kappa), len(hs.active)):
+        ratios[block] = survival_on_active(net, kappa[block])
+    return [_result(hs, ks, r) for ks, r in zip(specs, ratios)]
+
+
+_NO_SITES = ConversionResult(0.0, 1.0, 0.0, (), (), ())
+
+
+def _result(hs: HittingSplit, ks: KappaSpec, ratios: np.ndarray) -> ConversionResult:
+    """Conversion from the split and the site survivals at ks; at uniform
+    kappa 0, alpha is 0 and psi 1 exactly."""
+    alpha_inf = hs.alpha_inf
+    if (ks.is_uniform and ks.uniform == 0.0) or alpha_inf == 0.0:
+        alpha, psi = 0.0, 1.0
+    else:
+        # psi from the survival itself keeps its digits below 1e-16 of alpha;
+        # both are kept within their ranges, as p may sum an ulp above 1
+        held = float(hs.p @ ratios)
+        alpha = min(max(alpha_inf * (1.0 - held), 0.0), alpha_inf)
+        psi = min(max((1.0 - alpha_inf) + alpha_inf * held, 1.0 - alpha_inf), 1.0)
+    return ConversionResult(alpha, psi, alpha_inf, hs.active, tuple(hs.p.tolist()),
+                            tuple(ratios.tolist()))
 
 
 def _running_products(lam: np.ndarray) -> list[np.ndarray]:

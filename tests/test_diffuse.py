@@ -220,6 +220,25 @@ def test_overflowing_decay_rate_absorbs_in_every_zone():
             assert val == pytest.approx(want, abs=1e-12)
 
 
+def test_zone_is_no_wall_where_only_mu_overflows(capsys):
+    # k/(h D) = 1e310 overflows mu, yet mu a = 1e-145: the zone printed
+    # survival 0 at h = 1e-300 as if it absorbed at once
+    assert math.isinf(ActiveZoneSpec(rate=1e10, delta=1.0, diffusion=1.0, h=1e-300).mu)
+    assert main(["diffuse", str(INTERVAL_ZONE), "--k", "1e10", "--delta", "1",
+                 "--diffusion", "1", "--h-list", "1e-298,1e-300"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    # the closed form at h -> 0, 1 / (1 + k delta / D (1 - h delta)), is psi_limit
+    want = 1.0 / (1.0 + 1e10)
+    assert [float(row[2]) for row in rows] == pytest.approx([want] * 2, rel=1e-9)
+    assert [float(row[1]) for row in rows] == pytest.approx([want] * 2, rel=1e-9)
+    # a subnormal h: the coupling, about 1/(h delta), overflows
+    assert main(["diffuse", str(INTERVAL_ZONE), "--k", "1e308", "--delta", "1",
+                 "--diffusion", "1", "--h-list", "1e-310"]) == 1
+    assert "too narrow to resolve" in capsys.readouterr().err
+    zone = ActiveZoneSpec(rate=1e10, delta=1.0, diffusion=1.0, h=1e-300)
+    assert zone.mu_width == pytest.approx(1e-145, rel=1e-12)
+
+
 def test_zone_too_narrow_to_resolve_rejected():
     # h*delta = 1e-310 is subnormal: the zone's coupling, about 1/(h*delta), overflows
     g, _ = degree1_graph(1.0)

@@ -567,10 +567,16 @@ def test_cli_rational_long_uniform_chain(tmp_path, capsys):
 
 
 def test_cli_convert_long_uniform_chain_prints_no_negative_number(tmp_path, capsys):
-    # psi_kac printed -3.5886849048e-12 here, and 178 site_survival rows < 0
-    assert main(["convert", _write(tmp_path, _uniform_chain_doc(400)), "--kappa", "1"]) == 0
+    # psi_kac printed -3.5886849048e-12 here, and 178 site_survival rows < 0;
+    # then 0, from 1 - alpha, where the survival is 2.1e-229
+    path = _write(tmp_path, _uniform_chain_doc(400))
+    assert main(["convert", path, "--kappa", "1"]) == 0
     out = capsys.readouterr().out
-    assert "psi_kac   = 0\n" in out
+    psi_kac = float(out.split("psi_kac   = ")[1].split("\n")[0])
+    g, w, start = prepare(parse_document(json.loads(Path(path).read_text())))
+    psi_fk = evaluate_at(solve_survival(g, w, KappaSpec.constant(1.0)), start)
+    assert psi_kac > 0.0
+    assert psi_kac == pytest.approx(psi_fk, rel=1e-9, abs=0.0)
     numbers = [tok for line in out.splitlines() for tok in line.replace(" = ", ",").split(",")]
     assert not [tok for tok in numbers if tok.startswith("-")]
 

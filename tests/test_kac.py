@@ -48,9 +48,14 @@ def _net(gm):
     return SiteNetwork(gm.active, lap, lap.sum(axis=1), np.eye(len(lap)))
 
 
+def _survival(net, ks):
+    """survival_on_active at the strengths of ks."""
+    return survival_on_active(net, ks.values(net.active))
+
+
 def test_survival_kappa_zero_is_one():
     gm = _gm(random_green_matrix(np.random.default_rng(0), 3))
-    psi = survival_on_active(_net(gm), KappaSpec.constant(0.0))
+    psi = _survival(_net(gm), KappaSpec.constant(0.0))
     assert np.allclose(psi, 1.0, atol=1e-14)
 
 
@@ -58,7 +63,7 @@ def test_survival_single_site_exponential_mean():
     lam = 2.0
     gm = _gm([[lam]])
     for kappa in (0.1, 1.0, 7.5):
-        psi = survival_on_active(_net(gm), KappaSpec.constant(kappa))
+        psi = _survival(_net(gm), KappaSpec.constant(kappa))
         assert psi[0] == pytest.approx(1.0 / (1.0 + lam * kappa), abs=1e-14)
 
 
@@ -66,7 +71,7 @@ def test_survival_det_matches_solve_on_chain():
     g, _, _ = chain_graph((1.0, 0.5, 0.5))
     gm = green_matrix(g, derive_weights(g))
     ks = KappaSpec.constant(1.3)
-    psi = survival_on_active(_net(gm), ks)
+    psi = _survival(_net(gm), ks)
     for j in range(2):
         assert survival_det(gm, ks, j) == pytest.approx(psi[j], abs=1e-12)
 
@@ -97,7 +102,7 @@ def test_cramer_identity_hundred_instances():
             ks = KappaSpec.per_vertex(
                 {s: float(rng.uniform(0.0, 10.0)) for s in gm.active}
             )
-        psi = survival_on_active(_net(gm), ks)
+        psi = _survival(_net(gm), ks)
         for j in range(n):
             assert survival_det(gm, ks, j) == pytest.approx(psi[j], abs=1e-12)
 
