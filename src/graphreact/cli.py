@@ -34,7 +34,11 @@ def _fmt(x: float) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:  # a missing directory, or a directory
+            raise DocumentError(f"cannot write {out}: {exc.strerror or exc}") from None
+        with fh:
             fh.write(text)
     elif not hasattr(sys.stdout, "buffer"):  # a text stream, such as io.StringIO
         sys.stdout.write(text)

@@ -42,7 +42,7 @@ from . import algebra
 from .errors import PreconditionError
 from .feynman_kac import evaluate_at, solve_survival
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
-from .harmonic import flux_coefficients, flux_system, vertex_mask
+from .harmonic import flux_coefficients, flux_system
 from .kac import KappaSpec
 
 
@@ -199,36 +199,33 @@ class PiecewiseSolution:
         raise AssertionError("unreachable: segments cover the edge")
 
 
-class _ZonedGraph:
+class _Zones:
     """What the diffuse solve on a valid graph needs that no zone
-    parameter changes, computed once per graph and reused for every h."""
+    parameter changes, per half-edge of ``g.half_edge_table``: built
+    once per (g, w) by ``g.memo`` and reused for every h.  It holds
+    neither the graph nor the weights."""
 
     def __init__(self, g: MetricGraph, w: EdgeWeights):
         t = g.half_edge_table
-        active = vertex_mask(g, g.active_vertices)
-        self.graph = g
-        self.active = active
-        self.exits = vertex_mask(g, g.exit_vertices)
-        self.b = self.exits.astype(float)
+        active = g.site_mask
         self.p = w.along(t.keys)
-        self.flux = flux_coefficients(g, w)  # p/l, which raises where it overflows
+        self.flux = flux_coefficients(g, w)  # p/l, which checks the weights
         self.near, self.far = active[t.source], active[t.target]
         self.zones = self.near + self.far.astype(float)  # zones on the half-edge's edge
-        self.any_zone = bool(active.any())
         # the zone width must stay below half of every edge at an active vertex
         self.max_width = t.length[self.near | self.far].min(initial=math.inf) / 2
 
-    def solve(self, zone: ActiveZoneSpec) -> PiecewiseSolution:
-        g = self.graph
+    def solve(self, g: MetricGraph, zone: ActiveZoneSpec) -> PiecewiseSolution:
         t = g.half_edge_table
         a = zone.zone_width
-        if zone.rate > 0 and self.any_zone and a >= self.max_width:
+        any_zone = bool(g.active_vertices)
+        if zone.rate > 0 and any_zone and a >= self.max_width:
             k = int(t.edge[(self.near | self.far) & (a >= t.length / 2)].min())
             raise PreconditionError(f"zone width {a} must be < half of edge {k} "
                                     f"(length {g.edges[k].length})")
         x = zone.mu_width
-        fixed, inner = self.exits, None
-        if not (self.any_zone and x > 0):  # k = 0, or mu * h * delta underflowed
+        fixed, inner = g.exit_mask, None
+        if not (any_zone and x > 0):  # k = 0, or mu * h * delta underflowed
             coeff, kill = self.flux, 0.0
         else:
             cz, kz = _zone_port(x, a, zone.mu)
@@ -245,14 +242,18 @@ class _ZonedGraph:
             rs = cz / s2
             coeff = self.p * np.where(self.near, fc * rs, fc)
             if wall:  # the zoned vertices are fixed at 0: their kill never enters
-                fixed, half_kill = self.exits | self.active, fk
+                fixed, half_kill = g.exit_mask | g.site_mask, fk
             else:
                 half_kill = np.where(self.near, kz + (kz + fk) * rs, fk)
             kill = np.bincount(t.source, self.p * half_kill, len(fixed))
             inner = (self.near, fc, s2)
-        x = algebra.solve_many(flux_system(g, coeff, fixed, kill), self.b)
+        x = algebra.solve_many(flux_system(g, coeff, fixed, kill), g.exit_mask.astype(float))
         values = dict(zip(g.vertex_ids, x.tolist()))
         return PiecewiseSolution(g, zone, values, inner)
+
+
+def _zones(g: MetricGraph, w: EdgeWeights) -> _Zones:
+    return g.memo(w, ("zones",), lambda: _Zones(g, w))
 
 
 def solve_diffuse(
@@ -264,7 +265,7 @@ def solve_diffuse(
     incident to an active vertex.
     """
     require_valid(g)
-    return _ZonedGraph(g, w).solve(zone)
+    return _zones(g, w).solve(g, zone)
 
 
 @dataclass(frozen=True)
@@ -293,10 +294,10 @@ def collapse_study(
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise PreconditionError("h_list must be strictly decreasing")
     psi_limit = evaluate_at(solve_survival(g, w, KappaSpec.constant(zone.kappa)), x)
-    zoned = _ZonedGraph(g, w)
+    zones = _zones(g, w)
     rows = []
     for h in h_list:
-        psi_h = zoned.solve(replace(zone, h=h)).evaluate(x)
+        psi_h = zones.solve(g, replace(zone, h=h)).evaluate(x)
         rows.append(CollapseRow(h, psi_h, psi_limit, abs(psi_h - psi_limit)))
     return rows
 

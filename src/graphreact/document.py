@@ -32,6 +32,7 @@ from .graph import (
     PointOnGraph,
     Vertex,
     derive_weights,
+    derived_rows,
     locate,
     weights_violations,
 )
@@ -194,11 +195,10 @@ def _find_edge(g: MetricGraph, u: str, v: str) -> int:
 def _resolve_weights(
     g: MetricGraph, explicit: dict[str, dict[int, float]] | None
 ) -> EdgeWeights:
-    w = derive_weights(g)
     if not explicit:
-        return w
+        return derive_weights(g)
     # derived rows of the vertices without an explicit one, then the explicit rows
-    table = {key: p for key, p in w.p.items() if key[0] not in explicit}
+    table = derived_rows(g, explicit)
     for vid, row in explicit.items():
         if vid not in g.vertex_index:
             raise DocumentError(f"weights: unknown vertex {vid!r}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
-from .harmonic import flux_coefficients, flux_system, vertex_mask
+from .harmonic import flux_coefficients, flux_system
 from .kac import KappaSpec, strengths
 
 
@@ -46,7 +46,7 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
     """
     require_valid(g)
     kappa = np.zeros(len(g.vertex_ids))
-    kappa[[g.vertex_index[c] for c in g.active_vertices]] = ks.values(g.active_vertices)
+    kappa[g.site_mask] = ks.values(g.active_vertices)
     return SurvivalField(g, dict(zip(g.vertex_ids, _vertex_values(g, w, kappa).tolist())))
 
 
@@ -59,9 +59,8 @@ def survival_curve(
     each field is the one that solve_survival gives alone.
     """
     require_valid(g)
-    active = g.active_vertices
     kappa = np.zeros((len(specs), len(g.vertex_ids)))
-    kappa[:, [g.vertex_index[c] for c in active]] = strengths(specs, active)
+    kappa[:, g.site_mask] = strengths(specs, g.active_vertices)
     fields = []
     for block in algebra.blocks(*kappa.shape):
         values = _vertex_values(g, w, kappa[block]).tolist()
@@ -76,9 +75,8 @@ def _vertex_values(g: MetricGraph, w: EdgeWeights, kappa: np.ndarray) -> np.ndar
     of infinite strength, so a stack is one flux_system call and one
     algebra.solve_many call, dense or factored point by point with
     SuperLU by order."""
-    exits = vertex_mask(g, g.exit_vertices)
-    a = flux_system(g, flux_coefficients(g, w), exits | np.isinf(kappa), kappa)
-    return algebra.solve_many(a, np.zeros(kappa.shape) + exits)
+    a = flux_system(g, flux_coefficients(g, w), g.exit_mask | np.isinf(kappa), kappa)
+    return algebra.solve_many(a, np.zeros(kappa.shape) + g.exit_mask)
 
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:

@@ -11,10 +11,11 @@ roles: ``inert`` (plain junction), ``active`` (reaction site) or
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 import numpy as np
 
@@ -152,8 +153,23 @@ class MetricGraph:
 
     @cached_property
     def solved(self) -> dict:
-        """harmonic's memo of the kappa-free solves on this graph."""
+        """The memo of the kappa-free work on this graph (see ``memo``)."""
         return {}
+
+    def memo(self, w: EdgeWeights, key: tuple, solve):
+        """solve(), once per living weights object and key, kept in
+        ``solved`` beside a weak reference to w.  An entry is a hit only
+        while that reference points at w, so a reused id gives no false
+        hit, and each miss drops the entries of weights that are gone.  A
+        result holds neither w nor the graph; a failed solve is not kept.
+        """
+        memo = self.solved
+        entry = memo.get((id(w), *key))
+        if entry is None or entry[0]() is not w:
+            for k in [k for k, (ref, _) in memo.items() if ref() is None]:
+                del memo[k]
+            entry = memo[(id(w), *key)] = (weakref.ref(w), solve())
+        return entry[1]
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -167,6 +183,22 @@ class MetricGraph:
     @cached_property
     def exit_vertices(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices if v.role == "exit")
+
+    @cached_property
+    def site_mask(self) -> np.ndarray:
+        """Read-only boolean vector over the vertex rows, set at the active vertices."""
+        return frozen(np.array([v.role == "active" for v in self.vertices], dtype=bool))
+
+    @cached_property
+    def exit_mask(self) -> np.ndarray:
+        """Read-only boolean vector over the vertex rows, set at the exits."""
+        return frozen(np.array([v.role == "exit" for v in self.vertices], dtype=bool))
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: what the graph keeps must never change."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -296,20 +328,30 @@ def derive_weights(g: MetricGraph) -> EdgeWeights:
 
     Rows sum to 1 by construction.  Each radius is divided by the largest
     at v before the power, so no power overflows, and equal radii give
-    exactly 1/deg(v).
+    exactly 1/deg(v).  A weight that underflows to 0, outside (0, 1],
+    raises PreconditionError naming its vertex, edge and radius.
     """
+    return EdgeWeights(derived_rows(g, ()))
+
+
+def derived_rows(g: MetricGraph, skip: Container[str]) -> dict[tuple[str, int], float]:
+    """derive_weights' table without the rows of the vertices in skip,
+    which are never derived: a document's explicit rows replace them."""
     d = g.dimension
     p: dict[tuple[str, int], float] = {}
     for vid, ks in _incident(g).items():
-        if not ks:
+        if not ks or vid in skip:
             continue
         radii = [g.edges[k].radius for k in ks]
         top = max(radii)
         powers = [(r / top) ** (d - 1) for r in radii]
         total = sum(powers)
-        for k, rp in zip(ks, powers):
-            p[(vid, k)] = rp / total
-    return EdgeWeights(p)
+        for k, r, rp in zip(ks, radii, powers):
+            if (pk := rp / total) == 0.0:
+                raise PreconditionError(f"weight at vertex {vid!r} on edge {k} underflows to 0 "
+                                        f"(radius {r!r}, dimension {d})")
+            p[(vid, k)] = pk
+    return p
 
 
 def uniform_weights(g: MetricGraph) -> EdgeWeights:

@@ -23,27 +23,23 @@ column m the exits and the diagonal dropped.  Its Laplacian
 L = diag(R 1) - R[:, :m] is G[A, A]^-1; every rate is a sum of
 nonnegative terms, as in GTH state reduction, so L needs no subtraction.
 
-site_network is memoized per (g, w) in the graph's ``solved`` dict under
-(id(w), "sites"), flux_coefficients under (id(w), "flux").  The start is
-not in the key: a new start costs no solve, and H (n-by-m floats) is
-kept while w lives.  An entry holds w weakly and is a hit only while
-that reference still points at w, so a reused id gives no false hit,
-and each miss drops the entries of weights that are gone.  The arrays
-returned and w.p are read-only; a failed solve is not stored.
-feynman_kac shares only the flux coefficients, so it stays a route
-independent of kac.
+site_network is memoized per (g, w) by ``g.memo`` under "sites", and
+flux_coefficients under "flux".  The start is not in the key: a new
+start costs no solve, and H (n-by-m floats) is kept while w lives.  The
+arrays returned and w.p are read-only.  feynman_kac shares only the
+flux coefficients, so it stays a route independent of kac; every route
+shares them as its one check of the weights.
 """
 
 from __future__ import annotations
 
-import weakref
+import math
 from dataclasses import dataclass, field
-from typing import Collection
 
 import numpy as np
 
 from .errors import PreconditionError, SingularSystemError
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
+from .graph import EdgeWeights, MetricGraph, PointOnGraph, frozen, locate, require_valid
 from . import algebra
 
 
@@ -99,33 +95,19 @@ class SiteNetwork:
             total = float(h.sum())
             p = h / total if total > 0.0 else np.zeros(len(h))
             # roundoff can lift the sum of a row of H an ulp above 1
-            self.splits[x] = HittingSplit(min(total, 1.0), _frozen(p), self.active)
+            self.splits[x] = HittingSplit(min(total, 1.0), frozen(p), self.active)
         return self.splits[x]
-
-
-def _memo(g: MetricGraph, w: EdgeWeights, key: tuple, solve):
-    """solve(), once per graph, living weights object and key."""
-    memo = g.solved
-    entry = memo.get((id(w), *key))
-    if entry is None or entry[0]() is not w:
-        for k in [k for k, (ref, _) in memo.items() if ref() is None]:
-            del memo[k]
-        entry = memo[(id(w), *key)] = (weakref.ref(w), solve())
-    return entry[1]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def flux_coefficients(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
     """p_v(e)/l_e for every half-edge, in the order of g.half_edge_table.
 
     A finite weight over a length so short that the ratio overflows raises
-    SingularSystemError; a weight that is not finite is left to the caller.
+    SingularSystemError.  Out of a vertex other than an exit, a weight that
+    is not finite or is negative raises PreconditionError, and so does a
+    vertex with no positive weight; an exit's weights never enter.
     """
-    return _memo(g, w, ("flux",), lambda: _frozen(_flux(g, w)))
+    return g.memo(w, ("flux",), lambda: frozen(_flux(g, w)))
 
 
 def _flux(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
@@ -133,11 +115,18 @@ def _flux(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
     p = w.along(t.keys)
     with np.errstate(over="ignore"):
         c = p / t.length
-    over = np.isinf(c) & np.isfinite(p)
-    if np.count_nonzero(over):
-        vertex, edge = t.keys[over.argmax()]
-        raise SingularSystemError(f"p/l overflows a float at vertex {vertex!r} on edge {edge} "
-                                  f"(length {g.edges[edge].length!r})")
+    usable = (0.0 <= c) & (c < math.inf)  # not NaN either
+    if np.count_nonzero(usable) < len(c):
+        over = np.isinf(c) & np.isfinite(p)
+        if np.count_nonzero(over):
+            vertex, edge = t.keys[over.argmax()]
+            raise SingularSystemError(f"p/l overflows a float at vertex {vertex!r} on edge "
+                                      f"{edge} (length {g.edges[edge].length!r})")
+        if np.count_nonzero(usable | g.exit_mask[t.source]) < len(c):
+            raise PreconditionError("edge weights must be finite and nonnegative")
+    n = len(g.vertex_ids)
+    if np.count_nonzero((np.bincount(t.source, c, n) > 0.0) | g.exit_mask) < n:
+        raise PreconditionError("every vertex but an exit needs a positive edge weight")
     return c
 
 
@@ -158,27 +147,20 @@ def flux_system(
     return algebra.Triplets(t.rows, t.cols, np.concatenate((c, diag), axis=-1), n)
 
 
-def vertex_mask(g: MetricGraph, vertices: Collection[str]) -> np.ndarray:
-    """Boolean vector over the vertex rows, set at ``vertices``."""
-    mask = np.zeros(len(g.vertex_ids), dtype=bool)
-    mask[[g.vertex_index[v] for v in vertices]] = True
-    return mask
-
-
 def site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     """The sites' reduced network; memoized (see the module docstring)."""
     require_valid(g)
-    return _memo(g, w, ("sites",), lambda: _site_network(g, w))
+    return g.memo(w, ("sites",), lambda: _site_network(g, w))
 
 
 def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
-    active, t, index = g.active_vertices, g.half_edge_table, g.vertex_index
-    n, m = len(index), len(active)
+    active, t = g.active_vertices, g.half_edge_table
+    n, m = len(g.vertex_ids), len(active)
     # the right-hand column of each vertex: its site number, m at an exit
     # and m + 1, a zero row of the identity below, at every other vertex
     col = np.full(n, m + 1)
-    col[[index[c] for c in active]] = np.arange(m)
-    col[[index[x] for x in g.exit_vertices]] = m
+    col[g.site_mask] = np.arange(m)
+    col[g.exit_mask] = m
     coeff = flux_coefficients(g, w)
     h = algebra.solve_many(flux_system(g, coeff, col <= m), np.eye(m + 2, m + 1)[col])
     np.maximum(h, 0.0, out=h)  # LU roundoff can leave -1e-16 where a probability is 0
@@ -193,7 +175,7 @@ def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     r.flat[:: m + 2] = 0.0  # a return to the site left is no move
     lap = -r[:, :m]
     lap.flat[:: m + 1] = r.sum(axis=1)
-    return SiteNetwork(active, _frozen(lap), _frozen(r)[:, m], _frozen(h)[:, :m])
+    return SiteNetwork(active, frozen(lap), frozen(r)[:, m], frozen(h)[:, :m])
 
 
 def hitting_split(g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str) -> HittingSplit:
@@ -207,4 +189,4 @@ def green_matrix(g: MetricGraph, w: EdgeWeights) -> GreenMatrix:
     if not net.active:
         raise PreconditionError("graph has no active vertices")
     inverse = algebra.solve_many(net.laplacian, np.eye(len(net.active)))
-    return GreenMatrix(net.active, _frozen(inverse))
+    return GreenMatrix(net.active, frozen(inverse))

@@ -70,7 +70,13 @@ with many cycles the fill grows toward a dense matrix: reduced in full,
 a 5000-vertex tree with 2500 chords took 35 s on a shared 2-vCPU host,
 where 256 uncensored walks took 1 s.  So a vertex goes only while it has at most
 ``_MAX_DEGREE`` rates in and out; once every vertex left has more, they
-all stay states.  Censoring onto more states is exact too.  The returns
+all stay states.  The bound pays even where the full reduction is
+quick, since a wide row costs every move from it guide passes: from the
+injection of perfbench's ``random_graph_doc(default_rng(3), 10_000,
+1000)`` at kappa 1, 1024 walks kept 1068 states with 4.0 rates a row (at
+most 28) and 4 passes and took 0.9-1.3 s with the bound of 16, and with
+no bound 1004 states with 224.9 a row (at most 553) and 453 passes, 24.7
+s, on the same host.  Censoring onto more states is exact too.  The returns
 to a state v before the walk moves to another state are geometric, and
 the same conditional mean gives the sojourn factor 1/(1 + kappa*M''_v)
 with
@@ -165,7 +171,6 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -178,7 +183,7 @@ from .graph import (
     locate,
     require_valid,
 )
-from .harmonic import flux_coefficients, vertex_mask
+from .harmonic import flux_coefficients
 from .kac import KappaSpec
 
 _MASK64 = (1 << 64) - 1
@@ -266,42 +271,26 @@ class SimEstimate:
 
 @dataclass(frozen=True, eq=False)
 class GridChain:
-    """Vertex-visit chain of the graph diffusion.
-
-    ``rates`` holds p_v(e)/l_e for every half-edge of
-    ``graph.half_edge_table``, and ``absorbing`` marks the exits.  An
-    estimate walks the censored chain of its start (``walk``), whose
-    tables are built at the first estimate that asks for its states.
-    """
+    """Vertex-visit chain of the graph diffusion under the weights: from
+    v it leaves by half-edge e at rate p_v(e)/l_e (flux_coefficients),
+    and the exits absorb.  An estimate walks the censored chain of its
+    start (``walk``)."""
 
     graph: MetricGraph
-    absorbing: np.ndarray
-    rates: np.ndarray
-
-    @cached_property
-    def _fixed(self) -> np.ndarray:
-        """The vertices that are states of every walk: sites and exits."""
-        return vertex_mask(self.graph, self.graph.active_vertices) | self.absorbing
-
-    @cached_property
-    def _walks(self) -> dict[bytes, _Walk]:
-        """The censored walks asked for so far, one per state set."""
-        return {}
+    weights: EdgeWeights
 
     def walk(self, x: PointOnGraph) -> _Walk:
         """The censored walk from x, a vertex or a point inside an edge:
         its states are the sites, the exits and x, or both ends of x's
         edge, and any vertex that stays for a neighbour's way out (see
-        the module docstring)."""
-        g = self.graph
-        keep = self._fixed.copy()
+        the module docstring).  Its tables are built once per graph,
+        weights and state set, by ``graph.memo``."""
+        g, w = self.graph, self.weights
+        keep = g.site_mask | g.exit_mask
         ends = (x.vertex,) if x.is_vertex else g.edges[x.edge].endpoints
         keep[[g.vertex_index[v] for v in ends]] = True
-        key = keep.tobytes()
-        if key not in self._walks:
-            states, rows = _censor(g.half_edge_table, self.rates, self.absorbing, keep)
-            self._walks[key] = _Walk.of(len(keep), states, rows)
-        return self._walks[key]
+        return g.memo(w, ("walk", keep.tobytes()), lambda: _Walk.of(len(keep), *_censor(
+            g.half_edge_table, flux_coefficients(g, w), g.exit_mask, keep)))
 
 
 def _censor(
@@ -406,36 +395,17 @@ class _Walk:
 
 
 def build_grid(g: MetricGraph, w: EdgeWeights, step: float) -> GridChain:
-    """The vertex-visit chain of g under the weights w.
-
-    ``step`` is not read (see the module docstring).  Exit vertices
-    absorb; every other vertex needs a positive rate out.
-    """
+    """The vertex-visit chain of g under the weights w, which
+    flux_coefficients checks; ``step`` is not read (see the module
+    docstring)."""
     require_valid(g)
-    nv = len(g.vertex_ids)
-    # the half-edges out of the non-exit vertices, vertex by vertex
-    t = g.half_edge_table
-    exits = vertex_mask(g, g.exit_vertices)
-    out = ~exits[t.source]
-    row = t.source[out]
-    # p_v(e)/l_e, proportional to the chance that v's walk leaves by e
-    rates = flux_coefficients(g, w)
-    leave = rates[out]
-    if not 0.0 <= leave.min(initial=0.0) <= leave.max(initial=0.0) < math.inf:
-        # the edge draw needs rows of cum that never decrease
-        raise PreconditionError("edge weights must be finite and nonnegative")
-    degree = np.bincount(row, minlength=nv)
-    total = np.bincount(row, leave, nv)
-    if np.count_nonzero(total) < np.count_nonzero(degree):
-        raise PreconditionError("every vertex but an exit needs a positive edge weight")
-    return GridChain(graph=g, absorbing=exits, rates=rates)
+    flux_coefficients(g, w)
+    return GridChain(g, w)
 
 
 def _sojourn_factors(g: MetricGraph, walk: _Walk, ks: KappaSpec) -> np.ndarray:
     factor = np.ones(len(walk.states))
-    active = g.active_vertices
-    for vid, kappa in zip(active, ks.values(active).tolist() if active else ()):
-        i = walk.state[g.vertex_index[vid]]
+    for i, kappa in zip(walk.state[g.site_mask].tolist(), ks.values(g.active_vertices).tolist()):
         m = float(walk.sojourn_mean[i])
         # 1/(1 + kappa*m); past overflow s/(s + m) with s = 1/kappa, which
         # is 0 at an infinite kappa
@@ -517,7 +487,7 @@ def _simulate_block(
     # leads to itself
     edges = walk.guide
     sink = len(factor)
-    stop = np.append(grid.absorbing[walk.states] | (factor == 0.0), False)
+    stop = np.append(grid.graph.exit_mask[walk.states] | (factor == 0.0), False)
     fac = np.append(factor, 1.0)
     after = np.where(stop, sink, np.arange(sink + 1)) << edges.shift
     to, gain, arrive = after[walk.nbr], fac[walk.nbr], stop[walk.nbr]

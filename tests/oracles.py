@@ -6,6 +6,7 @@ package also computes, by a second, independent method.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -100,6 +101,44 @@ def censored_rates(g: MetricGraph, w: EdgeWeights, states: Sequence[int]) -> np.
     return out
 
 
+def exact_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> dict[str, Fraction]:
+    """The survival at every vertex, exactly: Gauss-Jordan elimination on
+    Fractions of feynman_kac's vertex system.
+
+    Every float length, weight and kappa is an exact rational, so the
+    result is the exact solution of the system that the floats define;
+    only converting it to a float rounds.  The row of a vertex v is
+    sum over half-edges e out of v of p_v(e)/l_e (F(t(e)) - F(v)) =
+    kappa_v F(v); an exit is fixed at 1 and a site of infinite kappa at 0.
+    """
+    index = g.vertex_index
+    n = len(index)
+    kappa = dict(zip(g.active_vertices, ks.values(g.active_vertices).tolist()))
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for v, row in zip(g.vertex_ids, rows):
+        i = index[v]
+        if v in g.exit_vertices or kappa.get(v) == float("inf"):
+            row[i], row[n] = Fraction(1), Fraction(v in g.exit_vertices)
+            continue
+        row[i] = -Fraction(kappa.get(v, 0.0))
+        for k, e in enumerate(g.edges):
+            for end, other in (e.endpoints, e.endpoints[::-1]):
+                if end == v:
+                    c = Fraction(w.at(v, k)) / Fraction(e.length)
+                    row[index[other]] += c
+                    row[i] -= c
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        top[:] = [x / top[col] for x in top]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+    return {v: rows[index[v]][n] for v in g.vertex_ids}
+
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -136,7 +175,7 @@ def scalar_walks(
         m = float(walk.sojourn_mean[i])
         factor[i] = (1.0 / (1.0 + kappa * m) if kappa * m < float("inf")
                      else (1.0 / kappa) / (1.0 / kappa + m))
-    absorbing = grid.absorbing[walk.states].tolist()
+    absorbing = g.exit_mask[walk.states].tolist()
     stop = [a or f == 0.0 for a, f in zip(absorbing, factor)]
     cum, nbr = walk.cum.tolist(), walk.nbr.tolist()
     index = g.vertex_index

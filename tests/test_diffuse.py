@@ -245,3 +245,29 @@ def test_zone_too_narrow_to_resolve_rejected():
     with pytest.raises(PreconditionError):
         solve_diffuse(g, derive_weights(g),
                       ActiveZoneSpec(rate=1.0, delta=1e-300, diffusion=1.0, h=1e-10))
+
+
+def test_two_solves_on_one_graph_build_the_zones_once(monkeypatch):
+    from graphreact import diffuse
+
+    built = []
+    zones = diffuse._Zones
+    monkeypatch.setattr(diffuse, "_Zones", lambda g, w: built.append(1) or zones(g, w))
+    g, _ = star_graph(3)
+    w = derive_weights(g)
+    for h in (0.1, 0.05):
+        zone = ActiveZoneSpec(rate=2.0, delta=0.5, diffusion=1.0, h=h)
+        first = solve_diffuse(g, w, zone)
+        g2, _ = star_graph(3)
+        assert first.vertex_values == solve_diffuse(g2, derive_weights(g2), zone).vertex_values
+    # one build on g, and one on each fresh graph
+    assert len(built) == 1 + 2
+
+
+def test_zones_of_weights_made_anew_do_not_grow_the_memo():
+    g, _ = star_graph(3)
+    zone = ActiveZoneSpec(rate=2.0, delta=0.5, diffusion=1.0, h=0.1)
+    want = solve_diffuse(g, derive_weights(g), zone).vertex_values
+    for _ in range(20):
+        assert solve_diffuse(g, derive_weights(g), zone).vertex_values == want
+    assert len(g.solved) <= 2  # the flux and zones entries of the last weights

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -454,6 +455,60 @@ def test_cli_edge_too_short_for_its_flux_exits_two(command, tmp_path, capsys):
         assert main([command[0], path, *command[1:]]) == 2
     assert capsys.readouterr().err == (
         "numerical failure: p/l overflows a float at vertex 'c1' on edge 1 (length 1e-310)\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["convert", "--kappa", "1"],
+    ["sweep", "--kappa-min", "0", "--kappa-max", "1", "--steps", "3"],
+    ["rational"],
+    ["green"],
+    ["hit"],
+    ["mc", "--kappa", "1", "--delta", "0.1", "--n", "100", "--seed", "1"],
+    ["diffuse", "--k", "2", "--delta", "0.1", "--diffusion", "1", "--h-list", "0.1"],
+    ["compare", "--kappa", "1", "--n", "100"],
+    ["validate"],
+], ids=lambda command: command[0])
+def test_cli_derived_weight_that_underflows_exits_one(command, tmp_path, capsys):
+    # ygraph with an inert branch j-b-t behind an edge of radius 1e-200: its
+    # weight is 0 at both ends, so validate said OK, convert and hit found a
+    # singular matrix, and mc from b capped every walk
+    path = _write(tmp_path, _tiny_radius_doc())
+    assert main([command[0], path, *command[1:]]) == 1
+    assert capsys.readouterr() == ("", "error: weight at vertex 'j' on edge 3 underflows to 0 "
+                                       "(radius 1e-200, dimension 3)\n")
+
+
+def _tiny_radius_doc():
+    doc = json.loads((FIXTURES / "ygraph.json").read_text())
+    doc["vertices"] += [{"id": "b", "role": "inert"}, {"id": "t", "role": "inert"}]
+    doc["edges"] += [{"from": "j", "to": "b", "length": 1.0, "radius": 1e-200},
+                     {"from": "b", "to": "t", "length": 1.0, "radius": 1.0}]
+    return doc
+
+
+def test_cli_explicit_rows_replace_derived_rows_that_would_underflow(tmp_path, capsys):
+    # a derived row that an explicit row replaces is never derived
+    rows = {"j": {"0": 0.25, "1": 0.25, "2": 0.25, "3": 0.25}, "b": {"3": 0.5, "4": 0.5}}
+    path = _write(tmp_path, {**_tiny_radius_doc(), "weights": rows})
+    assert main(["convert", path, "--kappa", "1"]) == 0
+    assert "alpha_kac = 0.333333333333\n" in capsys.readouterr().out
+    path = _write(tmp_path, {**_tiny_radius_doc(), "weights": {"j": rows["j"]}})
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr() == ("", "error: weight at vertex 'b' on edge 3 underflows to 0 "
+                                       "(radius 1e-200, dimension 3)\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "star_n3.json", "--kappa-min", "0.1", "--kappa-max", "1", "--steps", "3"],
+    ["diffuse", "interval_zone.json", "--k", "1", "--delta", "1", "--diffusion", "1",
+     "--h-list", "0.1"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_cli_out_that_cannot_be_written_exits_one(command, target, tmp_path, capsys):
+    out, reason = {"missing directory": (tmp_path / "absent" / "x.csv", errno.ENOENT),
+                   "directory": (tmp_path, errno.EISDIR)}[target]
+    assert main([command[0], str(FIXTURES / command[1]), *command[2:], "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {os.strerror(reason)}\n")
 
 
 def test_validate_checks_the_flux_from_the_float_nearest_one_over_max(tmp_path, capsys):

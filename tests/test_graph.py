@@ -1,4 +1,5 @@
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -286,3 +287,46 @@ def test_edges_that_are_not_plain_floats_get_every_check():
         "edge 2 ('c'-'a') has non-positive radius inf",
     ]
     assert validate(MetricGraph(g.vertices, g.edges[:2] + (Edge(("c", "a"), 1.0),))) == []
+
+
+def test_role_masks_are_cached_and_read_only():
+    g = MetricGraph(
+        (Vertex("v0"), Vertex("c", "active"), Vertex("j"), Vertex("a", "exit"),
+         Vertex("d", "active"), Vertex("b", "exit")),
+        (Edge(("v0", "c"), 1.0), Edge(("c", "j"), 1.0), Edge(("j", "a"), 1.0),
+         Edge(("j", "d"), 1.0), Edge(("d", "b"), 1.0)),
+    )
+    assert g.site_mask.tolist() == [False, True, False, False, True, False]
+    assert g.exit_mask.tolist() == [False, False, False, True, False, True]
+    assert g.site_mask is g.site_mask and g.exit_mask is g.exit_mask
+    for mask in (g.site_mask, g.exit_mask):
+        with pytest.raises(ValueError):
+            mask[0] = True
+
+
+@pytest.mark.parametrize("dimension, radius", [
+    (2000, 0.5),  # 0.5**1999 underflows
+    (3, 1e-200),  # 1e-200**2 underflows
+])
+def test_derived_weight_that_underflows_is_rejected(dimension, radius):
+    # v0's only edge gets weight 1; at c, the edge of the small radius gets 0
+    g = MetricGraph(
+        (Vertex("v0"), Vertex("c", "active"), Vertex("a", "exit")),
+        (Edge(("v0", "c"), 1.0, radius), Edge(("c", "a"), 1.0, 1.0)),
+        dimension,
+    )
+    message = (f"weight at vertex 'c' on edge 0 underflows to 0 "
+               f"(radius {radius!r}, dimension {dimension})")
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        derive_weights(g)
+
+
+def test_derived_weights_just_above_underflow_stay_positive():
+    # 1e-160**2 is subnormal, not 0
+    g = MetricGraph(
+        (Vertex("v0"), Vertex("c", "active"), Vertex("a", "exit")),
+        (Edge(("v0", "c"), 1.0, 1e-160), Edge(("c", "a"), 1.0)),
+    )
+    w = derive_weights(g)
+    assert 0.0 < w.at("c", 0) < 1e-300
+    assert weights_violations(g, w) == []

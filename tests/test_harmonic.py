@@ -1,19 +1,28 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from graphreact import (
+    ActiveZoneSpec,
     Edge,
+    EdgeWeights,
     KappaSpec,
     MetricGraph,
+    PreconditionError,
+    SimConfig,
     SingularSystemError,
     Vertex,
+    build_grid,
     conversion,
     derive_weights,
     green_matrix,
     hitting_split,
     rational_form,
+    simulate,
+    solve_diffuse,
     solve_survival,
     uniform_weights,
     PointOnGraph,
@@ -377,3 +386,56 @@ def test_memoized_arrays_and_weights_reject_writes():
         flux_coefficients(g, w)[0] = 1.0
     with pytest.raises(TypeError):
         w.p[("v0", 0)] = 0.5
+
+
+_NOT_FINITE = "edge weights must be finite and nonnegative"
+_NO_WAY_OUT = "every vertex but an exit needs a positive edge weight"
+
+
+@pytest.mark.parametrize("route", [
+    lambda g, w: conversion(g, w, "v0", KappaSpec.constant(1.0)),
+    lambda g, w: solve_survival(g, w, KappaSpec.constant(1.0)),
+    lambda g, w: solve_diffuse(g, w, ActiveZoneSpec(1.0, 0.1, 1.0, 0.1)),
+    lambda g, w: build_grid(g, w, 0.5),
+], ids=["kac", "fk", "diffuse", "mc"])
+@pytest.mark.parametrize("row, message", [
+    ({("c", 1): math.nan}, _NOT_FINITE),
+    ({("c", 1): -0.5}, _NOT_FINITE),
+    ({("c", 1): math.inf}, _NOT_FINITE),
+    ({("c", 0): 0.0, ("c", 1): 0.0}, _NO_WAY_OUT),
+], ids=["nan", "negative", "inf", "zero row"])
+def test_every_route_rejects_the_same_weights(route, row, message):
+    # on c's edge to the exit a, or the whole of c's row
+    g, _ = path_graph()
+    w = EdgeWeights({**derive_weights(g).p, **row})
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        route(g, w)
+
+
+def test_an_exit_weight_never_enters():
+    g, start = path_graph()
+    w = derive_weights(g)
+    odd = EdgeWeights({**w.p, ("a", 1): math.nan})
+    ks = KappaSpec.constant(1.0)
+    assert conversion(g, odd, start, ks) == conversion(g, w, start, ks)
+    assert solve_survival(g, odd, ks).values == solve_survival(g, w, ks).values
+
+
+def test_no_memo_entry_holds_the_graph_or_the_weights():
+    # every route's kappa-free work sits in g.solved; with no cycle through
+    # it, the graph and the weights go as soon as the caller drops them
+    g, start = path_graph()
+    w = derive_weights(g)
+    ks = KappaSpec.constant(1.0)
+    conversion(g, w, start, ks)
+    solve_survival(g, w, ks)
+    solve_diffuse(g, w, ActiveZoneSpec(1.0, 0.1, 1.0, 0.1))
+    simulate(g, w, ks, start, SimConfig(0.5, 10, 1))
+    assert sorted(key[1] for key in g.solved) == ["flux", "sites", "walk", "zones"]
+    graph, weights = weakref.ref(g), weakref.ref(w)
+    gc.disable()
+    try:
+        del g, w
+        assert graph() is None and weights() is None
+    finally:
+        gc.enable()

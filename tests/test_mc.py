@@ -22,6 +22,7 @@ from graphreact import (
     simulate,
 )
 from graphreact.graph import locate
+from graphreact.harmonic import flux_coefficients
 from helpers import (
     branchy_tree,
     chain_graph,
@@ -34,22 +35,22 @@ from helpers import (
 from oracles import scalar_walks
 
 
-def test_grid_vertex_transitions_reduce_to_weights():
+def test_grid_vertex_transitions_reduce_to_weights(monkeypatch):
     # equal edge lengths at the center: transition probs are p_v(e)
     g, _ = star_graph(3, exit_len=1.0, leaf_lengths=(1.0, 1.0))
     w = derive_weights(g)
-    grid = _uncensored(build_grid(g, w, 0.25))
+    grid = _uncensored(monkeypatch, g, w)
     center = grid.graph.vertex_index["c"]
     probs = np.diff(np.concatenate([[0.0], grid.walk(locate(g, "c")).cum[center]]))
     assert np.allclose(sorted(probs[:3]), [1 / 3] * 3, atol=1e-12)
 
 
-def test_grid_mixed_steps_normalized():
+def test_grid_mixed_steps_normalized(monkeypatch):
     g = MetricGraph(
         (Vertex("j"), Vertex("a", "exit"), Vertex("b")),
         (Edge(("j", "a"), 1.0), Edge(("j", "b"), 0.7)),
     )
-    grid = _uncensored(build_grid(g, derive_weights(g), 0.25))
+    grid = _uncensored(monkeypatch, g, derive_weights(g))
     j = grid.graph.vertex_index["j"]
     assert grid.walk(locate(g, "j")).cum[j, -1] == 1.0
 
@@ -280,11 +281,19 @@ def _branch_starts(g):
     return core, deep, PointOnGraph.on_edge(dead, g.edges[dead].length / 4)
 
 
-def _uncensored(grid):
+def _uncensored(monkeypatch, g, w):
     """The chain with every vertex a state, so that its walks are the
-    uncensored ones."""
-    grid.__dict__["_fixed"] = np.ones(len(grid.graph.vertex_ids), dtype=bool)
-    return grid
+    uncensored ones: no vertex is eliminated, and weights of its own keep
+    its walks apart from those of w in the graph's memo."""
+    from graphreact import mc
+
+    monkeypatch.setattr(mc, "_MAX_DEGREE", 0)
+    return build_grid(g, EdgeWeights(w.p), 0.25)
+
+
+def _walks(g):
+    """The number of censored walks in the graph's memo."""
+    return sum(key[1] == "walk" for key in g.solved)
 
 
 def _states(grid, start):
@@ -328,7 +337,7 @@ def test_sample_variance_matches_the_exact_variance(name, kappa):
 
 
 @pytest.mark.parametrize("which", ["core", "branch", "dead-end edge"])
-def test_folded_walk_matches_the_survival_with_fewer_moves(which):
+def test_folded_walk_matches_the_survival_with_fewer_moves(which, monkeypatch):
     # the censored walk against the survival and against the uncensored walk
     from graphreact import solve_survival
     from oracles import split_at
@@ -345,7 +354,7 @@ def test_folded_walk_matches_the_survival_with_fewer_moves(which):
         exact = solve_survival(g2, derive_weights(g2), ks)[mid]
     cfg = SimConfig(0.25, 20_000, 19)
     est = estimate_survival(grid, ks, x, cfg)
-    full = estimate_survival(_uncensored(build_grid(g, w, 0.25)), ks, x, cfg)
+    full = estimate_survival(_uncensored(monkeypatch, g, w), ks, x, cfg)
     assert abs(est.mean - exact) <= 4.0 * est.standard_error
     assert abs(full.mean - exact) <= 4.0 * full.standard_error
     assert est.steps_mean < full.steps_mean
@@ -444,17 +453,17 @@ def test_censored_rates_match_the_dense_schur_complement(kind):
         if not isinstance(x, str):
             x = PointOnGraph.on_edge(x, g.edges[x].length / 2)
         walk = grid.walk(locate(g, x))
-        keep = grid._fixed.copy()
+        keep = g.site_mask | g.exit_mask
         ends = [x] if isinstance(x, str) else g.edges[x.edge].endpoints
         keep[[g.vertex_index[v] for v in ends]] = True
-        states, rows = mc._censor(g.half_edge_table, grid.rates, grid.absorbing, keep)
+        states, rows = mc._censor(g.half_edge_table, flux_coefficients(g, w), g.exit_mask, keep)
         assert states == walk.states.tolist()
         want = censored_rates(g, w, states)
         for i, row in enumerate(rows):
             got = np.zeros(len(states))
             got[walk.state[list(row)]] = list(row.values())
             assert np.allclose(got, want[i], rtol=1e-12, atol=0.0), (x, i)
-            if grid.absorbing[states[i]]:
+            if g.exit_mask[states[i]]:
                 assert walk.sojourn_mean[i] == 0.0
             else:
                 assert walk.sojourn_mean[i] == pytest.approx(1.0 / want[i].sum(), rel=1e-12)
@@ -475,8 +484,8 @@ def test_sojourn_means_match_the_fold_where_only_dead_ends_go(seed):
     kept = np.array([v not in branches for v in g.vertex_ids])
     assert np.array_equal(walk.states, kept.nonzero()[0])
     t = g.half_edge_table
-    out = kept[t.source] & kept[t.target] & ~grid.absorbing[t.source]
-    total = np.bincount(t.source[out], grid.rates[out], len(kept))
+    out = kept[t.source] & kept[t.target] & ~g.exit_mask[t.source]
+    total = np.bincount(t.source[out], flux_coefficients(g, grid.weights)[out], len(kept))
     fold = np.divide(1.0, total, out=np.zeros(len(kept)), where=total > 0)
     assert np.array_equal(walk.sojourn_mean, fold[kept])
 
@@ -519,11 +528,11 @@ def test_core_starts_share_one_walk(monkeypatch):
     ks, cfg = KappaSpec.constant(0.8), SimConfig(0.25, 200, 5)
     for x in g.active_vertices + g.exit_vertices:
         estimate_survival(grid, ks, x, cfg)
-    assert len(grid._walks) == len(built) == 1
+    assert _walks(g) == len(built) == 1
     _, deep, on_edge = _branch_starts(g)
     for x in (deep, on_edge, deep, on_edge):
         estimate_survival(grid, ks, x, cfg)
-    assert len(grid._walks) == len(built) == 3
+    assert _walks(g) == len(built) == 3
 
 
 def test_z_scores_against_the_survival_on_random_graphs():
@@ -842,7 +851,7 @@ def _weighted_path(p_back: float):
 
 
 @pytest.mark.parametrize("graph", ["padded", "hub", "crowded", "bucket-edge", "top-bucket"])
-def test_guide_table_matches_the_column_count(graph):
+def test_guide_table_matches_the_column_count(graph, monkeypatch):
     from graphreact import mc
 
     g, w = {
@@ -852,7 +861,7 @@ def test_guide_table_matches_the_column_count(graph):
         "bucket-edge": lambda: _weighted_path(0.875),  # the top bucket's lower edge
         "top-bucket": lambda: _weighted_path(0.95),
     }[graph]()
-    grid = _uncensored(build_grid(g, w or derive_weights(g), 0.25))
+    grid = _uncensored(monkeypatch, g, w or derive_weights(g))
     cum = grid.walk(locate(g, g.vertex_ids[0])).cum  # one row per vertex
     nv, width = cum.shape
     table = mc._EdgeGuide.of(cum)
@@ -867,7 +876,7 @@ def test_guide_table_matches_the_column_count(graph):
     if graph == "top-bucket":
         assert table.passes == 1
     if graph == "padded":  # leaves of degree 1 in rows of width 4
-        assert ((cum[:, -2] == 1.0) & ~grid.absorbing).any()
+        assert ((cum[:, -2] == 1.0) & ~g.exit_mask).any()
 
     edges = np.arange(k + 1) / k
     u = np.concatenate([cum.ravel(), edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
@@ -894,3 +903,46 @@ def test_grid_rejects_missing_and_unusable_weights():
     zero = EdgeWeights({("v0", 0): 1.0, ("c", 0): 0.0, ("c", 1): 0.0, ("a", 1): 1.0})
     with pytest.raises(PreconditionError, match="needs a positive edge weight"):
         build_grid(g, zero, 0.25)
+
+
+def _count_censors(monkeypatch):
+    from graphreact import mc
+
+    calls = []
+    censor = mc._censor
+    monkeypatch.setattr(mc, "_censor", lambda *args: calls.append(1) or censor(*args))
+    return calls
+
+
+def test_simulate_at_two_kappas_builds_the_walk_once(monkeypatch):
+    g, w, start = _fixture("ygraph")
+    calls = _count_censors(monkeypatch)
+    cfg = SimConfig(0.25, 500, 7)
+    for kappa in (0.5, 4.0, 0.5):
+        est = simulate(g, w, KappaSpec.constant(kappa), start, cfg)
+        g2, w2, _ = _fixture("ygraph")
+        assert est == simulate(g2, w2, KappaSpec.constant(kappa), start, cfg)
+    # one walk on g, and one on each fresh graph
+    assert len(calls) == 1 + 3
+
+
+def test_grids_on_one_graph_and_weights_share_their_walks(monkeypatch):
+    g, w, start = _fixture("ygraph")
+    calls = _count_censors(monkeypatch)
+    x = locate(g, start)
+    walk = build_grid(g, w, 0.25).walk(x)
+    assert build_grid(g, w, 1.0).walk(x) is walk
+    assert len(calls) == 1
+    # a new weights object, even with the same table, builds its own
+    other = build_grid(g, EdgeWeights(w.p), 0.25).walk(x)
+    assert other is not walk and len(calls) == 2
+    assert np.array_equal(other.cum, walk.cum) and np.array_equal(other.nbr, walk.nbr)
+
+
+def test_walks_of_weights_made_anew_do_not_grow_the_memo():
+    g, _, start = _fixture("chain_m3")
+    ks, cfg = KappaSpec.constant(1.0), SimConfig(0.25, 100, 3)
+    want = simulate(*_fixture("chain_m3")[:2], ks, start, cfg)
+    for _ in range(20):
+        assert simulate(g, derive_weights(g), ks, start, cfg) == want
+    assert len(g.solved) <= 2  # the flux and walk entries of the last weights
