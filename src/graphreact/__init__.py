@@ -11,7 +11,6 @@ from .diffuse import (
     ActiveZoneSpec,
     CollapseRow,
     PiecewiseSolution,
-    collapse_csv,
     collapse_study,
     solve_diffuse,
 )
@@ -56,7 +55,6 @@ from .mc import (
     SimConfig,
     SimEstimate,
     build_grid,
-    estimate_csv,
     estimate_survival,
     simulate,
 )
@@ -90,13 +88,11 @@ __all__ = [
     "Vertex",
     "build_grid",
     "chain_alpha_recursive",
-    "collapse_csv",
     "collapse_study",
     "conversion",
     "derive_weights",
     "det",
     "emit_document",
-    "estimate_csv",
     "estimate_survival",
     "evaluate_at",
     "fixture_suite",

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input or validation problem (or a reader that
-closed stdout early), 2 numerical failure.  All numeric output uses 12
-significant digits; randomness enters only through --seed.  ``main``
+closed stdout early), 2 numerical failure.  The route modules return
+data; this module alone renders it.  Every float prints through ``_fmt``,
+12 significant digits with -0.0 folded into 0, and every table through
+``_table``; each subcommand writes its output once, through ``_emit``,
+to stdout or --out.  Randomness enters only through --seed.  ``main``
 builds its parser once per process.
 """
 
@@ -32,7 +35,18 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.12g}"  # adding 0.0 folds -0.0 into 0.0
 
 
-def _emit(text: str, out: str | None) -> None:
+def _row(cells) -> str:
+    return ",".join(_fmt(c) if isinstance(c, float) else str(c) for c in cells)
+
+
+def _table(header: str, rows) -> list[str]:
+    """A CSV table's lines: the header, then one line per row of cells."""
+    return [header, *map(_row, rows)]
+
+
+def _emit(lines, out: str | None = None) -> None:
+    """Write the lines, each ended by a newline, to the file out or to stdout."""
+    text = "\n".join(lines) + "\n"
     if out:
         try:
             fh = open(out, "w")
@@ -73,16 +87,19 @@ def _parse_kappa(text: str) -> float:
 def cmd_validate(args) -> int:
     parsed = parse_document(load_document(args.path))
     if parsed.graph.violations:
-        for p in parsed.graph.violations:
-            print(p)
+        _emit(parsed.graph.violations)
         return 1
     # the injection and the weights, as every other command reads them
     g, w, _ = prepare(parsed)
-    # a weight is at most 1, so p/l can overflow only on a length at or
-    # below the float nearest 1/max, where 1/l is already inf
-    if min((e.length for e in g.edges), default=math.inf) <= 1.0 / sys.float_info.max:
+    # a weight lies in (0, 1], so p/l can overflow only on a length at or
+    # below the float nearest 1/max, where 1/l is already inf, and can
+    # underflow only if the smallest weight over the longest length does;
+    # a valid graph has an edge at each exit
+    lengths = [e.length for e in g.edges]
+    if (min(lengths) <= 1.0 / sys.float_info.max
+            or min(w.p.values()) / max(lengths) == 0.0):
         flux_coefficients(g, w)
-    print("OK")
+    _emit(["OK"])
     return 0
 
 
@@ -92,17 +109,17 @@ def cmd_convert(args) -> int:
     result = conversion(g, w, start, ks)
     field = solve_survival(g, w, ks)
     alpha_fk = 1.0 - evaluate_at(field, start)
-    print(f"alpha_kac = {_fmt(result.alpha)}")
-    print(f"psi_kac   = {_fmt(result.psi)}")
-    print(f"alpha_fk  = {_fmt(alpha_fk)}")
-    print(f"diff      = {_fmt(abs(result.alpha - alpha_fk))}")
-    print(f"alpha_inf = {_fmt(result.alpha_inf)}")
+    lines = [
+        f"alpha_kac = {_fmt(result.alpha)}",
+        f"psi_kac   = {_fmt(result.psi)}",
+        f"alpha_fk  = {_fmt(alpha_fk)}",
+        f"diff      = {_fmt(abs(result.alpha - alpha_fk))}",
+        f"alpha_inf = {_fmt(result.alpha_inf)}",
+    ]
     if result.sites:
-        print("site,p,site_survival,term")
-        for site, p, s, term in zip(
-            result.sites, result.p, result.site_survival, result.breakdown
-        ):
-            print(f"{site},{_fmt(p)},{_fmt(s)},{_fmt(term)}")
+        lines += _table("site,p,site_survival,term", zip(
+            result.sites, result.p, result.site_survival, result.breakdown))
+    _emit(lines)
     return 0
 
 
@@ -125,42 +142,35 @@ def cmd_sweep(args) -> int:
         else:
             grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
     specs = [KappaSpec.constant(kappa) for kappa in grid.tolist()]
-    lines = ["kappa,alpha,psi,method"]
-    for kappa, res, field in zip(grid, conversion_curve(g, w, start, specs),
+    rows = []
+    for kappa, res, field in zip(grid.tolist(), conversion_curve(g, w, start, specs),
                                  survival_curve(g, w, specs)):
-        lines.append(f"{kappa:.12g},{_fmt(res.alpha)},{_fmt(res.psi)},kac")
         psi = evaluate_at(field, start)
-        lines.append(f"{kappa:.12g},{_fmt(1.0 - psi)},{_fmt(psi)},fk")
-    _emit("\n".join(lines) + "\n", args.out)
+        rows += [(kappa, res.alpha, res.psi, "kac"), (kappa, 1.0 - psi, psi, "fk")]
+    _emit(_table("kappa,alpha,psi,method", rows), args.out)
     return 0
 
 
 def cmd_rational(args) -> int:
     g, w, start = _load_problem(args.path)
     form = rational_form(g, w, start)
-    num = ",".join(_fmt(c) for c in form.numerator.coeffs) or "0"
-    den = ",".join(_fmt(c) for c in form.denominator.coeffs)
-    print(f"numerator,{num}")
-    print(f"denominator,{den}")
+    _emit([_row(("numerator", *(form.numerator.coeffs or (0.0,)))),
+           _row(("denominator", *form.denominator.coeffs))])
     return 0
 
 
 def cmd_green(args) -> int:
     g, w, _ = _load_problem(args.path, need_injection=False)
     gm = green_matrix(g, w)
-    print("site," + ",".join(gm.active))
-    for site, row in zip(gm.active, gm.entries):
-        print(site + "," + ",".join(_fmt(v) for v in row))
+    _emit(_table(_row(("site", *gm.active)),
+                 ((site, *row) for site, row in zip(gm.active, gm.entries.tolist()))))
     return 0
 
 
 def cmd_hit(args) -> int:
     g, w, start = _load_problem(args.path)
     hs = hitting_split(g, w, start)
-    print(f"alpha_inf = {_fmt(hs.alpha_inf)}")
-    print("site,p")
-    for site, p in zip(hs.active, hs.p):
-        print(f"{site},{_fmt(p)}")
+    _emit([f"alpha_inf = {_fmt(hs.alpha_inf)}", *_table("site,p", zip(hs.active, hs.p.tolist()))])
     return 0
 
 
@@ -174,7 +184,8 @@ def cmd_mc(args) -> int:
         step_cap=args.cap,
     )
     est = mc_mod.simulate(g, w, KappaSpec.constant(kappa), start, cfg)
-    sys.stdout.write(mc_mod.estimate_csv(kappa, est, cfg))
+    _emit(_table("kappa,mean,se,n,delta,seed", [
+        (kappa, est.mean, est.standard_error, est.trajectories, cfg.step, cfg.seed)]))
     if est.biased:
         print(f"warning: {est.capped} trajectories hit the transition cap; "
               "the estimate is biased", file=sys.stderr)
@@ -193,7 +204,8 @@ def cmd_diffuse(args) -> int:
         rate=args.k, delta=args.delta, diffusion=args.diffusion, h=h_list[0]
     )
     rows = diffuse_mod.collapse_study(g, w, zone, h_list, start)
-    _emit(diffuse_mod.collapse_csv(rows), args.out)
+    _emit(_table("h,psi_h,psi_limit,abs_err",
+                 ((r.h, r.psi_h, r.psi_limit, r.abs_err) for r in rows)), args.out)
     return 0
 
 
@@ -208,13 +220,11 @@ def cmd_compare(args) -> int:
     # four standard errors, and never less than the cross-route tolerance:
     # a product that is the same on every walk has standard error 0
     ok = abs(est.mean - res.psi) <= 4.0 * est.standard_error + _ROUTE_TOL
-    print("method,alpha,psi,se,status")
-    print(f"kac,{_fmt(res.alpha)},{_fmt(res.psi)},,")
-    print(f"fk,{_fmt(1.0 - psi_fk)},{_fmt(psi_fk)},,")
-    print(
-        f"mc,{_fmt(1.0 - est.mean)},{_fmt(est.mean)},{_fmt(est.standard_error)},"
-        + ("pass" if ok else "FAIL")
-    )
+    _emit(_table("method,alpha,psi,se,status", [
+        ("kac", res.alpha, res.psi, "", ""),
+        ("fk", 1.0 - psi_fk, psi_fk, "", ""),
+        ("mc", 1.0 - est.mean, est.mean, est.standard_error, "pass" if ok else "FAIL"),
+    ]))
     return 0
 
 

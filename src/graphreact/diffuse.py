@@ -300,17 +300,3 @@ def collapse_study(
         psi_h = zones.solve(g, replace(zone, h=h)).evaluate(x)
         rows.append(CollapseRow(h, psi_h, psi_limit, abs(psi_h - psi_limit)))
     return rows
-
-
-def collapse_csv(rows: list[CollapseRow]) -> str:
-    """Render a collapse table as CSV (columns h, psi_h, psi_limit, abs_err).
-
-    A survival that underflows to 0 can come out of the solve as -0.0
-    (0 / -kill); adding 0.0 prints it as 0.
-    """
-    lines = ["h,psi_h,psi_limit,abs_err"]
-    for r in rows:
-        lines.append(
-            f"{r.h:.12g},{r.psi_h + 0.0:.12g},{r.psi_limit + 0.0:.12g},{r.abs_err:.12g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -120,6 +120,9 @@ class MetricGraph:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
 
+    def __reduce__(self):  # a copy starts afresh: ``solved`` holds weak references
+        return MetricGraph, (self.vertices, self.edges, self.dimension)
+
     @cached_property
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)

@@ -102,10 +102,11 @@ class SiteNetwork:
 def flux_coefficients(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
     """p_v(e)/l_e for every half-edge, in the order of g.half_edge_table.
 
-    A finite weight over a length so short that the ratio overflows raises
-    SingularSystemError.  Out of a vertex other than an exit, a weight that
-    is not finite or is negative raises PreconditionError, and so does a
-    vertex with no positive weight; an exit's weights never enter.
+    Every rate out of a vertex other than an exit must be a positive float,
+    so no set of vertices of a valid graph holds the walk; an exit's weights
+    never enter.  A ratio that overflows or underflows to 0 raises
+    SingularSystemError; a weight that is not finite or is negative, a
+    vertex with no positive weight, and then a weight of 0, PreconditionError.
     """
     return g.memo(w, ("flux",), lambda: frozen(_flux(g, w)))
 
@@ -113,20 +114,25 @@ def flux_coefficients(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
 def _flux(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
     t = g.half_edge_table
     p = w.along(t.keys)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         c = p / t.length
-    usable = (0.0 <= c) & (c < math.inf)  # not NaN either
-    if np.count_nonzero(usable) < len(c):
-        over = np.isinf(c) & np.isfinite(p)
-        if np.count_nonzero(over):
-            vertex, edge = t.keys[over.argmax()]
-            raise SingularSystemError(f"p/l overflows a float at vertex {vertex!r} on edge "
-                                      f"{edge} (length {g.edges[edge].length!r})")
-        if np.count_nonzero(usable | g.exit_mask[t.source]) < len(c):
-            raise PreconditionError("edge weights must be finite and nonnegative")
-    n = len(g.vertex_ids)
-    if np.count_nonzero((np.bincount(t.source, c, n) > 0.0) | g.exit_mask) < n:
-        raise PreconditionError("every vertex but an exit needs a positive edge weight")
+    if np.count_nonzero((0.0 < c) & (c < math.inf)) < len(c):  # NaN fails too
+        inner = ~g.exit_mask[t.source]
+        idle = np.bincount(t.source, p, len(g.vertex_ids)) <= 0.0
+        for bad, error, message in (
+            (np.isinf(c) & np.isfinite(p), SingularSystemError,
+             "p/l overflows a float at {} (length {!r})"),
+            (inner & ~((0.0 <= c) & (c < math.inf)), PreconditionError,
+             "edge weights must be finite and nonnegative"),
+            (inner & idle[t.source], PreconditionError,
+             "every vertex but an exit needs a positive edge weight"),
+            (inner & (p == 0.0), PreconditionError, "weight at {} is 0"),
+            (inner & (c == 0.0), SingularSystemError, "p/l underflows to 0 at {} (length {!r})"),
+        ):
+            if np.count_nonzero(bad):
+                vertex, edge = t.keys[bad.argmax()]
+                raise error(message.format(f"vertex {vertex!r} on edge {edge}",
+                                           g.edges[edge].length))
     return c
 
 

@@ -85,12 +85,11 @@ class ConversionResult:
 
     ``site_survival[j]`` is the survival probability started at active
     site j; the per-site contributions to survival are
-    ``p[j] * site_survival[j]``,
-    alpha = alpha_inf * (1 - sum of those contributions), kept within
-    [0, alpha_inf] against roundoff, and
+    ``p[j] * site_survival[j]``, alpha = alpha_inf * (sum of p[j] * (1 -
+    site_survival[j])), kept within [0, alpha_inf] against roundoff, and
     psi = (1 - alpha_inf) + alpha_inf * (sum of those contributions), kept
-    within [1 - alpha_inf, 1]: it is 1 - alpha without the cancellation,
-    so a survival far below 1e-16 keeps its digits.
+    within [1 - alpha_inf, 1]: each 1 - site_survival[j] is solved for where
+    it is the smaller, so neither loses its digits far below 1e-16.
     """
 
     alpha: float
@@ -105,13 +104,13 @@ class ConversionResult:
         return tuple(pj * sj for pj, sj in zip(self.p, self.site_survival))
 
 
-def survival_on_active(net: SiteNetwork, kappa: np.ndarray) -> np.ndarray:
-    """Survival probabilities started on the active set, (L + M_kappa) psi = L 1,
-    for strengths kappa of shape (m,), or (K, m) for a stack of K points;
-    the result has the shape of kappa.
+def survival_on_active(net: SiteNetwork, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Survival psi, (L + M_kappa) psi = L 1, and conversion phi = 1 - psi started
+    on the active set, for strengths kappa of shape (m,), or (K, m) for a stack
+    of K points; each has the shape of kappa.
 
-    The same solve gives phi = 1 - psi from (L + M_kappa) phi = M_kappa 1; each
-    is accurate where it is the smaller, and psi is 1 - phi where phi is.  The
+    The same solve gives phi from (L + M_kappa) phi = M_kappa 1; each is
+    accurate where it is the smaller, and the other is 1 minus it.  The
     columns are scaled by s_j = 1/max(1, kappa_j), so nothing overflows at huge
     finite kappa; an infinite kappa_j is s_j = 0: the site absorbs, psi_j = 0,
     and phi_j = 1 moves -L[:, j] to phi's right side.  The systems
@@ -130,7 +129,8 @@ def survival_on_active(net: SiteNetwork, kappa: np.ndarray) -> np.ndarray:
     rhs[..., 1] = kill
     sol = s[..., None] * algebra.solve_many(a, rhs)
     psi, phi = sol[..., 0], sol[..., 1]
-    return np.where(phi < psi, 1.0 - phi, psi)
+    small = phi < psi
+    return np.where(small, 1.0 - phi, psi), np.where(small, phi, 1.0 - psi)
 
 
 def conversion(
@@ -142,7 +142,7 @@ def conversion(
     hs = net.split(g, x)
     if not hs.active:
         return _NO_SITES
-    return _result(hs, ks, survival_on_active(net, ks.values(hs.active)))
+    return _result(hs, ks, *survival_on_active(net, ks.values(hs.active)))
 
 
 def conversion_curve(
@@ -159,26 +159,26 @@ def conversion_curve(
     if not hs.active:
         return [_NO_SITES] * len(specs)
     kappa = strengths(specs, hs.active)
-    ratios = np.empty(kappa.shape)
+    solved = np.empty((2, *kappa.shape))  # the survivals, then the conversions
     for block in algebra.blocks(len(kappa), len(hs.active)):
-        ratios[block] = survival_on_active(net, kappa[block])
-    return [_result(hs, ks, r) for ks, r in zip(specs, ratios)]
+        solved[:, block] = survival_on_active(net, kappa[block])
+    return [_result(hs, ks, *pair) for ks, pair in zip(specs, zip(*solved))]
 
 
 _NO_SITES = ConversionResult(0.0, 1.0, 0.0, (), (), ())
 
 
-def _result(hs: HittingSplit, ks: KappaSpec, ratios: np.ndarray) -> ConversionResult:
-    """Conversion from the split and the site survivals at ks; at uniform
-    kappa 0, alpha is 0 and psi 1 exactly."""
+def _result(hs: HittingSplit, ks: KappaSpec, ratios, converted) -> ConversionResult:
+    """Conversion from the split and the site survivals and conversions at
+    ks; at uniform kappa 0, alpha is 0 and psi 1 exactly."""
     alpha_inf = hs.alpha_inf
     if (ks.is_uniform and ks.uniform == 0.0) or alpha_inf == 0.0:
         alpha, psi = 0.0, 1.0
     else:
-        # psi from the survival itself keeps its digits below 1e-16 of alpha;
-        # both are kept within their ranges, as p may sum an ulp above 1
+        # each from its own column keeps its digits where it is far below the
+        # other; both are kept within their ranges, as p may sum an ulp above 1
+        alpha = min(max(alpha_inf * float(hs.p @ converted), 0.0), alpha_inf)
         held = float(hs.p @ ratios)
-        alpha = min(max(alpha_inf * (1.0 - held), 0.0), alpha_inf)
         psi = min(max((1.0 - alpha_inf) + alpha_inf * held, 1.0 - alpha_inf), 1.0)
     return ConversionResult(alpha, psi, alpha_inf, hs.active, tuple(hs.p.tolist()),
                             tuple(ratios.tolist()))

@@ -87,15 +87,15 @@ while the walk moves to state j with probability proportional to
 r''_vj.  The estimate stays unbiased and its variance cannot rise, by
 the same argument.  Where only dead-end branches go, r''_vj is r_vj on
 every edge that stays and M''_v is the sum over those edges, the same
-floats as summing them directly.  A vertex whose elimination would
-leave a neighbour no out-rate to the others stays a state (the end of a
-branch that the walk could not leave, for example), so every state but
-an exit has a way out.  The start stays a state: censoring it away
-would be exact too, since its walk reaches S before anything else
-happens, but it would start the walk on S, and from a start like
-``path_site``'s every product would then be the one constant
-1/(1 + kappa*M''_c), right only up to rounding and with a standard
-error of 0, which no 4-sigma window can hold.  ``steps_mean``,
+floats as summing them directly.  Every rate out of a vertex other than
+an exit is positive (``flux_coefficients`` checks it) and every vertex
+of a valid graph has a path to an exit, so no set of vertices holds the
+walk, and every state but an exit keeps a way out.  The start stays a
+state: censoring it away would be exact too, since its walk reaches S
+before anything else happens, but it would start the walk on S, and
+from a start like ``path_site``'s every product would then be the one
+constant 1/(1 + kappa*M''_c), right only up to rounding and with a
+standard error of 0, which no 4-sigma window can hold.  ``steps_mean``,
 ``steps_max`` and ``step_cap`` count the moves of the censored chain.
 With every vertex a state the walk is the uncensored one, so the
 estimates change only where a vertex is eliminated.
@@ -282,9 +282,9 @@ class GridChain:
     def walk(self, x: PointOnGraph) -> _Walk:
         """The censored walk from x, a vertex or a point inside an edge:
         its states are the sites, the exits and x, or both ends of x's
-        edge, and any vertex that stays for a neighbour's way out (see
-        the module docstring).  Its tables are built once per graph,
-        weights and state set, by ``graph.memo``."""
+        edge, and any vertex that the degree bound keeps (see the module
+        docstring).  Its tables are built once per graph, weights and
+        state set, by ``graph.memo``."""
         g, w = self.graph, self.weights
         keep = g.site_mask | g.exit_mask
         ends = (x.vertex,) if x.is_vertex else g.edges[x.edge].endpoints
@@ -308,7 +308,7 @@ def _censor(
     out: list = [{} for _ in range(nv)]
     into: list = [set() for _ in range(nv)]  # the vertices with a rate to each
     for i, j, r in zip(t.source.tolist(), t.target.tolist(), rates.tolist()):
-        if r > 0.0 and not absorbing[i]:
+        if not absorbing[i]:
             out[i][j] = out[i].get(j, 0.0) + r
             into[j].add(i)
     fixed = keep.tolist()
@@ -323,10 +323,6 @@ def _censor(
             continue
         if d > _MAX_DEGREE:
             break  # every vertex left stays a state
-        if len(row) == 1:
-            (j,) = row
-            if j in came and len(out[j]) == 1:
-                continue  # j would be left no way out; k stays unless its neighbours change
         total = math.fsum(row.values())
         for i in came:
             ri = out[i]
@@ -579,14 +575,3 @@ def simulate(
 ) -> SimEstimate:
     """Convenience wrapper: build the chain and estimate."""
     return estimate_survival(build_grid(g, w, cfg.step), ks, x, cfg)
-
-
-def estimate_csv(kappa: float, est: SimEstimate, cfg: SimConfig) -> str:
-    """One CSV row per estimate: kappa, mean, se, n, delta, seed."""
-    lines = ["kappa,mean,se,n,delta,seed"]
-    # adding 0.0 folds -0.0 into 0.0, as cli._fmt does
-    lines.append(
-        f"{kappa + 0.0:.12g},{est.mean:.12g},{est.standard_error:.12g},"
-        f"{est.trajectories},{cfg.step:.12g},{cfg.seed}"
-    )
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ from graphreact import (
     KappaSpec,
     PointOnGraph,
     PreconditionError,
-    collapse_csv,
     collapse_study,
     conversion,
     derive_weights,
@@ -159,12 +158,11 @@ def test_field_within_unit_interval():
         assert sol.evaluate(vid) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_collapse_csv_shape():
-    g, start = degree1_graph(1.0)
-    w = derive_weights(g)
-    zone = ActiveZoneSpec(rate=1.0, delta=1.0, diffusion=1.0, h=0.1)
-    text = collapse_csv(collapse_study(g, w, zone, [0.1, 0.05], start))
-    lines = text.strip().split("\n")
+def test_collapse_csv_shape(capsys):
+    # interval_zone is degree1_graph(1.0) with its injection at the site c
+    assert main(["diffuse", str(INTERVAL_ZONE), "--k", "1", "--delta", "1",
+                 "--diffusion", "1", "--h-list", "0.1,0.05"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "h,psi_h,psi_limit,abs_err"
     assert len(lines) == 3
 

@@ -457,6 +457,32 @@ def test_cli_edge_too_short_for_its_flux_exits_two(command, tmp_path, capsys):
         "numerical failure: p/l overflows a float at vertex 'c1' on edge 1 (length 1e-310)\n")
 
 
+TRAP = {
+    "vertices": [{"id": "v0"}, {"id": "c", "role": "active"}, {"id": "a", "role": "exit"},
+                 {"id": "b"}, {"id": "t"}],
+    "edges": [{"from": "v0", "to": "c", "length": 1.0}, {"from": "c", "to": "a", "length": 1.0},
+              {"from": "c", "to": "b", "length": 2.0}, {"from": "b", "to": "t", "length": 1.0}],
+    "weights": {"b": {"2": 5e-324, "3": 1.0}},
+    "injection": {"vertex": "v0"},
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["convert", "--kappa", "1"],
+    ["mc", "--kappa", "1", "--delta", "0.1", "--n", "2000", "--seed", "1"],
+    ["diffuse", "--k", "2", "--delta", "0.1", "--diffusion", "1", "--h-list", "0.1"],
+], ids=lambda command: command[0])
+def test_cli_weight_whose_flux_underflows_exits_two(command, tmp_path, capsys):
+    # b's row lies in (0, 1] and sums to 1, but p/l back to c is 0, so a walk
+    # that enters b never leaves {b, t}: validate printed OK, the solves hit a
+    # singular matrix and mc ran its walks to the cap
+    path = _write(tmp_path, TRAP)
+    assert main([command[0], path, *command[1:]]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical failure: p/l underflows to 0 at vertex 'b' on edge 2 (length 2.0)\n")
+
+
 @pytest.mark.parametrize("command", [
     ["convert", "--kappa", "1"],
     ["sweep", "--kappa-min", "0", "--kappa-max", "1", "--steps", "3"],

@@ -7,6 +7,7 @@ value or to raise GraphReactError; they fail until the routes do.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,18 @@ def test_exact_survival_matches_every_fixture_closed_form(fixture):
         exact = exact_survival(g, w, KappaSpec.constant(kappa))[start]
         assert float(1 - exact) == pytest.approx(fixture.expected_alpha(kappa),
                                                  rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("fixture", fixture_suite(), ids=lambda f: f.name)
+def test_kac_alpha_keeps_its_digits_at_tiny_kappa(fixture):
+    # alpha = alpha_inf (1 - p.psi) printed 1.99995575656e-12 for 2e-12 on
+    # path_site, and 0 on every fixture at 1e-300
+    g, w, start = prepare(parse_document(fixture.document))
+    for kappa in (1e-300, 1e-16, 1e-12, 1e-9):
+        ks = KappaSpec.constant(kappa)
+        exact = 1 - exact_survival(g, w, ks)[start]
+        alpha = Fraction(conversion(g, w, start, ks).alpha)
+        assert abs(alpha - exact) <= Fraction(1, 10**12) * exact, (kappa, float(alpha))
 
 
 def test_exact_survival_fixes_exits_and_infinite_sites():

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -419,6 +420,20 @@ def test_an_exit_weight_never_enters():
     ks = KappaSpec.constant(1.0)
     assert conversion(g, odd, start, ks) == conversion(g, w, start, ks)
     assert solve_survival(g, odd, ks).values == solve_survival(g, w, ks).values
+
+
+def test_a_solved_graph_pickles_without_its_memo():
+    # the memo's weak references made pickle.dumps(g) raise TypeError
+    g, start = path_graph()
+    w = derive_weights(g)
+    ks = KappaSpec.constant(1.0)
+    res = conversion(g, w, start, ks)
+    simulate(g, w, ks, start, SimConfig(0.5, 10, 1))
+    solve_diffuse(g, w, ActiveZoneSpec(1.0, 0.1, 1.0, 0.1))
+    copy = pickle.loads(pickle.dumps((g, w)))
+    assert copy == (g, w)
+    assert copy[0].solved == {}
+    assert conversion(*copy, start, ks) == res
 
 
 def test_no_memo_entry_holds_the_graph_or_the_weights():

@@ -49,8 +49,8 @@ def _net(gm):
 
 
 def _survival(net, ks):
-    """survival_on_active at the strengths of ks."""
-    return survival_on_active(net, ks.values(net.active))
+    """The survivals of survival_on_active at the strengths of ks."""
+    return survival_on_active(net, ks.values(net.active))[0]
 
 
 def test_survival_kappa_zero_is_one():
