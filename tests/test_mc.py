@@ -392,6 +392,29 @@ def _without_a_way_out(back: float):
     return g, w
 
 
+def test_branch_without_a_way_out_is_kept():
+    # the branch {b, t} with only a weak way back to c folds into c, and
+    # the folded walk keeps its time there: every walk from c moves once,
+    # to the exit, so its product is one constant that holds the survival
+    # up to rounding.  From the branch's leaf each stay at t is one move,
+    # where uncensored the walk takes about 2000 to leave the branch.
+    # With no way back at all the weights are refused (see below)
+    g, w = _without_a_way_out(1e-3)
+    grid = build_grid(g, w, 0.25)
+    assert _states(grid, "c") == {"c", "a"}
+    assert _states(grid, "v0") == {"v0", "c", "a"}
+    assert _states(grid, "t") == {"t", "c", "a"}
+    ks = KappaSpec.constant(0.7)
+    exact = solve_survival(g, w, ks)
+    cfg = SimConfig(0.25, 4_000, 5)
+    est = estimate_survival(grid, ks, "c", cfg)
+    assert est.steps_max == 1 and est.standard_error == 0.0
+    assert est.mean == pytest.approx(exact["c"], rel=1e-12)
+    est = estimate_survival(grid, ks, "t", cfg)
+    assert est.capped == 0 and est.steps_max < 100
+    assert abs(est.mean - exact["t"]) <= 4.0 * est.standard_error
+
+
 @pytest.mark.parametrize("route", [
     lambda g, w: build_grid(g, w, 0.25),
     lambda g, w: hitting_split(g, w, "v0"),
@@ -436,6 +459,14 @@ def test_vertex_with_too_many_rates_stays_a_state(most, monkeypatch):
 
 
 def _censoring_cases(kind):
+    if kind == "no way out":
+        # the branch {b, t} whose only way out is a weak weight back to c
+        for back in (1.0, 1e-3, 1e-12):
+            g, w = _without_a_way_out(back)
+            yield g, w, "c"
+            yield g, w, "t"
+            yield g, w, 0
+        return
     rng = np.random.default_rng(["tree", "hub", "cyclic"].index(kind))
     for i in range(8):
         if kind == "tree":
@@ -450,7 +481,7 @@ def _censoring_cases(kind):
             yield g, derive_weights(g), str(rng.choice(g.vertex_ids))
 
 
-@pytest.mark.parametrize("kind", ["tree", "hub", "cyclic"])
+@pytest.mark.parametrize("kind", ["tree", "hub", "cyclic", "no way out"])
 def test_censored_rates_match_the_dense_schur_complement(kind):
     from graphreact import mc
     from oracles import censored_rates
