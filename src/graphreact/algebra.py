@@ -20,24 +20,27 @@ ordering); everything else, including every m-by-m Green-matrix system,
 to LAPACK's row-pivoted LU (dgetrf/dgetrs), whose failure names the
 pivot column.  A vertex system has O(E) nonzeros, so sparse elimination
 wins once the fixed cost of building the CSC matrix and calling SuperLU
-(about 0.2 ms) is below the O(n^3) dense work.  Best times in ms, dense
-/ sparse, on a shared 2-vCPU Xeon: the survival solve on random trees
-and on trees with n/10 chords, and conversion on chains of n-2 sites,
-whose Green solve has n-2 right-hand columns:
+is below the O(n^3) dense work.  Best times in ms of solve_many alone,
+dense / sparse, single-threaded on a shared 2-vCPU Xeon: the survival
+system (one right-hand column) of random trees with 4 sites and of such
+trees with n/10 chords, and a system with n - 2 right-hand columns, a
+chain's vertex system with its n - 2 sites fixed.  That last is how the
+sites' network was solved before dead ends were stripped; a chain now
+leaves nothing to solve, but a kernel with many sites still has a column
+per site:
 
-    n      tree           with chords    chain
-    100    0.21 / 0.46    0.19 / 0.50    1.12 / 1.10
-    150    0.41 / 0.55    0.39 / 0.64    2.79 / 2.34
-    200    0.73 / 0.67    0.76 / 0.82    5.42 / 3.57
-    300    2.20 / 0.71    2.63 / 1.09    13.7 / 6.07
-    500    6.36 / 0.76    6.75 / 1.15    40.4 / 22.9
+    n      tree           with chords    n - 2 columns
+    100    0.08 / 0.13    0.08 / 0.18    0.36 / 0.20
+    150    0.20 / 0.19    0.20 / 0.27    1.27 / 0.38
+    200    0.37 / 0.23    0.37 / 0.33    2.43 / 0.88
+    300    1.69 / 0.35    1.71 / 0.46    7.79 / 1.75
+    500    6.11 / 0.51    6.12 / 0.73    26.3 / 5.25
 
-Chains break even near 100 unknowns, trees near 190 and graphs with
-chords near 210; at 150 a tree or a graph with chords loses at most
-0.25 ms and a chain gains 0.45 ms.  The diffuse-zone solve is a vertex
-system of the same form.  scipy is imported at the first
-factorization: loading it more than doubles the start-up time of
-commands that factor nothing.
+Trees break even near 150 unknowns and graphs with chords near 200; a
+system with a column per unknown gains from SuperLU already at 100, by
+0.16 ms.  The diffuse-zone solve is a vertex system of the same form.
+scipy is imported at the first factorization: loading it more than
+doubles the start-up time of commands that factor nothing.
 """
 
 from __future__ import annotations

@@ -20,9 +20,16 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra
+from .errors import SingularSystemError
 from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
 from .harmonic import flux_coefficients, flux_system
 from .kac import KappaSpec, strengths
+
+#: how far outside [0, 1] a survival may round.  A well-posed solve
+#: misses by a few ulps (2.2e-16 each); 1e-12 is far above that and far
+#: below the 1e-9 to which the routes are held, so a value outside is a
+#: wrong answer, not rounding
+SURVIVAL_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +81,19 @@ def _vertex_values(g: MetricGraph, w: EdgeWeights, kappa: np.ndarray) -> np.ndar
     kappa moves only the diagonals of the active vertices and fixes those
     of infinite strength, so a stack is one flux_system call and one
     algebra.solve_many call, dense or factored point by point with
-    SuperLU by order."""
+    SuperLU by order.
+
+    A survival is a probability.  A value outside [-1e-12, 1 + 1e-12]
+    (SURVIVAL_SLACK, which says why 1e-12) is an error that the residual
+    check let through, so it raises SingularSystemError."""
     a = flux_system(g, flux_coefficients(g, w), g.exit_mask | np.isinf(kappa), kappa)
-    return algebra.solve_many(a, np.zeros(kappa.shape) + g.exit_mask)
+    x = algebra.solve_many(a, np.zeros(kappa.shape) + g.exit_mask)
+    low, high = x.min(), x.max()
+    if not -SURVIVAL_SLACK <= low <= high <= 1.0 + SURVIVAL_SLACK:  # NaN fails too
+        raise SingularSystemError(
+            f"survival {high if low >= 0.0 else low:.3e} outside [0, 1]: the vertex system "
+            "is too ill-conditioned")
+    return x
 
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:

@@ -11,17 +11,28 @@ cached half-edge table, and flux_system turns them into the Triplets of
 a vertex system, which algebra factors densely or with SuperLU by size;
 feynman_kac's survival solve is assembled the same way.
 
-One solve, with the m active sites and the exits fixed, gives the
-harmonic measures H: H[v, j] is the probability that the walk from v
-reaches active[j] first among the sites and exits, and a start's split
-is its row of H.  Watched on the sites, the walk is a network, the Kron
-reduction of the flux system, with rates
+The harmonic measures H: H[v, j] is the probability that the walk from
+v reaches active[j] first among the m active sites and the exits, and a
+start's split is its row of H.  The sites and exits keep their identity
+rows.  The walk reflects at an inert end, so a branch with no site and
+no exit changes no hitting probability: it leaves the branch where it
+came in.  _dead_ends strips such branches without arithmetic, and each
+of their vertices takes the row of the living vertex it hangs on.  One
+solve, over the inert vertices left, gives their rows: flux_system keeps
+their rows and columns, and their coefficients to the sites and exits
+make the right side.  On a chain nothing is left to solve, and no
+elimination meets an edge into a dead end, however short.  Watched on
+the sites, the walk is a network, the Kron reduction of the flux system,
+with rates
 
     R[i, j] = sum over half-edges e out of active[i] of p(e)/l_e * H[t(e), j],
 
-column m the exits and the diagonal dropped.  Its Laplacian
-L = diag(R 1) - R[:, :m] is G[A, A]^-1; every rate is a sum of
-nonnegative terms, as in GTH state reduction, so L needs no subtraction.
+column m the exits and the diagonal dropped: a half-edge into a dead end
+comes back and adds to the diagonal only, and the rest give each
+half-edge's coefficient to a site or exit plus C_SI H_I through the
+inner vertices.  Its Laplacian L = diag(R 1) - R[:, :m] is G[A, A]^-1;
+every rate is a sum of nonnegative terms, as in GTH state reduction, so
+L needs no subtraction.
 
 site_network is memoized per (g, w) by ``g.memo`` under "sites", and
 flux_coefficients under "flux".  The start is not in the key: a new
@@ -137,20 +148,37 @@ def _flux(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
 
 
 def flux_system(
-    g: MetricGraph, coeff: np.ndarray, fixed: np.ndarray, kill: np.ndarray | float = 0.0
+    g: MetricGraph,
+    coeff: np.ndarray,
+    fixed: np.ndarray,
+    kill: np.ndarray | float = 0.0,
+    keep: np.ndarray | None = None,
 ) -> algebra.Triplets:
     """Matrix whose row v is rho_v - kill[v] as a linear form in the vertex
     values, with an identity row at each vertex where the boolean mask
     ``fixed`` is set, so that the right-hand side sets its value.
     ``coeff`` is flux_coefficients(g, w).  A (K, n) mask, with kill of
     shape (K, n), gives the stack of K such matrices: they share the
-    flux coefficients and differ on the diagonal and in the fixed rows."""
+    flux coefficients and differ on the diagonal and in the fixed rows.
+
+    ``keep``, an array of vertex rows, makes the matrix the block of those
+    rows and columns, in that order.  Its diagonal still sums every
+    coefficient of the row: the coefficients to the columns left out are
+    the caller's, for the right-hand side."""
     t = g.half_edge_table
     n = fixed.shape[-1]
     # a fixed row's flux never enters: its coefficients are 0 and its diagonal 1
     c = np.where(fixed.take(t.source, axis=-1), 0.0, coeff)
     diag = np.where(fixed, 1.0, -np.bincount(t.source, coeff, n) - kill)
-    return algebra.Triplets(t.rows, t.cols, np.concatenate((c, diag), axis=-1), n)
+    if keep is None:
+        return algebra.Triplets(t.rows, t.cols, np.concatenate((c, diag), axis=-1), n)
+    row = np.full(n, -1)
+    row[keep] = every = np.arange(len(keep))
+    rows, cols = row[t.source], row[t.target]
+    inside = ((rows >= 0) & (cols >= 0)).nonzero()[0]
+    return algebra.Triplets(np.concatenate((rows[inside], every)),
+                            np.concatenate((cols[inside], every)),
+                            np.concatenate((c[..., inside], diag[..., keep]), axis=-1), len(keep))
 
 
 def site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
@@ -159,25 +187,86 @@ def site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     return g.memo(w, ("sites",), lambda: _site_network(g, w))
 
 
+#: most rounds of _dead_ends: a random tree of 10^4 vertices and 4 sites
+#: took 20, a dead-end path takes as many as it is long
+_DEAD_END_ROUNDS = 32
+
+
+def _dead_ends(g: MetricGraph) -> np.ndarray:
+    """The vertex row each vertex hangs on: its own, or for an inert vertex
+    of a dead-end branch, the row of the living vertex the branch hangs on.
+
+    A branch with no site and no exit changes no hitting probability: the
+    walk reflects at its ends and leaves it where it came in.  A round
+    removes every inert vertex with at most one living half-edge and
+    records the vertex at the other end; pointer jumping then sends each
+    removed vertex to a living one.  A branch joined by parallel edges
+    keeps two living half-edges, so it stays.  Needs a valid graph.
+
+    A round costs O(n), so there are at most _DEAD_END_ROUNDS.  A branch
+    deeper than that keeps the vertices nearest its root: they stay
+    unknowns of the solve, which is still right, only larger.
+    """
+    t = g.half_edge_table
+    n, gone = len(g.vertex_ids), len(t.source) + 2
+    living = np.bincount(t.source, minlength=n)
+    living[g.site_mask | g.exit_mask] = gone  # never removed
+    # the sum of the targets of a vertex's living half-edges: with one, its target
+    ends = np.bincount(t.source, t.target, n)
+    hang = np.arange(n)
+    leaves = (living <= 1).nonzero()[0]
+    rounds = 0
+    while len(leaves) and rounds < _DEAD_END_ROUNDS:
+        up = hang[leaves] = ends[leaves].astype(np.intp)
+        living[leaves] = gone
+        living -= np.bincount(up, minlength=n)
+        ends -= np.bincount(up, leaves, n)
+        leaves = (living <= 1).nonzero()[0]
+        rounds += 1
+    for _ in range(rounds - 1):  # every round's vertices hang on living ones by the last
+        up = hang[hang]
+        if (up == hang).all():
+            break
+        hang = up
+    return hang
+
+
 def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     active, t = g.active_vertices, g.half_edge_table
     n, m = len(g.vertex_ids), len(active)
-    # the right-hand column of each vertex: its site number, m at an exit
-    # and m + 1, a zero row of the identity below, at every other vertex
-    col = np.full(n, m + 1)
-    col[g.site_mask] = np.arange(m)
-    col[g.exit_mask] = m
+    hang = _dead_ends(g)
+    fixed = g.site_mask | g.exit_mask
+    inner = ((hang == np.arange(n)) & ~fixed).nonzero()[0]
+    k = len(inner)
+    # each vertex's row of H stacked as [I; H over the inner vertices]: its
+    # site number, m at an exit, m + 1 + its place among the inner vertices,
+    # and for a vertex of a dead-end branch, the row of the vertex it hangs on
+    key = np.empty(n, dtype=np.intp)
+    key[g.site_mask], key[g.exit_mask] = np.arange(m), m
+    key[inner] = np.arange(m + 1, m + 1 + k)
+    key = key[hang]
     coeff = flux_coefficients(g, w)
-    h = algebra.solve_many(flux_system(g, coeff, col <= m), np.eye(m + 2, m + 1)[col])
-    np.maximum(h, 0.0, out=h)  # LU roundoff can leave -1e-16 where a probability is 0
-    # R = C H, C[i, v] the coefficients from active[i] to v: CSR at many sites
-    src = col[t.source]
-    if m > algebra.SPARSE_MIN_ORDER:
-        from scipy.sparse import csr_matrix
-        c = csr_matrix((coeff, (src, t.target)), shape=(m + 2, n))
-    else:
-        c = np.bincount(src * n + t.target, coeff, (m + 2) * n).reshape(m + 2, n)
-    r = c[:m] @ h
+    src, dst = key[t.source], key[t.target]
+    # F[i, j]: the coefficients from row i to the site j or, at j = m, to the
+    # exits.  Its first m rows are the sites' direct rates, its last k the
+    # inner vertices' right side.  A half-edge into a dead end, or inside
+    # one, has src == dst: it lands on a diagonal of the sites, which is no
+    # move, or in the exits' row, which is never read; so does an exit's
+    # own half-edge, whose weight never enters.
+    to_fixed = dst <= m
+    f = np.bincount(src[to_fixed] * (m + 1) + dst[to_fixed], coeff[to_fixed],
+                    (m + 1 + k) * (m + 1)).reshape(-1, m + 1)
+    r, h = f[:m], np.eye(m + 1)
+    if k:
+        # the half-edges into dead ends leave the inner rows' diagonals too
+        living = np.where(hang[t.target] == t.target, coeff, 0.0)
+        hi = algebra.solve_many(flux_system(g, living, fixed, keep=inner), -f[m + 1:])
+        np.maximum(hi, 0.0, out=hi)  # LU roundoff can leave -1e-16 where a probability is 0
+        h = np.concatenate((h, hi))
+        # R = F[:m] + C_SI H_I, C_SI the coefficients from the sites to the inner vertices
+        via = ((src < m) & (dst > m)).nonzero()[0]
+        np.add.at(r, src[via], coeff[via, None] * h[dst[via]])
+    h = h[key]
     r.flat[:: m + 2] = 0.0  # a return to the site left is no move
     lap = -r[:, :m]
     lap.flat[:: m + 1] = r.sum(axis=1)

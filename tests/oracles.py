@@ -101,6 +101,28 @@ def censored_rates(g: MetricGraph, w: EdgeWeights, states: Sequence[int]) -> np.
     return out
 
 
+def dead_end_parents(g: MetricGraph) -> dict[str, str]:
+    """The vertex that each vertex of a dead-end branch hangs from: the
+    branches that strip away, leaf by leaf, when no start is kept.  A
+    vertex counts each of its edges, so a branch joined by parallel edges
+    stays."""
+    ends = {v: [] for v in g.vertex_ids}
+    for e in g.edges:
+        u, v = e.endpoints
+        ends[u].append(v)
+        ends[v].append(u)
+    fixed = set(g.active_vertices) | set(g.exit_vertices)
+    parent = {}
+    leaves = [v for v, n in ends.items() if len(n) == 1 and v not in fixed]
+    while leaves:
+        x = leaves.pop()
+        (v,) = (u for u in ends[x] if u not in parent)
+        parent[x] = v
+        if sum(u not in parent for u in ends[v]) == 1 and v not in fixed:
+            leaves.append(v)
+    return parent
+
+
 def exact_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> dict[str, Fraction]:
     """The survival at every vertex, exactly: Gauss-Jordan elimination on
     Fractions of feynman_kac's vertex system.

@@ -1,9 +1,11 @@
-"""The exact oracle, and the routes' wrong answers it pins.
+"""The exact oracle, and the routes' answers on badly scaled documents.
 
-Two documents whose edge lengths span many decades make kac and the
-direct vertex solve return wrong values that pass every check.  The
-tests marked xfail require each route to return within 1e-9 of the exact
-value or to raise GraphReactError; they fail until the routes do.
+On two documents whose edge lengths span many decades, each route must
+return within 1e-9 of the exact value or raise GraphReactError.  kac is
+exact on the wide ygraph, whose tiny edge leads into a dead end, and the
+vertex solve raises on the wide chain, whose survival leaves [0, 1].
+The test marked xfail, the vertex solve on the wide ygraph, fails until
+that route is exact or raises there too.
 """
 
 import math
@@ -88,7 +90,6 @@ def _within_or_raises(route, want):
     assert abs(got - want) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="kac loses 9.9e-5 to roundoff on this scaling")
 def test_kac_on_the_wide_ygraph_is_exact_or_raises():
     lengths, kappa, alpha = YGRAPH_WIDE
     g, w, start = _with_lengths("ygraph", lengths)
@@ -103,7 +104,6 @@ def test_fk_on_the_wide_ygraph_is_exact_or_raises():
                       alpha)
 
 
-@pytest.mark.xfail(strict=True, reason="the vertex solve returns -1.18e17 on this scaling")
 def test_fk_on_the_wide_chain_is_exact_or_raises():
     lengths, kappa, survival = CHAIN_WIDE
     g, w, start = _with_lengths("chain_m3", lengths)

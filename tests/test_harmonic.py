@@ -28,10 +28,18 @@ from graphreact import (
     uniform_weights,
     PointOnGraph,
 )
-from graphreact import algebra
+from graphreact import algebra, harmonic
 from graphreact.harmonic import flux_coefficients, flux_system, site_network
-from helpers import chain_graph, kappa_samples, path_graph, random_graph, star_graph, y_graph
-from oracles import censored_rates, split_at, vertex_flux
+from helpers import (
+    branchy_tree,
+    chain_graph,
+    kappa_samples,
+    path_graph,
+    random_graph,
+    star_graph,
+    y_graph,
+)
+from oracles import censored_rates, dead_end_parents, split_at, vertex_flux
 
 
 def test_flux_of_constant_is_zero():
@@ -232,16 +240,134 @@ def test_site_rates_match_the_dense_schur_complement(chords):
     rng = np.random.default_rng(40 + chords)
     for i in range(20):
         g, _ = random_graph(rng, max_core=7, max_extra=chords, random_radii=(i % 2 == 0))
-        w = derive_weights(g)
-        net = site_network(g, w)
-        m = len(net.active)
-        states = [g.vertex_index[v] for v in net.active + g.exit_vertices]
-        oracle = censored_rates(g, w, states)[:m]
-        want = np.column_stack((oracle[:, :m], oracle[:, m:].sum(axis=1)))
-        got = np.column_stack((-net.laplacian, net.exit_rates))
-        got[:, :m].flat[:: m + 1] = 0.0
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-        assert np.allclose(np.diag(net.laplacian), want.sum(axis=1), rtol=1e-12, atol=0.0)
+        _assert_rates_match_the_schur_complement(g, derive_weights(g))
+
+
+def _assert_rates_match_the_schur_complement(g, w):
+    """R and L of site_network against oracles.censored_rates, to 1e-12."""
+    net = site_network(g, w)
+    m = len(net.active)
+    states = [g.vertex_index[v] for v in net.active + g.exit_vertices]
+    oracle = censored_rates(g, w, states)[:m]
+    want = np.column_stack((oracle[:, :m], oracle[:, m:].sum(axis=1)))
+    got = np.column_stack((-net.laplacian, net.exit_rates))
+    got[:, :m].flat[:: m + 1] = 0.0
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.diag(net.laplacian), want.sum(axis=1), rtol=1e-12, atol=0.0)
+
+
+def _explicit_rows(g, rng):
+    """Random explicit weight rows at every vertex."""
+    p = {}
+    for vid in g.vertex_ids:
+        ks = [k for k, e in enumerate(g.edges) if vid in e.endpoints]
+        raw = rng.uniform(0.1, 1.0, len(ks))
+        p.update({(vid, k): float(x) for k, x in zip(ks, raw / raw.sum())})
+    return EdgeWeights(p)
+
+
+def _with_chords(g, rng, count):
+    """g with count more edges between random inert or active vertices;
+    a chord may run beside an edge, as a parallel edge."""
+    inner = [v.id for v in g.vertices if v.role != "exit"]
+    chords = [Edge(tuple(rng.choice(inner, size=2, replace=False).tolist()),
+                   float(rng.uniform(0.3, 1.8)), float(rng.uniform(0.5, 2.0)))
+              for _ in range(count)]
+    return MetricGraph(g.vertices, g.edges + tuple(chords))
+
+
+def _dead_end_cases():
+    """(id, graph, weights): random trees and cyclic graphs with dead-end
+    branches, with derived and explicit weights; a chain whose only inert
+    vertex is a dead end; and dead ends behind parallel edges."""
+    rng = np.random.default_rng(70)
+    cases = []
+    for i in range(6):
+        g = branchy_tree(rng, n=int(rng.integers(8, 40)), n_active=int(rng.integers(1, 4)))
+        if i >= 3:
+            g = _with_chords(g, rng, 3)
+        kind = "cyclic" if i >= 3 else "tree"
+        cases.append((f"{kind}{i}-derived", g, derive_weights(g)))
+        cases.append((f"{kind}{i}-explicit", g, _explicit_rows(g, rng)))
+    g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
+    cases.append(("chain", g, derive_weights(g)))
+    # u hangs on j by two edges, so it stays; its leaf b and the start arm
+    # x0 strip away
+    g = MetricGraph(
+        tuple(Vertex(v, role) for v, role in (
+            ("x0", "inert"), ("j", "inert"), ("c", "active"), ("a", "exit"),
+            ("u", "inert"), ("b", "inert"))),
+        (Edge(("x0", "j"), 1.0), Edge(("j", "c"), 0.8, 2.0), Edge(("j", "a"), 1.2),
+         Edge(("j", "u"), 0.6), Edge(("u", "j"), 0.9, 0.5), Edge(("u", "b"), 0.4)),
+    )
+    cases.append(("parallel", g, derive_weights(g)))
+    return [pytest.param(g, w, id=name) for name, g, w in cases]
+
+
+_DEAD_END_CASES = _dead_end_cases()
+
+
+@pytest.mark.parametrize("g, w", _DEAD_END_CASES)
+def test_site_rates_with_dead_ends_match_the_dense_schur_complement(g, w):
+    assert dead_end_parents(g)
+    _assert_rates_match_the_schur_complement(g, w)
+
+
+@pytest.mark.parametrize("g, w", _DEAD_END_CASES)
+def test_harmonic_measures_with_dead_ends_are_harmonic(g, w):
+    net = site_network(g, w)
+    h = net.measures
+    fixed = g.site_mask | g.exit_mask
+    assert np.array_equal(h[g.site_mask], np.eye(len(net.active)))
+    assert not h[g.exit_mask].any()
+    coeff = flux_coefficients(g, w)
+    scale = np.bincount(g.half_edge_table.source, coeff, len(g.vertex_ids))
+    for column in h.T:
+        values = dict(zip(g.vertex_ids, column.tolist()))
+        for v in np.flatnonzero(~fixed).tolist():
+            flux = vertex_flux(g, w, values, g.vertex_ids[v])
+            assert abs(flux) <= 1e-12 * scale[v], (g.vertex_ids[v], flux)
+
+
+@pytest.mark.parametrize("g, w", _DEAD_END_CASES)
+def test_a_start_in_a_dead_end_gets_the_split_of_its_root(g, w):
+    parent = dead_end_parents(g)
+
+    def root(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    for v in parent:
+        want = hitting_split(g, w, root(v))
+        got = hitting_split(g, w, v)
+        assert got.alpha_inf == want.alpha_inf and np.array_equal(got.p, want.p)
+    for k, e in enumerate(g.edges):
+        if any(v in parent for v in e.endpoints):
+            (anchor,) = {root(v) for v in e.endpoints}
+            want = hitting_split(g, w, anchor)
+            got = hitting_split(g, w, PointOnGraph.on_edge(k, 0.3 * e.length))
+            assert got.alpha_inf == pytest.approx(want.alpha_inf, rel=1e-15, abs=0.0)
+            assert np.allclose(got.p, want.p, rtol=1e-15, atol=0.0)
+
+
+def test_a_dead_end_deeper_than_the_rounds_keeps_its_root_end():
+    # a path of rounds + 8 inert vertices hangs on c1: the rounds strip its
+    # far end, and the 8 vertices nearest c1 stay unknowns of the solve
+    depth = harmonic._DEAD_END_ROUNDS + 8
+    g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
+    path = [f"b{i}" for i in range(depth)]
+    g = MetricGraph(g.vertices + tuple(Vertex(v) for v in path),
+                    g.edges + tuple(Edge((u, v), 0.3 + 0.01 * i)
+                                    for i, (u, v) in enumerate(zip(["c1", *path], path))))
+    w = derive_weights(g)
+    hang = harmonic._dead_ends(g)
+    kept = [g.vertex_ids[v] for v in np.flatnonzero(hang == np.arange(len(hang)))]
+    assert [v for v in kept if v.startswith("b")] == path[:8]
+    _assert_rates_match_the_schur_complement(g, w)
+    for x in ("v0", path[-1], PointOnGraph.on_edge(len(g.edges) - 1, 0.1)):
+        assert np.allclose(hitting_split(g, w, x).p, hitting_split(g, w, "c1").p,
+                           rtol=0.0, atol=1e-12)
 
 
 def _fresh(g):
@@ -249,24 +375,24 @@ def _fresh(g):
     return MetricGraph(g.vertices, g.edges, g.dimension)
 
 
-def _count_vertex_solves(monkeypatch, g):
-    """Record every n-order solve (n = vertex count) from here on."""
+def _count_network_builds(monkeypatch):
+    """Record every build of a sites' network, a memo miss of "sites",
+    from here on."""
     calls = []
-    solve = algebra.solve_many
+    build = harmonic._site_network
 
-    def counting(a, b):
-        if len(a) == len(g.vertex_ids):
-            calls.append(a)
-        return solve(a, b)
+    def counting(g, w):
+        calls.append(g)
+        return build(g, w)
 
-    monkeypatch.setattr(algebra, "solve_many", counting)
+    monkeypatch.setattr(harmonic, "_site_network", counting)
     return calls
 
 
 def test_second_conversion_reuses_the_green_solve(monkeypatch):
     g, start, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
     w = derive_weights(g)
-    calls = _count_vertex_solves(monkeypatch, g)
+    calls = _count_network_builds(monkeypatch)
     first = conversion(g, w, start, KappaSpec.constant(2.0))
     assert len(calls) == 1
     assert conversion(g, w, start, KappaSpec.constant(2.0)) == first
@@ -321,12 +447,12 @@ def test_weights_made_anew_do_not_grow_the_memo():
 def test_a_different_start_reuses_the_entry(monkeypatch):
     g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
     w = derive_weights(g)
-    calls = _count_vertex_solves(monkeypatch, g)
+    calls = _count_network_builds(monkeypatch)
     ks = KappaSpec.constant(0.7)
     for start in ("v0", "c2", "v0", "c2"):
         g2 = _fresh(g)
         assert conversion(g, w, start, ks) == conversion(g2, derive_weights(g2), start, ks)
-    # one solve on g for every start, and one per fresh graph
+    # one build on g for every start, and one per fresh graph
     assert len(calls) == 1 + 4
 
 
@@ -336,7 +462,7 @@ def test_a_different_start_reuses_the_entry(monkeypatch):
 def test_an_edge_end_reuses_its_vertex_memo_entry(monkeypatch, route):
     g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))  # v0 -1- c1 -0.5- c2 -0.8- c3 -0.7- a
     w = derive_weights(g)
-    calls = _count_vertex_solves(monkeypatch, g)
+    calls = _count_network_builds(monkeypatch)
     ends = {"v0": [(0, 0.0), (0, -0.0)], "c2": [(1, 0.5), (2, 0.0), (2, -0.0)]}
     for vertex, points in ends.items():
         route(g, w, vertex)
@@ -359,7 +485,7 @@ def test_survival_solve_shares_only_the_flux_coefficients():
 
 
 def test_a_failed_solve_is_not_memoized(monkeypatch):
-    g, start, _ = chain_graph((1.0, 0.5, 0.8))
+    g, start = y_graph()  # x0 hangs on j, which stays an unknown of the solve
     w = derive_weights(g)
     solve = algebra.solve_many
 
@@ -370,7 +496,7 @@ def test_a_failed_solve_is_not_memoized(monkeypatch):
     with pytest.raises(SingularSystemError):
         site_network(g, w)
     monkeypatch.setattr(algebra, "solve_many", solve)
-    assert hitting_split(g, w, start).alpha_inf == pytest.approx(1.0, abs=1e-12)
+    assert hitting_split(g, w, start).alpha_inf == pytest.approx(0.5, abs=1e-12)
 
 
 def test_memoized_arrays_and_weights_reject_writes():

@@ -36,7 +36,7 @@ from helpers import (
     star_graph,
     y_graph,
 )
-from oracles import scalar_walks
+from oracles import dead_end_parents, scalar_walks
 
 
 def test_grid_vertex_transitions_reduce_to_weights(monkeypatch):
@@ -253,30 +253,10 @@ def test_vertex_start_estimate_does_not_depend_on_the_step():
     assert runs[0] == runs[1] == runs[2]
 
 
-def _dead_ends(g):
-    """The vertex that each vertex of a dead-end branch hangs from: the
-    branches that strip away, leaf by leaf, when no start is kept."""
-    ends = {v: [] for v in g.vertex_ids}
-    for e in g.edges:
-        u, v = e.endpoints
-        ends[u].append(v)
-        ends[v].append(u)
-    fixed = set(g.active_vertices) | set(g.exit_vertices)
-    parent = {}
-    leaves = [v for v, n in ends.items() if len(n) == 1 and v not in fixed]
-    while leaves:
-        x = leaves.pop()
-        (v,) = (u for u in ends[x] if u not in parent)
-        parent[x] = v
-        if sum(u not in parent for u in ends[v]) == 1 and v not in fixed:
-            leaves.append(v)
-    return parent
-
-
 def _branch_starts(g):
     """A core vertex, a vertex two folds deep in a dead-end branch, and
     the point a quarter along the longest dead-end edge."""
-    parent = _dead_ends(g)
+    parent = dead_end_parents(g)
     core = next(v for v in g.vertex_ids
                 if v not in parent and v not in g.active_vertices + g.exit_vertices)
     deep = next(v for v in g.vertex_ids if parent.get(v) in parent)
@@ -372,7 +352,7 @@ def test_start_and_its_edge_are_never_folded():
     grid = build_grid(g, derive_weights(g), 0.25)
     fixed = set(g.active_vertices) | set(g.exit_vertices)
     core, deep, on_edge = _branch_starts(g)
-    assert deep in _dead_ends(g)
+    assert deep in dead_end_parents(g)
     for x in (core, deep):
         assert _states(grid, x) == fixed | {x}
     assert _states(grid, on_edge) == fixed | set(g.edges[on_edge.edge].endpoints)
@@ -514,10 +494,10 @@ def test_sojourn_means_match_the_fold_where_only_dead_ends_go(seed):
     # go, and M''_v is the fold's 1/sum over the edges that stay of
     # p_v(e)/l_e, bit for bit
     tree = branchy_tree(np.random.default_rng(seed), n=10 + 6 * seed)
-    branches = _dead_ends(tree)
+    branches = dead_end_parents(tree)
     g = MetricGraph(tuple(Vertex(v.id, "active") if v.id not in branches and v.role != "exit"
                           else v for v in tree.vertices), tree.edges)
-    assert branches == _dead_ends(g)
+    assert branches == dead_end_parents(g)
     grid = build_grid(g, derive_weights(g), 0.25)
     walk = grid.walk(locate(g, g.active_vertices[0]))
     kept = np.array([v not in branches for v in g.vertex_ids])
