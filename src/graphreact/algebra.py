@@ -46,6 +46,7 @@ doubles the start-up time of commands that factor nothing.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +204,8 @@ def _refined(a, solve, b: np.ndarray) -> np.ndarray:
 
 
 def det(a: np.ndarray) -> float:
-    """Determinant from the same LU factor; 0.0 when singular."""
+    """Determinant from the same LU factor; 0.0 when singular.  A product
+    of pivots that a float cannot hold raises SingularSystemError."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError(f"matrix must be square, got shape {a.shape}")
@@ -212,7 +214,11 @@ def det(a: np.ndarray) -> float:
     except SingularSystemError:
         return 0.0
     sign = -1.0 if np.count_nonzero(piv != np.arange(len(piv))) % 2 else 1.0
-    return float(sign * np.prod(np.diag(lu)))
+    with np.errstate(over="ignore"):
+        d = float(sign * np.prod(np.diag(lu)))
+    if math.isinf(d):  # a uniform unit chain of 1024 sites has det(G) = 2^1024
+        raise SingularSystemError("determinant overflows a float")
+    return d
 
 
 def _trim(coeffs) -> tuple[float, ...]:

@@ -18,9 +18,10 @@ rows.  The walk reflects at an inert end, so a branch with no site and
 no exit changes no hitting probability: it leaves the branch where it
 came in.  _dead_ends strips such branches without arithmetic, and each
 of their vertices takes the row of the living vertex it hangs on.  One
-solve, over the inert vertices left, gives their rows: flux_system keeps
-their rows and columns, and their coefficients to the sites and exits
-make the right side.  On a chain nothing is left to solve, and no
+solve, over the k inert vertices left, gives their rows: its matrix is
+the flux system's block of their rows and columns, without the
+half-edges into dead ends, and their coefficients to the sites and
+exits make the right side.  On a chain nothing is left to solve, and no
 elimination meets an edge into a dead end, however short.  Watched on
 the sites, the walk is a network, the Kron reduction of the flux system,
 with rates
@@ -36,10 +37,12 @@ L needs no subtraction.
 
 site_network is memoized per (g, w) by ``g.memo`` under "sites", and
 flux_coefficients under "flux".  The start is not in the key: a new
-start costs no solve, and H (n-by-m floats) is kept while w lives.  The
-arrays returned and w.p are read-only.  feynman_kac shares only the
-flux coefficients, so it stays a route independent of kac; every route
-shares them as its one check of the weights.
+start costs no solve.  Only the solved rows of H are kept while w lives,
+(m + 1 + k)-by-(m + 1) floats, with each vertex's place among them; a
+vertex outside them reads the row of its root.  The arrays returned and
+w.p are read-only.  feynman_kac shares only the flux coefficients, so it
+stays a route independent of kac; every route shares them as its one
+check of the weights.
 """
 
 from __future__ import annotations
@@ -84,12 +87,15 @@ class GreenMatrix:
 @dataclass(frozen=True, eq=False)
 class SiteNetwork:
     """The walk watched on the active sites: L, its exit rates R[:, m] = L 1,
-    H over the sites (a row per vertex) and the split of every start asked."""
+    the rows [I; H_I] of H over the sites, the exits and the inner vertices,
+    with the exits' column last, the row ``key[v]`` of each vertex v in them,
+    and the split of every start asked."""
 
     active: tuple[str, ...]
     laplacian: np.ndarray
     exit_rates: np.ndarray
-    measures: np.ndarray
+    rows: np.ndarray
+    key: np.ndarray
     splits: dict = field(default_factory=dict)
 
     def split(self, g: MetricGraph, x: PointOnGraph | str) -> HittingSplit:
@@ -98,10 +104,10 @@ class SiteNetwork:
         x = locate(g, x)
         if x not in self.splits:
             if x.is_vertex:
-                h = self.measures[g.vertex_index[x.vertex]]
+                h = self.rows[self.key[g.vertex_index[x.vertex]], :-1]
             else:
                 e, t = g.edges[x.edge], x.offset / g.edges[x.edge].length
-                u, v = self.measures[[g.vertex_index[end] for end in e.endpoints]]
+                u, v = self.rows[self.key[[g.vertex_index[end] for end in e.endpoints]], :-1]
                 h = (1.0 - t) * u + t * v
             total = float(h.sum())
             p = h / total if total > 0.0 else np.zeros(len(h))
@@ -152,33 +158,19 @@ def flux_system(
     coeff: np.ndarray,
     fixed: np.ndarray,
     kill: np.ndarray | float = 0.0,
-    keep: np.ndarray | None = None,
 ) -> algebra.Triplets:
     """Matrix whose row v is rho_v - kill[v] as a linear form in the vertex
     values, with an identity row at each vertex where the boolean mask
     ``fixed`` is set, so that the right-hand side sets its value.
     ``coeff`` is flux_coefficients(g, w).  A (K, n) mask, with kill of
     shape (K, n), gives the stack of K such matrices: they share the
-    flux coefficients and differ on the diagonal and in the fixed rows.
-
-    ``keep``, an array of vertex rows, makes the matrix the block of those
-    rows and columns, in that order.  Its diagonal still sums every
-    coefficient of the row: the coefficients to the columns left out are
-    the caller's, for the right-hand side."""
+    flux coefficients and differ on the diagonal and in the fixed rows."""
     t = g.half_edge_table
     n = fixed.shape[-1]
     # a fixed row's flux never enters: its coefficients are 0 and its diagonal 1
     c = np.where(fixed.take(t.source, axis=-1), 0.0, coeff)
     diag = np.where(fixed, 1.0, -np.bincount(t.source, coeff, n) - kill)
-    if keep is None:
-        return algebra.Triplets(t.rows, t.cols, np.concatenate((c, diag), axis=-1), n)
-    row = np.full(n, -1)
-    row[keep] = every = np.arange(len(keep))
-    rows, cols = row[t.source], row[t.target]
-    inside = ((rows >= 0) & (cols >= 0)).nonzero()[0]
-    return algebra.Triplets(np.concatenate((rows[inside], every)),
-                            np.concatenate((cols[inside], every)),
-                            np.concatenate((c[..., inside], diag[..., keep]), axis=-1), len(keep))
+    return algebra.Triplets(t.rows, t.cols, np.concatenate((c, diag), axis=-1), n)
 
 
 def site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
@@ -235,8 +227,8 @@ def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     active, t = g.active_vertices, g.half_edge_table
     n, m = len(g.vertex_ids), len(active)
     hang = _dead_ends(g)
-    fixed = g.site_mask | g.exit_mask
-    inner = ((hang == np.arange(n)) & ~fixed).nonzero()[0]
+    living = hang == np.arange(n)
+    inner = (living & ~(g.site_mask | g.exit_mask)).nonzero()[0]
     k = len(inner)
     # each vertex's row of H stacked as [I; H over the inner vertices]: its
     # site number, m at an exit, m + 1 + its place among the inner vertices,
@@ -258,19 +250,25 @@ def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
                     (m + 1 + k) * (m + 1)).reshape(-1, m + 1)
     r, h = f[:m], np.eye(m + 1)
     if k:
-        # the half-edges into dead ends leave the inner rows' diagonals too
-        living = np.where(hang[t.target] == t.target, coeff, 0.0)
-        hi = algebra.solve_many(flux_system(g, living, fixed, keep=inner), -f[m + 1:])
+        # the inner vertices' block: the half-edges between them, then each
+        # row's diagonal, which leaves out the half-edges into dead ends
+        out = (src > m) & living[t.source] & living[t.target]
+        inside, every = out & (dst > m), key[inner]
+        diag = -np.bincount(src[out], coeff[out], m + 1 + k)[m + 1:]
+        a = algebra.Triplets(np.concatenate((src[inside], every)) - (m + 1),
+                             np.concatenate((dst[inside], every)) - (m + 1),
+                             np.concatenate((coeff[inside], diag)), k)
+        hi = algebra.solve_many(a, -f[m + 1:])
         np.maximum(hi, 0.0, out=hi)  # LU roundoff can leave -1e-16 where a probability is 0
         h = np.concatenate((h, hi))
         # R = F[:m] + C_SI H_I, C_SI the coefficients from the sites to the inner vertices
         via = ((src < m) & (dst > m)).nonzero()[0]
         np.add.at(r, src[via], coeff[via, None] * h[dst[via]])
-    h = h[key]
     r.flat[:: m + 2] = 0.0  # a return to the site left is no move
     lap = -r[:, :m]
     lap.flat[:: m + 1] = r.sum(axis=1)
-    return SiteNetwork(active, frozen(lap), frozen(r)[:, m], frozen(h)[:, :m])
+    # a copy: a view of R's column would keep F, (m + 1 + k)-by-(m + 1), alive
+    return SiteNetwork(active, frozen(lap), frozen(r[:, m].copy()), frozen(h), frozen(key))
 
 
 def hitting_split(g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str) -> HittingSplit:

@@ -267,7 +267,8 @@ def placement_leading_coeff(g: MetricGraph, w: EdgeWeights) -> float:
 
     This is the large-kappa growth coefficient used by the site-placement
     experiment; it requires a chain (every vertex of degree at most 2,
-    one exit).
+    one exit).  A coefficient that overflows a float raises
+    SingularSystemError.
     """
     require_valid(g)
     if np.any(np.bincount(g.half_edge_table.source) > 2):

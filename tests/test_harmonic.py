@@ -316,7 +316,7 @@ def test_site_rates_with_dead_ends_match_the_dense_schur_complement(g, w):
 @pytest.mark.parametrize("g, w", _DEAD_END_CASES)
 def test_harmonic_measures_with_dead_ends_are_harmonic(g, w):
     net = site_network(g, w)
-    h = net.measures
+    h = net.rows[net.key, :len(net.active)]
     fixed = g.site_mask | g.exit_mask
     assert np.array_equal(h[g.site_mask], np.eye(len(net.active)))
     assert not h[g.exit_mask].any()
@@ -327,6 +327,20 @@ def test_harmonic_measures_with_dead_ends_are_harmonic(g, w):
         for v in np.flatnonzero(~fixed).tolist():
             flux = vertex_flux(g, w, values, g.vertex_ids[v])
             assert abs(flux) <= 1e-12 * scale[v], (g.vertex_ids[v], flux)
+
+
+@pytest.mark.parametrize("g, w", _DEAD_END_CASES)
+def test_the_network_keeps_the_solved_rows_only(g, w):
+    # a vertex of a dead-end branch reads its root's row, so no float array
+    # has a row per vertex; key, n integers, is the one array of length n
+    net = site_network(g, w)
+    n, m = len(g.vertex_ids), len(net.active)
+    k = n - m - len(g.exit_vertices) - len(dead_end_parents(g))
+    assert net.rows.shape == (m + 1 + k, m + 1)
+    assert net.key.shape == (n,) and net.key.dtype == np.intp
+    for a in vars(net).values():
+        if isinstance(a, np.ndarray) and a.dtype == float:
+            assert len(a) < n, a.shape
 
 
 @pytest.mark.parametrize("g, w", _DEAD_END_CASES)
@@ -503,7 +517,7 @@ def test_memoized_arrays_and_weights_reject_writes():
     g, start, _ = chain_graph((1.0, 0.5, 0.8))
     w = derive_weights(g)
     net = site_network(g, w)
-    for a in (green_matrix(g, w).entries, net.laplacian, net.exit_rates, net.measures):
+    for a in (green_matrix(g, w).entries, net.laplacian, net.exit_rates, net.rows, net.key):
         with pytest.raises(ValueError):
             a[0] = 1.0
     for x in (start, "c2", PointOnGraph.on_edge(1, 0.2)):

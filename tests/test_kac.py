@@ -45,7 +45,8 @@ def _gm(entries, sites=None):
 def _net(gm):
     """The sites' network whose Green matrix is gm: L = inv(G), exit rates L 1."""
     lap = np.linalg.inv(gm.entries)
-    return SiteNetwork(gm.active, lap, lap.sum(axis=1), np.eye(len(lap)))
+    return SiteNetwork(gm.active, lap, lap.sum(axis=1), np.eye(len(lap) + 1),
+                       np.arange(len(lap)))
 
 
 def _survival(net, ks):
@@ -393,6 +394,16 @@ def test_placement_leading_coeff_twenty_site_chain():
     g, _, _ = chain_graph((1.0,) * 21)
     got = placement_leading_coeff(g, derive_weights(g))
     assert got == pytest.approx(2.0**20, rel=1e-9)
+
+
+@pytest.mark.parametrize("gaps", [(1e10,) * 41, (1.0,) * 1031], ids=["wide-gaps", "1030-sites"])
+def test_placement_leading_coeff_that_overflows_raises(gaps):
+    # det(G) = 2^m on a uniform unit chain: 1.07e301 at m = 1000, past 1.8e308
+    # at m = 1024; gaps of 1e7 on 40 sites give 1.1e292.  The product of
+    # the pivots overflows, which must not come back as inf or a warning.
+    g, _, _ = chain_graph(gaps)
+    with pytest.raises(SingularSystemError, match="determinant overflows a float"):
+        placement_leading_coeff(g, derive_weights(g))
 
 
 @pytest.mark.parametrize("name", ["path_site", "chain_m3", "ygraph"])

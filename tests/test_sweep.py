@@ -137,8 +137,8 @@ def test_curves_with_infinite_and_per_site_strengths():
 def _singular_at_one(g) -> SiteNetwork:
     """A made-up one-site network: L = [[-1]] makes L S + diag(min(kappa, 1))
     exactly 0 at kappa = 1."""
-    return SiteNetwork(("c",), np.array([[-1.0]]), np.array([0.0]),
-                       np.ones((len(g.vertex_ids), 1)))
+    return SiteNetwork(("c",), np.array([[-1.0]]), np.array([0.0]), np.array([[1.0, 0.0]]),
+                       np.zeros(len(g.vertex_ids), dtype=np.intp))
 
 
 def test_a_singular_point_raises_as_the_one_point_call(monkeypatch, capsys):
