@@ -205,7 +205,10 @@ def _refined(a, solve, b: np.ndarray) -> np.ndarray:
 
 def det(a: np.ndarray) -> float:
     """Determinant from the same LU factor; 0.0 when singular.  A product
-    of pivots that a float cannot hold raises SingularSystemError."""
+    of pivots that a float cannot hold, too large or too small for a
+    normal float at any step, raises SingularSystemError: it would come
+    back as inf, as 0.0, the answer for a singular matrix, or with lost
+    digits."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError(f"matrix must be square, got shape {a.shape}")
@@ -214,8 +217,11 @@ def det(a: np.ndarray) -> float:
     except SingularSystemError:
         return 0.0
     sign = -1.0 if np.count_nonzero(piv != np.arange(len(piv))) % 2 else 1.0
-    with np.errstate(over="ignore"):
-        d = float(sign * np.prod(np.diag(lu)))
+    try:
+        with np.errstate(over="ignore", under="raise"):
+            d = float(sign * np.prod(np.diag(lu)))
+    except FloatingPointError:  # 40 sites with gaps of 1e-10 have det(G) = 2^40 1e-400
+        raise SingularSystemError("determinant underflows a float") from None
     if math.isinf(d):  # a uniform unit chain of 1024 sites has det(G) = 2^1024
         raise SingularSystemError("determinant overflows a float")
     return d

@@ -24,8 +24,11 @@ Ascher, Mattheij & Russell, Numerical Solution of BVPs for ODEs, sect.
 from x = mu a = delta sqrt(k h / D) and a, never from mu, which can
 overflow where x is small.  The flux conditions then form the vertex
 system of the point-site survival solve, with p*c off the diagonal and
-the kills on it.  If the kill overflows, every zone absorbs at once and
-its vertex is fixed at 0.  As h decreases to 0 the
+the kills on it, over every vertex.  The point-site solve leaves out the
+dead-end branches, which meet no site; this one keeps them, since a zone
+lies on every edge at a site, an edge into a dead end included, so such
+a branch is not free of killing.  If the kill overflows, every zone
+absorbs at once and its vertex is fixed at 0.  As h decreases to 0 the
 solution converges (first order in h) to the point-site survival at
 strength kappa = k*delta/D, which is what collapse_study tabulates.
 """
@@ -247,7 +250,7 @@ class _Zones:
                 half_kill = np.where(self.near, kz + (kz + fk) * rs, fk)
             kill = np.bincount(t.source, self.p * half_kill, len(fixed))
             inner = (self.near, fc, s2)
-        x = algebra.solve_many(flux_system(g, coeff, fixed, kill), g.exit_mask.astype(float))
+        x = algebra.solve_many(flux_system(t, coeff, fixed, kill), g.exit_mask.astype(float))
         values = dict(zip(g.vertex_ids, x.tolist()))
         return PiecewiseSolution(g, zone, values, inner)
 

@@ -7,9 +7,18 @@ edge-affine, equals 1 at the exits, and at every other vertex satisfies
 
 with kappa_v zero at inert vertices.  That is one linear system in the
 vertex values: the flux matrix that harmonic assembles for the sites'
-network solve, with the killing term on the diagonal.  It is solved here
-with no reference to that network or to the Green matrix, so the two
-routes can be checked against each other.
+network solve, with the killing term on the diagonal.
+
+The walk reflects at an inert end, so a dead-end branch, with no site
+and no exit, adds no local time at a site and changes no exit: F is
+constant on it.  So the system is solved on the graph's kernel
+(MetricGraph.kernel) alone, and each vertex of a branch takes the value
+of the vertex the branch hangs on.  A kernel vertex's row keeps only its
+half-edges to kernel vertices: a term into a dead end has F(t) = F(v)
+and drops out.  This route shares the flux coefficients and the graph's
+dead-end map with kac, which do no arithmetic on the system; its
+elimination uses neither the sites' network nor the Green matrix, so
+the two routes can be checked against each other.
 """
 
 from __future__ import annotations
@@ -52,8 +61,9 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
     one-point case of survival_curve.
     """
     require_valid(g)
-    kappa = np.zeros(len(g.vertex_ids))
-    kappa[g.site_mask] = ks.values(g.active_vertices)
+    sites = g.kernel.sites
+    kappa = np.zeros(len(sites))
+    kappa[sites] = ks.values(g.active_vertices)
     return SurvivalField(g, dict(zip(g.vertex_ids, _vertex_values(g, w, kappa).tolist())))
 
 
@@ -66,8 +76,9 @@ def survival_curve(
     each field is the one that solve_survival gives alone.
     """
     require_valid(g)
-    kappa = np.zeros((len(specs), len(g.vertex_ids)))
-    kappa[:, g.site_mask] = strengths(specs, g.active_vertices)
+    sites = g.kernel.sites
+    kappa = np.zeros((len(specs), len(sites)))
+    kappa[:, sites] = strengths(specs, g.active_vertices)
     fields = []
     for block in algebra.blocks(*kappa.shape):
         values = _vertex_values(g, w, kappa[block]).tolist()
@@ -76,24 +87,27 @@ def survival_curve(
 
 
 def _vertex_values(g: MetricGraph, w: EdgeWeights, kappa: np.ndarray) -> np.ndarray:
-    """The vertex values at strengths kappa over the vertices, (n,) or
-    (K, n) for a stack of K points.  The flux coefficients are shared;
-    kappa moves only the diagonals of the active vertices and fixes those
-    of infinite strength, so a stack is one flux_system call and one
+    """The vertex values at strengths kappa over the living vertices of
+    g.kernel, (n,) or (K, n) for a stack of K points.  Only those are
+    unknowns: a vertex of a dead-end branch takes the value of the vertex
+    the branch hangs on.  The flux coefficients are shared; kappa moves
+    only the diagonals of the active vertices and fixes those of infinite
+    strength, so a stack is one flux_system call and one
     algebra.solve_many call, dense or factored point by point with
     SuperLU by order.
 
     A survival is a probability.  A value outside [-1e-12, 1 + 1e-12]
     (SURVIVAL_SLACK, which says why 1e-12) is an error that the residual
     check let through, so it raises SingularSystemError."""
-    a = flux_system(g, flux_coefficients(g, w), g.exit_mask | np.isinf(kappa), kappa)
-    x = algebra.solve_many(a, np.zeros(kappa.shape) + g.exit_mask)
+    kern = g.kernel
+    a = flux_system(kern, flux_coefficients(g, w)[kern.half], kern.exits | np.isinf(kappa), kappa)
+    x = algebra.solve_many(a, np.zeros(kappa.shape) + kern.exits)
     low, high = x.min(), x.max()
     if not -SURVIVAL_SLACK <= low <= high <= 1.0 + SURVIVAL_SLACK:  # NaN fails too
         raise SingularSystemError(
             f"survival {high if low >= 0.0 else low:.3e} outside [0, 1]: the vertex system "
             "is too ill-conditioned")
-    return x
+    return x.T[kern.key].T  # the vertices' axis is last; x[..., key] costs twice as much
 
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
-from typing import Container, Mapping, Sequence
+from typing import Container, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +69,32 @@ class HalfEdgeTable:
     cols: np.ndarray
 
 
+class Kernel(NamedTuple):
+    """What is left of a graph when its dead-end branches go: the living
+    vertices and the half-edges between them, with the living vertices
+    numbered in vertex order.
+
+    ``key`` gives every vertex its living row: its own, or for a vertex of
+    a dead-end branch, the row of the vertex the branch hangs on.
+    ``half`` masks the half-edges between living vertices in the half-edge
+    table; ``source`` and ``target`` are their ends as living rows, in
+    table order, and ``rows`` and ``cols`` the entries of a vertex system
+    over the living vertices, as in HalfEdgeTable.  ``sites`` and
+    ``exits`` mask the living rows.  A graph with nothing to strip is its
+    own kernel: ``key`` and ``half`` are then slice(None), so reading
+    through them copies nothing, and the rest are the graph's own arrays.
+    """
+
+    key: np.ndarray | slice
+    half: np.ndarray | slice
+    source: np.ndarray
+    target: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    sites: np.ndarray
+    exits: np.ndarray
+
+
 @dataclass(frozen=True)
 class PointOnGraph:
     """A location on the graph: a vertex, or a point of an edge.
@@ -104,6 +129,24 @@ class PointOnGraph:
         return self.vertex is not None
 
 
+class _cached:
+    """functools.cached_property without the lock that it takes under
+    Python 3.11, ~1 us on each first read: the value goes into the
+    instance's ``__dict__``, which shadows this descriptor from then on.
+    Threads that race each compute it and all get the value stored first."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.compute(obj))
+
+
 @dataclass(frozen=True)
 class MetricGraph:
     """Immutable metric graph; all operations on it are pure functions.
@@ -123,16 +166,16 @@ class MetricGraph:
     def __reduce__(self):  # a copy starts afresh: ``solved`` holds weak references
         return MetricGraph, (self.vertices, self.edges, self.dimension)
 
-    @cached_property
+    @_cached
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
-    @cached_property
+    @_cached
     def vertex_index(self) -> dict[str, int]:
         """Vertex id to row: its position in ``vertex_ids``."""
         return {vid: i for i, vid in enumerate(self.vertex_ids)}
 
-    @cached_property
+    @_cached
     def half_edge_table(self) -> HalfEdgeTable:
         """The half-edges as arrays; needs a valid graph."""
         index = self.vertex_index
@@ -154,7 +197,39 @@ class MetricGraph:
             cols=np.concatenate((target, every)),
         )
 
-    @cached_property
+    @_cached
+    def dead_ends(self) -> np.ndarray:
+        """Read-only: the vertex row each vertex hangs on (_dead_ends);
+        needs a valid graph."""
+        return frozen(_dead_ends(self))
+
+    @_cached
+    def kernel(self) -> Kernel:
+        """The living vertices and the half-edges between them; needs a
+        valid graph."""
+        t, hang = self.half_edge_table, self.dead_ends
+        n = len(hang)
+        living = hang == np.arange(n)
+        count = np.count_nonzero(living)
+        if count == n:
+            every = slice(None)
+            return Kernel(every, every, t.source, t.target, t.rows, t.cols,
+                          self.site_mask, self.exit_mask)
+        key = np.empty(n, dtype=np.intp)
+        key[living] = np.arange(count)
+        key = key[hang]
+        # a dead-end branch and the vertex it hangs on share a key, so a
+        # half-edge joins two living vertices where its ends' keys differ;
+        # the entries of a living vertex's own row, (v, v), come last
+        rows, cols = key[t.rows], key[t.cols]
+        half = rows[: len(t.source)] != cols[: len(t.source)]
+        entries = np.concatenate((half, living))
+        rows, cols = frozen(rows[entries]), frozen(cols[entries])
+        h = len(rows) - count
+        return Kernel(frozen(key), frozen(half), rows[:h], cols[:h], rows, cols,
+                      frozen(self.site_mask[living]), frozen(self.exit_mask[living]))
+
+    @_cached
     def solved(self) -> dict:
         """The memo of the kappa-free work on this graph (see ``memo``)."""
         return {}
@@ -174,25 +249,25 @@ class MetricGraph:
             entry = memo[(id(w), *key)] = (weakref.ref(w), solve())
         return entry[1]
 
-    @cached_property
+    @_cached
     def violations(self) -> tuple[str, ...]:
         """``validate(self)``, computed once: the graph never changes."""
         return tuple(validate(self))
 
-    @cached_property
+    @_cached
     def active_vertices(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices if v.role == "active")
 
-    @cached_property
+    @_cached
     def exit_vertices(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices if v.role == "exit")
 
-    @cached_property
+    @_cached
     def site_mask(self) -> np.ndarray:
         """Read-only boolean vector over the vertex rows, set at the active vertices."""
         return frozen(np.array([v.role == "active" for v in self.vertices], dtype=bool))
 
-    @cached_property
+    @_cached
     def exit_mask(self) -> np.ndarray:
         """Read-only boolean vector over the vertex rows, set at the exits."""
         return frozen(np.array([v.role == "exit" for v in self.vertices], dtype=bool))
@@ -200,8 +275,53 @@ class MetricGraph:
 
 def frozen(a: np.ndarray) -> np.ndarray:
     """a, made read-only: what the graph keeps must never change."""
-    a.flags.writeable = False
+    a.setflags(write=False)  # half the cost of setting a.flags.writeable
     return a
+
+
+#: most rounds of _dead_ends: a random tree of 10^4 vertices and 4 sites
+#: took 20, a dead-end path takes as many as it is long
+_DEAD_END_ROUNDS = 32
+
+
+def _dead_ends(g: MetricGraph) -> np.ndarray:
+    """The vertex row each vertex hangs on: its own, or for an inert vertex
+    of a dead-end branch, the row of the living vertex the branch hangs on.
+
+    A branch with no site and no exit changes neither a hitting probability
+    nor a survival: the walk reflects at its ends and leaves it where it
+    came in, having met no site.  A round removes every inert vertex with
+    at most one living half-edge and records the vertex at the other end;
+    pointer jumping then sends each removed vertex to a living one.  A
+    branch joined by parallel edges keeps two living half-edges, so it
+    stays.  Needs a valid graph.
+
+    A round costs O(n), so there are at most _DEAD_END_ROUNDS.  A branch
+    deeper than that keeps the vertices nearest its root: they stay
+    unknowns of the solves, which are still right, only larger.
+    """
+    t = g.half_edge_table
+    n, gone = len(g.vertex_ids), len(t.source) + 2
+    living = np.bincount(t.source, minlength=n)
+    living[g.site_mask | g.exit_mask] = gone  # never removed
+    # the sum of the targets of a vertex's living half-edges: with one, its target
+    ends = np.bincount(t.source, t.target, n)
+    hang = np.arange(n)
+    leaves = (living <= 1).nonzero()[0]
+    rounds = 0
+    while len(leaves) and rounds < _DEAD_END_ROUNDS:
+        up = hang[leaves] = ends[leaves].astype(np.intp)
+        living[leaves] = gone
+        living -= np.bincount(up, minlength=n)
+        ends -= np.bincount(up, leaves, n)
+        leaves = (living <= 1).nonzero()[0]
+        rounds += 1
+    for _ in range(rounds - 1):  # every round's vertices hang on living ones by the last
+        up = hang[hang]
+        if (up == hang).all():
+            break
+        hang = up
+    return hang
 
 
 @dataclass(frozen=True)

@@ -8,40 +8,44 @@ vertex values determine it.  The flux functional at a vertex v is
 
 flux_coefficients gives every p_v(e)/l_e, in the order of the graph's
 cached half-edge table, and flux_system turns them into the Triplets of
-a vertex system, which algebra factors densely or with SuperLU by size;
-feynman_kac's survival solve is assembled the same way.
+a vertex system, which algebra factors densely or with SuperLU by size:
+over every vertex from the half-edge table, as diffuse's zone solve is,
+or over the graph's kernel, as feynman_kac's survival solve is.
 
 The harmonic measures H: H[v, j] is the probability that the walk from
 v reaches active[j] first among the m active sites and the exits, and a
 start's split is its row of H.  The sites and exits keep their identity
 rows.  The walk reflects at an inert end, so a branch with no site and
 no exit changes no hitting probability: it leaves the branch where it
-came in.  _dead_ends strips such branches without arithmetic, and each
-of their vertices takes the row of the living vertex it hangs on.  One
-solve, over the k inert vertices left, gives their rows: its matrix is
-the flux system's block of their rows and columns, without the
-half-edges into dead ends, and their coefficients to the sites and
-exits make the right side.  On a chain nothing is left to solve, and no
-elimination meets an edge into a dead end, however short.  Watched on
-the sites, the walk is a network, the Kron reduction of the flux system,
-with rates
+came in.  The graph strips such branches once, without arithmetic or
+weights (MetricGraph.dead_ends), and each of their vertices takes the
+row of the living vertex it hangs on.  The kernel left
+(MetricGraph.kernel), the living vertices and the half-edges between
+them, is what both kac and feynman_kac solve on.  One solve, over the k
+inert vertices of the kernel, gives their rows: its matrix is the flux
+system's block of their rows and columns, without the half-edges into
+dead ends, and their coefficients to the sites and exits make the right
+side.  On a chain nothing is left to solve, and no elimination meets an
+edge into a dead end, however short.  Watched on the sites, the walk is
+a network, the Kron reduction of the flux system, with rates
 
     R[i, j] = sum over half-edges e out of active[i] of p(e)/l_e * H[t(e), j],
 
 column m the exits and the diagonal dropped: a half-edge into a dead end
-comes back and adds to the diagonal only, and the rest give each
-half-edge's coefficient to a site or exit plus C_SI H_I through the
-inner vertices.  Its Laplacian L = diag(R 1) - R[:, :m] is G[A, A]^-1;
-every rate is a sum of nonnegative terms, as in GTH state reduction, so
-L needs no subtraction.
+comes back, which is no move, so the sum runs over the kernel's
+half-edges, each giving its coefficient to a site or exit plus C_SI H_I
+through the inner vertices.  Its Laplacian L = diag(R 1) - R[:, :m] is
+G[A, A]^-1; every rate is a sum of nonnegative terms, as in GTH state
+reduction, so L needs no subtraction.
 
 site_network is memoized per (g, w) by ``g.memo`` under "sites", and
 flux_coefficients under "flux".  The start is not in the key: a new
 start costs no solve.  Only the solved rows of H are kept while w lives,
 (m + 1 + k)-by-(m + 1) floats, with each vertex's place among them; a
 vertex outside them reads the row of its root.  The arrays returned and
-w.p are read-only.  feynman_kac shares only the flux coefficients, so it
-stays a route independent of kac; every route shares them as its one
+w.p are read-only.  feynman_kac shares only the flux coefficients and
+the kernel, which do no arithmetic on a system, so its elimination stays
+independent of kac's; every route shares the coefficients as its one
 check of the weights.
 """
 
@@ -53,7 +57,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, SingularSystemError
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, frozen, locate, require_valid
+from .graph import (
+    EdgeWeights,
+    HalfEdgeTable,
+    Kernel,
+    MetricGraph,
+    PointOnGraph,
+    frozen,
+    locate,
+    require_valid,
+)
 from . import algebra
 
 
@@ -154,18 +167,20 @@ def _flux(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
 
 
 def flux_system(
-    g: MetricGraph,
+    t: HalfEdgeTable | Kernel,
     coeff: np.ndarray,
     fixed: np.ndarray,
     kill: np.ndarray | float = 0.0,
 ) -> algebra.Triplets:
     """Matrix whose row v is rho_v - kill[v] as a linear form in the vertex
     values, with an identity row at each vertex where the boolean mask
-    ``fixed`` is set, so that the right-hand side sets its value.
-    ``coeff`` is flux_coefficients(g, w).  A (K, n) mask, with kill of
-    shape (K, n), gives the stack of K such matrices: they share the
-    flux coefficients and differ on the diagonal and in the fixed rows."""
-    t = g.half_edge_table
+    ``fixed`` is set, so that the right-hand side sets its value.  ``t``
+    holds the half-edges: a graph's half_edge_table, with ``coeff``
+    flux_coefficients(g, w), or its kernel, with those coefficients read
+    through ``kernel.half``; the vertices are then the kernel's.  A (K, n)
+    mask, with kill of shape (K, n), gives the stack of K such matrices:
+    they share the flux coefficients and differ on the diagonal and in the
+    fixed rows."""
     n = fixed.shape[-1]
     # a fixed row's flux never enters: its coefficients are 0 and its diagonal 1
     c = np.where(fixed.take(t.source, axis=-1), 0.0, coeff)
@@ -179,84 +194,35 @@ def site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     return g.memo(w, ("sites",), lambda: _site_network(g, w))
 
 
-#: most rounds of _dead_ends: a random tree of 10^4 vertices and 4 sites
-#: took 20, a dead-end path takes as many as it is long
-_DEAD_END_ROUNDS = 32
-
-
-def _dead_ends(g: MetricGraph) -> np.ndarray:
-    """The vertex row each vertex hangs on: its own, or for an inert vertex
-    of a dead-end branch, the row of the living vertex the branch hangs on.
-
-    A branch with no site and no exit changes no hitting probability: the
-    walk reflects at its ends and leaves it where it came in.  A round
-    removes every inert vertex with at most one living half-edge and
-    records the vertex at the other end; pointer jumping then sends each
-    removed vertex to a living one.  A branch joined by parallel edges
-    keeps two living half-edges, so it stays.  Needs a valid graph.
-
-    A round costs O(n), so there are at most _DEAD_END_ROUNDS.  A branch
-    deeper than that keeps the vertices nearest its root: they stay
-    unknowns of the solve, which is still right, only larger.
-    """
-    t = g.half_edge_table
-    n, gone = len(g.vertex_ids), len(t.source) + 2
-    living = np.bincount(t.source, minlength=n)
-    living[g.site_mask | g.exit_mask] = gone  # never removed
-    # the sum of the targets of a vertex's living half-edges: with one, its target
-    ends = np.bincount(t.source, t.target, n)
-    hang = np.arange(n)
-    leaves = (living <= 1).nonzero()[0]
-    rounds = 0
-    while len(leaves) and rounds < _DEAD_END_ROUNDS:
-        up = hang[leaves] = ends[leaves].astype(np.intp)
-        living[leaves] = gone
-        living -= np.bincount(up, minlength=n)
-        ends -= np.bincount(up, leaves, n)
-        leaves = (living <= 1).nonzero()[0]
-        rounds += 1
-    for _ in range(rounds - 1):  # every round's vertices hang on living ones by the last
-        up = hang[hang]
-        if (up == hang).all():
-            break
-        hang = up
-    return hang
-
-
 def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
-    active, t = g.active_vertices, g.half_edge_table
-    n, m = len(g.vertex_ids), len(active)
-    hang = _dead_ends(g)
-    living = hang == np.arange(n)
-    inner = (living & ~(g.site_mask | g.exit_mask)).nonzero()[0]
-    k = len(inner)
-    # each vertex's row of H stacked as [I; H over the inner vertices]: its
-    # site number, m at an exit, m + 1 + its place among the inner vertices,
-    # and for a vertex of a dead-end branch, the row of the vertex it hangs on
-    key = np.empty(n, dtype=np.intp)
-    key[g.site_mask], key[g.exit_mask] = np.arange(m), m
-    key[inner] = np.arange(m + 1, m + 1 + k)
-    key = key[hang]
-    coeff = flux_coefficients(g, w)
-    src, dst = key[t.source], key[t.target]
+    active, kern = g.active_vertices, g.kernel
+    m = len(active)
+    sites, exits = kern.sites, kern.exits
+    inner = ~(sites | exits)
+    k = int(np.count_nonzero(inner))
+    # each living vertex's row of H stacked as [I; H over the inner vertices]:
+    # its site number, m at an exit, m + 1 + its place among the inner vertices
+    row = np.empty(len(inner), dtype=np.intp)
+    row[sites], row[exits], row[inner] = np.arange(m), m, np.arange(m + 1, m + 1 + k)
+    coeff = flux_coefficients(g, w)[kern.half]
+    src, dst = row[kern.source], row[kern.target]
     # F[i, j]: the coefficients from row i to the site j or, at j = m, to the
     # exits.  Its first m rows are the sites' direct rates, its last k the
-    # inner vertices' right side.  A half-edge into a dead end, or inside
-    # one, has src == dst: it lands on a diagonal of the sites, which is no
-    # move, or in the exits' row, which is never read; so does an exit's
-    # own half-edge, whose weight never enters.
+    # inner vertices' right side.  The kernel has no half-edge into a dead
+    # end: that one comes back, which is no move.  An exit's own half-edge
+    # lands in the exits' row, which is never read: its weight never enters.
     to_fixed = dst <= m
     f = np.bincount(src[to_fixed] * (m + 1) + dst[to_fixed], coeff[to_fixed],
                     (m + 1 + k) * (m + 1)).reshape(-1, m + 1)
     r, h = f[:m], np.eye(m + 1)
     if k:
         # the inner vertices' block: the half-edges between them, then each
-        # row's diagonal, which leaves out the half-edges into dead ends
-        out = (src > m) & living[t.source] & living[t.target]
-        inside, every = out & (dst > m), key[inner]
+        # row's diagonal, minus its coefficients in the kernel
+        out = src > m
+        inside, every = out & (dst > m), np.arange(k)
         diag = -np.bincount(src[out], coeff[out], m + 1 + k)[m + 1:]
-        a = algebra.Triplets(np.concatenate((src[inside], every)) - (m + 1),
-                             np.concatenate((dst[inside], every)) - (m + 1),
+        a = algebra.Triplets(np.concatenate((src[inside] - (m + 1), every)),
+                             np.concatenate((dst[inside] - (m + 1), every)),
                              np.concatenate((coeff[inside], diag)), k)
         hi = algebra.solve_many(a, -f[m + 1:])
         np.maximum(hi, 0.0, out=hi)  # LU roundoff can leave -1e-16 where a probability is 0
@@ -268,7 +234,8 @@ def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     lap = -r[:, :m]
     lap.flat[:: m + 1] = r.sum(axis=1)
     # a copy: a view of R's column would keep F, (m + 1 + k)-by-(m + 1), alive
-    return SiteNetwork(active, frozen(lap), frozen(r[:, m].copy()), frozen(h), frozen(key))
+    return SiteNetwork(active, frozen(lap), frozen(r[:, m].copy()), frozen(h),
+                       frozen(row[kern.key]))
 
 
 def hitting_split(g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str) -> HittingSplit:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphreact import Edge, MetricGraph, Vertex, derive_weights
+from graphreact import Edge, EdgeWeights, MetricGraph, Vertex, derive_weights
 
 
 def path_graph(l0: float = 1.0, l1: float = 1.0) -> tuple[MetricGraph, str]:
@@ -158,3 +158,77 @@ def branchy_tree(
     edges = [Edge((u, v), float(rng.uniform(0.3, 1.8)), float(rng.uniform(0.5, 2.0)))
              for u, v in pairs]
     return MetricGraph(tuple(vertices), tuple(edges))
+
+
+def explicit_rows(g: MetricGraph, rng: np.random.Generator) -> EdgeWeights:
+    """Random explicit weight rows at every vertex."""
+    p = {}
+    for vid in g.vertex_ids:
+        ks = [k for k, e in enumerate(g.edges) if vid in e.endpoints]
+        raw = rng.uniform(0.1, 1.0, len(ks))
+        p.update({(vid, k): float(x) for k, x in zip(ks, raw / raw.sum())})
+    return EdgeWeights(p)
+
+
+def with_chords(g: MetricGraph, rng: np.random.Generator, count: int) -> MetricGraph:
+    """g with count more edges between random inert or active vertices;
+    a chord may run beside an edge, as a parallel edge."""
+    inner = [v.id for v in g.vertices if v.role != "exit"]
+    chords = [Edge(tuple(rng.choice(inner, size=2, replace=False).tolist()),
+                   float(rng.uniform(0.3, 1.8)), float(rng.uniform(0.5, 2.0)))
+              for _ in range(count)]
+    return MetricGraph(g.vertices, g.edges + tuple(chords))
+
+
+def dead_end_graphs(
+    rng: np.random.Generator, sizes: tuple[int, int], chords: int
+) -> list[tuple[str, MetricGraph, EdgeWeights]]:
+    """(id, graph, weights): three random trees and three graphs with
+    ``chords`` chords, of core sizes drawn from range(*sizes), with
+    dead-end branches, each with derived and with explicit weights."""
+    cases = []
+    for i in range(6):
+        g = branchy_tree(rng, n=int(rng.integers(*sizes)), n_active=int(rng.integers(1, 4)))
+        if i >= 3:
+            g = with_chords(g, rng, chords)
+        kind = "cyclic" if i >= 3 else "tree"
+        cases.append((f"{kind}{i}-derived", g, derive_weights(g)))
+        cases.append((f"{kind}{i}-explicit", g, explicit_rows(g, rng)))
+    return cases
+
+
+def parallel_branch_graph() -> MetricGraph:
+    """A Y around j with a branch u behind two parallel edges: u stays,
+    its leaf b and the start arm x0 are dead ends."""
+    return MetricGraph(
+        tuple(Vertex(v, role) for v, role in (
+            ("x0", "inert"), ("j", "inert"), ("c", "active"), ("a", "exit"),
+            ("u", "inert"), ("b", "inert"))),
+        (Edge(("x0", "j"), 1.0), Edge(("j", "c"), 0.8, 2.0), Edge(("j", "a"), 1.2),
+         Edge(("j", "u"), 0.6), Edge(("u", "j"), 0.9, 0.5), Edge(("u", "b"), 0.4)),
+    )
+
+
+def dead_end_path(depth: int) -> tuple[MetricGraph, tuple[str, ...]]:
+    """The chain v0 -1- c1 -0.5- c2 -0.8- c3 -0.7- a with an inert path
+    b0 ... b(depth-1) hanging on c1, and that path."""
+    g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
+    path = tuple(f"b{i}" for i in range(depth))
+    return MetricGraph(g.vertices + tuple(Vertex(v) for v in path),
+                       g.edges + tuple(Edge((u, v), 0.3 + 0.01 * i)
+                                       for i, (u, v) in enumerate(zip(["c1", *path], path)))
+                       ), path
+
+
+def graph_document(g: MetricGraph, w: EdgeWeights) -> dict:
+    """g as a graph document, with every weight of w as an explicit row."""
+    rows: dict[str, dict[str, float]] = {}
+    for (vid, k), p in w.p.items():
+        rows.setdefault(vid, {})[str(k)] = p
+    return {
+        "vertices": [{"id": v.id, "role": v.role} for v in g.vertices],
+        "edges": [{"from": e.endpoints[0], "to": e.endpoints[1], "length": e.length,
+                   "radius": e.radius} for e in g.edges],
+        "weights": rows,
+        "dimension": g.dimension,
+    }

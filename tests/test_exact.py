@@ -1,11 +1,10 @@
 """The exact oracle, and the routes' answers on badly scaled documents.
 
 On two documents whose edge lengths span many decades, each route must
-return within 1e-9 of the exact value or raise GraphReactError.  kac is
-exact on the wide ygraph, whose tiny edge leads into a dead end, and the
-vertex solve raises on the wide chain, whose survival leaves [0, 1].
-The test marked xfail, the vertex solve on the wide ygraph, fails until
-that route is exact or raises there too.
+return within 1e-9 of the exact value or raise GraphReactError.  kac and
+the vertex solve are both exact on the wide ygraph, whose tiny edge
+leads into a dead end that neither solve meets, and the vertex solve
+raises on the wide chain, whose survival leaves [0, 1].
 """
 
 import math
@@ -96,7 +95,6 @@ def test_kac_on_the_wide_ygraph_is_exact_or_raises():
     _within_or_raises(lambda: conversion(g, w, start, KappaSpec.constant(kappa)).alpha, alpha)
 
 
-@pytest.mark.xfail(strict=True, reason="the vertex solve loses 1.4e-6 on this scaling")
 def test_fk_on_the_wide_ygraph_is_exact_or_raises():
     lengths, kappa, alpha = YGRAPH_WIDE
     g, w, start = _with_lengths("ygraph", lengths)

@@ -28,12 +28,14 @@ from graphreact import (
     uniform_weights,
     PointOnGraph,
 )
-from graphreact import algebra, harmonic
+from graphreact import algebra, graph, harmonic
 from graphreact.harmonic import flux_coefficients, flux_system, site_network
 from helpers import (
-    branchy_tree,
     chain_graph,
+    dead_end_graphs,
+    dead_end_path,
     kappa_samples,
+    parallel_branch_graph,
     path_graph,
     random_graph,
     star_graph,
@@ -82,7 +84,7 @@ def test_flux_system_rows_match_vertex_flux():
         w = derive_weights(g)
         free = np.zeros(len(g.vertex_ids), dtype=bool)
         potential = rng.standard_normal(len(g.vertex_ids))
-        flux = flux_system(g, flux_coefficients(g, w), free).dense() @ potential
+        flux = flux_system(g.half_edge_table, flux_coefficients(g, w), free).dense() @ potential
         values = dict(zip(g.vertex_ids, potential.tolist()))
         for vid, row_flux in zip(g.vertex_ids, flux.tolist()):
             assert abs(row_flux - vertex_flux(g, w, values, vid)) <= 1e-13
@@ -256,50 +258,14 @@ def _assert_rates_match_the_schur_complement(g, w):
     assert np.allclose(np.diag(net.laplacian), want.sum(axis=1), rtol=1e-12, atol=0.0)
 
 
-def _explicit_rows(g, rng):
-    """Random explicit weight rows at every vertex."""
-    p = {}
-    for vid in g.vertex_ids:
-        ks = [k for k, e in enumerate(g.edges) if vid in e.endpoints]
-        raw = rng.uniform(0.1, 1.0, len(ks))
-        p.update({(vid, k): float(x) for k, x in zip(ks, raw / raw.sum())})
-    return EdgeWeights(p)
-
-
-def _with_chords(g, rng, count):
-    """g with count more edges between random inert or active vertices;
-    a chord may run beside an edge, as a parallel edge."""
-    inner = [v.id for v in g.vertices if v.role != "exit"]
-    chords = [Edge(tuple(rng.choice(inner, size=2, replace=False).tolist()),
-                   float(rng.uniform(0.3, 1.8)), float(rng.uniform(0.5, 2.0)))
-              for _ in range(count)]
-    return MetricGraph(g.vertices, g.edges + tuple(chords))
-
-
 def _dead_end_cases():
     """(id, graph, weights): random trees and cyclic graphs with dead-end
     branches, with derived and explicit weights; a chain whose only inert
     vertex is a dead end; and dead ends behind parallel edges."""
-    rng = np.random.default_rng(70)
-    cases = []
-    for i in range(6):
-        g = branchy_tree(rng, n=int(rng.integers(8, 40)), n_active=int(rng.integers(1, 4)))
-        if i >= 3:
-            g = _with_chords(g, rng, 3)
-        kind = "cyclic" if i >= 3 else "tree"
-        cases.append((f"{kind}{i}-derived", g, derive_weights(g)))
-        cases.append((f"{kind}{i}-explicit", g, _explicit_rows(g, rng)))
+    cases = dead_end_graphs(np.random.default_rng(70), (8, 40), 3)
     g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
     cases.append(("chain", g, derive_weights(g)))
-    # u hangs on j by two edges, so it stays; its leaf b and the start arm
-    # x0 strip away
-    g = MetricGraph(
-        tuple(Vertex(v, role) for v, role in (
-            ("x0", "inert"), ("j", "inert"), ("c", "active"), ("a", "exit"),
-            ("u", "inert"), ("b", "inert"))),
-        (Edge(("x0", "j"), 1.0), Edge(("j", "c"), 0.8, 2.0), Edge(("j", "a"), 1.2),
-         Edge(("j", "u"), 0.6), Edge(("u", "j"), 0.9, 0.5), Edge(("u", "b"), 0.4)),
-    )
+    g = parallel_branch_graph()
     cases.append(("parallel", g, derive_weights(g)))
     return [pytest.param(g, w, id=name) for name, g, w in cases]
 
@@ -368,16 +334,11 @@ def test_a_start_in_a_dead_end_gets_the_split_of_its_root(g, w):
 def test_a_dead_end_deeper_than_the_rounds_keeps_its_root_end():
     # a path of rounds + 8 inert vertices hangs on c1: the rounds strip its
     # far end, and the 8 vertices nearest c1 stay unknowns of the solve
-    depth = harmonic._DEAD_END_ROUNDS + 8
-    g, _, _ = chain_graph((1.0, 0.5, 0.8, 0.7))
-    path = [f"b{i}" for i in range(depth)]
-    g = MetricGraph(g.vertices + tuple(Vertex(v) for v in path),
-                    g.edges + tuple(Edge((u, v), 0.3 + 0.01 * i)
-                                    for i, (u, v) in enumerate(zip(["c1", *path], path))))
+    g, path = dead_end_path(graph._DEAD_END_ROUNDS + 8)
     w = derive_weights(g)
-    hang = harmonic._dead_ends(g)
+    hang = g.dead_ends
     kept = [g.vertex_ids[v] for v in np.flatnonzero(hang == np.arange(len(hang)))]
-    assert [v for v in kept if v.startswith("b")] == path[:8]
+    assert [v for v in kept if v.startswith("b")] == list(path[:8])
     _assert_rates_match_the_schur_complement(g, w)
     for x in ("v0", path[-1], PointOnGraph.on_edge(len(g.edges) - 1, 0.1)):
         assert np.allclose(hitting_split(g, w, x).p, hitting_split(g, w, "c1").p,

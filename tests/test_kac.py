@@ -406,6 +406,15 @@ def test_placement_leading_coeff_that_overflows_raises(gaps):
         placement_leading_coeff(g, derive_weights(g))
 
 
+@pytest.mark.parametrize("gap", [1e-10, 1e-8])
+def test_placement_leading_coeff_that_underflows_raises(gap):
+    # det(G) = 2^40 gap^40 on 40 sites: 1.1e-388 returned 0.0, the answer for
+    # a singular matrix, and 1.1e-308, a subnormal, 1.099511627776018e-308
+    g, _, _ = chain_graph((gap,) * 41)
+    with pytest.raises(SingularSystemError, match="determinant underflows a float"):
+        placement_leading_coeff(g, derive_weights(g))
+
+
 @pytest.mark.parametrize("name", ["path_site", "chain_m3", "ygraph"])
 def test_huge_finite_kappa_matches_survival_field(name):
     # I + G kappa overflowed to inf here, and the solve failed with residual nan
