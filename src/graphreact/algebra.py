@@ -67,10 +67,12 @@ STACK_ENTRIES = 1 << 20
 
 @functools.cache
 def _lapack():
-    """LAPACK's dgetrf and dgetrs, imported once, at the first factorization."""
-    from scipy.linalg.lapack import dgetrf, dgetrs
+    """LAPACK's dgetrf, dgetrs and dlaswp and BLAS's dtrsm, imported at the
+    first factorization."""
+    from scipy.linalg.blas import dtrsm
+    from scipy.linalg.lapack import dgetrf, dgetrs, dlaswp
 
-    return dgetrf, dgetrs
+    return dgetrf, dgetrs, dlaswp, dtrsm
 
 
 def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +91,16 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _lapack()[1](lu, piv, b)[0]
+    """dgetrs on the columns of b.  On two or more, its own steps to the bit:
+    the row swaps, then dtrsm with L and with U.  Threaded OpenBLAS runs the
+    swaps of two or more columns on its threads, which took ~8 ms a call on
+    a shared 2-vCPU host; numpy swaps them here, in dlaswp's order."""
+    _, dgetrs, dlaswp, dtrsm = _lapack()
+    if b.shape[1] < 2:
+        return dgetrs(lu, piv, b)[0]
+    if piv.tolist() != list(range(len(piv))):  # dlaswp on one column is not threaded
+        b = b[dlaswp(np.arange(len(piv), dtype=float)[:, None], piv)[:, 0].astype(np.intp)]
+    return dtrsm(1.0, lu, dtrsm(1.0, lu, b, lower=1, diag=1), overwrite_b=1)
 
 
 def _dense_factor(a: np.ndarray):
@@ -134,7 +145,7 @@ def _sparse_factors(t: Triplets):
     # CSC straight from the column-sorted entries; splu sums repeats
     order = np.lexsort((t.rows, t.cols))
     starts = np.searchsorted(t.cols[order], np.arange(t.n + 1))
-    for vals in t.vals.reshape(-1, len(order))[:, order]:
+    for vals in t.vals.reshape(-1, len(order)).take(order, axis=1):
         a = csc_matrix((vals, t.rows[order], starts), shape=(t.n, t.n))
         try:
             lu = splu(a)

@@ -23,7 +23,7 @@ from . import diffuse as diffuse_mod
 from . import mc as mc_mod
 from .document import load_document, parse_document, prepare
 from .errors import DocumentError, GraphReactError, PreconditionError, SingularSystemError
-from .feynman_kac import evaluate_at, solve_survival, survival_curve
+from .feynman_kac import conversion_at, evaluate_at, solve_survival, survival_curve
 from .kac import KappaSpec, conversion, conversion_curve, rational_form
 from .harmonic import flux_coefficients, green_matrix, hitting_split
 
@@ -107,8 +107,7 @@ def cmd_convert(args) -> int:
     g, w, start = _load_problem(args.path)
     ks = KappaSpec.constant(_parse_kappa(args.kappa))
     result = conversion(g, w, start, ks)
-    field = solve_survival(g, w, ks)
-    alpha_fk = 1.0 - evaluate_at(field, start)
+    alpha_fk = conversion_at(solve_survival(g, w, ks), start)
     lines = [
         f"alpha_kac = {_fmt(result.alpha)}",
         f"psi_kac   = {_fmt(result.psi)}",
@@ -145,8 +144,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for kappa, res, field in zip(grid.tolist(), conversion_curve(g, w, start, specs),
                                  survival_curve(g, w, specs)):
-        psi = evaluate_at(field, start)
-        rows += [(kappa, res.alpha, res.psi, "kac"), (kappa, 1.0 - psi, psi, "fk")]
+        rows += [(kappa, res.alpha, res.psi, "kac"),
+                 (kappa, conversion_at(field, start), evaluate_at(field, start), "fk")]
     _emit(_table("kappa,alpha,psi,method", rows), args.out)
     return 0
 
@@ -214,7 +213,7 @@ def cmd_compare(args) -> int:
     kappa = _parse_kappa(args.kappa)
     ks = KappaSpec.constant(kappa)
     res = conversion(g, w, start, ks)
-    psi_fk = evaluate_at(solve_survival(g, w, ks), start)
+    field = solve_survival(g, w, ks)
     cfg = mc_mod.SimConfig(step=args.delta, trajectories=args.n, seed=args.seed)
     est = mc_mod.simulate(g, w, ks, start, cfg)
     # four standard errors, and never less than the cross-route tolerance:
@@ -222,7 +221,7 @@ def cmd_compare(args) -> int:
     ok = abs(est.mean - res.psi) <= 4.0 * est.standard_error + _ROUTE_TOL
     _emit(_table("method,alpha,psi,se,status", [
         ("kac", res.alpha, res.psi, "", ""),
-        ("fk", 1.0 - psi_fk, psi_fk, "", ""),
+        ("fk", conversion_at(field, start), evaluate_at(field, start), "", ""),
         ("mc", 1.0 - est.mean, est.mean, est.standard_error, "pass" if ok else "FAIL"),
     ]))
     return 0

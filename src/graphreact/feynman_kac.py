@@ -12,11 +12,13 @@ network solve, with the killing term on the diagonal.
 The walk reflects at an inert end, so a dead-end branch, with no site
 and no exit, adds no local time at a site and changes no exit: F is
 constant on it.  So the system is solved on the graph's kernel
-(MetricGraph.kernel) alone, and each vertex of a branch takes the value
-of the vertex the branch hangs on.  A kernel vertex's row keeps only its
-half-edges to kernel vertices: a term into a dead end has F(t) = F(v)
-and drops out.  This route shares the flux coefficients and the graph's
-dead-end map with kac, which do no arithmetic on the system; its
+(MetricGraph.kernel) alone, in its rows: the sites, where kappa enters,
+one row for the exits, fixed at 1, and the inner vertices.  A vertex of
+a branch takes the value of the vertex the branch hangs on, and a term
+into a dead end has F(t) = F(v) and drops out.  The conversion 1 - F
+solves the same matrix, so fk's alpha (conversion_at) keeps its digits
+at tiny kappa, as kac's does.  This route shares the flux coefficients
+and the kernel with kac, which do no arithmetic on the system; its
 elimination uses neither the sites' network nor the Green matrix, so
 the two routes can be checked against each other.
 """
@@ -24,13 +26,13 @@ the two routes can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import algebra
 from .errors import SingularSystemError
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
+from .graph import EdgeWeights, MetricGraph, PointOnGraph, frozen, locate, require_valid
 from .harmonic import flux_coefficients, flux_system
 from .kac import KappaSpec, strengths
 
@@ -43,10 +45,14 @@ SURVIVAL_SLACK = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SurvivalField:
-    """Survival probabilities at the vertices, extended affinely on edges."""
+    """Survival probabilities at the vertices, extended affinely on edges:
+    ``values`` psi as solved and, from the solves, ``converted``, 1 - psi at
+    the vertex rows (graph.vertex_ids), read-only.
+    """
 
     graph: MetricGraph
     values: dict[str, float]
+    converted: np.ndarray | None = None
 
     def __getitem__(self, vertex_id: str) -> float:
         return self.values[vertex_id]
@@ -61,10 +67,10 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
     one-point case of survival_curve.
     """
     require_valid(g)
-    sites = g.kernel.sites
-    kappa = np.zeros(len(sites))
-    kappa[sites] = ks.values(g.active_vertices)
-    return SurvivalField(g, dict(zip(g.vertex_ids, _vertex_values(g, w, kappa).tolist())))
+    kappa = np.zeros(g.kernel.order)
+    kappa[: g.kernel.m] = ks.values(g.active_vertices)
+    psi, converted = _vertex_values(g, w, kappa)
+    return SurvivalField(g, dict(zip(g.vertex_ids, psi)), converted)
 
 
 def survival_curve(
@@ -76,46 +82,58 @@ def survival_curve(
     each field is the one that solve_survival gives alone.
     """
     require_valid(g)
-    sites = g.kernel.sites
-    kappa = np.zeros((len(specs), len(sites)))
-    kappa[:, sites] = strengths(specs, g.active_vertices)
+    kappa = np.zeros((len(specs), g.kernel.order))
+    kappa[:, : g.kernel.m] = strengths(specs, g.active_vertices)
     fields = []
     for block in algebra.blocks(*kappa.shape):
-        values = _vertex_values(g, w, kappa[block]).tolist()
-        fields += [SurvivalField(g, dict(zip(g.vertex_ids, row))) for row in values]
+        fields += [SurvivalField(g, dict(zip(g.vertex_ids, psi)), converted)
+                   for psi, converted in zip(*_vertex_values(g, w, kappa[block]))]
     return fields
 
 
-def _vertex_values(g: MetricGraph, w: EdgeWeights, kappa: np.ndarray) -> np.ndarray:
-    """The vertex values at strengths kappa over the living vertices of
-    g.kernel, (n,) or (K, n) for a stack of K points.  Only those are
-    unknowns: a vertex of a dead-end branch takes the value of the vertex
-    the branch hangs on.  The flux coefficients are shared; kappa moves
-    only the diagonals of the active vertices and fixes those of infinite
-    strength, so a stack is one flux_system call and one
-    algebra.solve_many call, dense or factored point by point with
-    SuperLU by order.
-
-    A survival is a probability.  A value outside [-1e-12, 1 + 1e-12]
-    (SURVIVAL_SLACK, which says why 1e-12) is an error that the residual
-    check let through, so it raises SingularSystemError."""
+def _vertex_values(g: MetricGraph, w: EdgeWeights, kappa: np.ndarray) -> tuple[list, np.ndarray]:
+    """The survivals, as a list, and the conversions, over the vertices, at
+    strengths kappa over the kernel's rows, (n,) or (K, n) for K points.
+    Each system solves psi, with 1 at the exits' row on the right, and
+    phi = 1 - psi, with -kappa_v at a site and 1 where kappa_v is infinite;
+    a conversion is phi where phi < psi, else 1 - psi, as kac forms it.  A
+    psi or phi outside [-1e-12, 1 + 1e-12] (SURVIVAL_SLACK) raises."""
     kern = g.kernel
-    a = flux_system(kern, flux_coefficients(g, w)[kern.half], kern.exits | np.isinf(kappa), kappa)
-    x = algebra.solve_many(a, np.zeros(kappa.shape) + kern.exits)
+    fixed = np.isinf(kappa)
+    rhs = np.zeros((*kappa.shape, 2))
+    rhs[..., 1], rhs[..., kern.m, 0] = np.where(fixed, 1.0, -kappa), 1.0
+    fixed[..., kern.m] = True  # the exits' row
+    a = flux_system(kern, flux_coefficients(g, w)[kern.half], fixed, kappa)
+    x = algebra.solve_many(a, rhs)
     low, high = x.min(), x.max()
     if not -SURVIVAL_SLACK <= low <= high <= 1.0 + SURVIVAL_SLACK:  # NaN fails too
         raise SingularSystemError(
             f"survival {high if low >= 0.0 else low:.3e} outside [0, 1]: the vertex system "
             "is too ill-conditioned")
-    return x.T[kern.key].T  # the vertices' axis is last; x[..., key] costs twice as much
+    psi, phi = x[..., 0], x[..., 1]
+    converted = np.where(phi < psi, phi, 1.0 - psi)
+    # the vertices' axis is last; x[..., key] costs twice as much
+    return psi.T[kern.key].T.tolist(), frozen(converted.T[kern.key].T)
 
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:
     """Evaluate the field at a point, interpolating along edges."""
-    x = locate(field.graph, x)
+    return _interpolate(field.graph, field.values.__getitem__, x)
+
+
+def conversion_at(field: SurvivalField, x: PointOnGraph | str) -> float:
+    """1 - psi at a point, interpolating along edges: from the field's
+    conversions, or without them from its survivals."""
+    if field.converted is None:
+        return 1.0 - evaluate_at(field, x)
+    index = field.graph.vertex_index
+    return float(_interpolate(field.graph, lambda v: field.converted[index[v]], x))
+
+
+def _interpolate(g: MetricGraph, value: Callable[[str], float], x: PointOnGraph | str) -> float:
+    x = locate(g, x)
     if x.is_vertex:
-        return field.values[x.vertex]
-    e = field.graph.edges[x.edge]
-    u, v = e.endpoints
-    t = x.offset / e.length
-    return (1.0 - t) * field.values[u] + t * field.values[v]
+        return value(x.vertex)
+    e = g.edges[x.edge]
+    u, v = map(value, e.endpoints)
+    return u + x.offset / e.length * (v - u)  # u itself where v == u, as on a dead end

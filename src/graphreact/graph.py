@@ -70,29 +70,27 @@ class HalfEdgeTable:
 
 
 class Kernel(NamedTuple):
-    """What is left of a graph when its dead-end branches go: the living
-    vertices and the half-edges between them, with the living vertices
-    numbered in vertex order.
+    """What is left of a graph when its dead-end branches go, numbered once
+    for every route as the sites' network stacks its rows [I; H_I]: the m
+    sites in vertex order (active_vertices), row m for every exit, then the
+    living inert vertices in vertex order.
 
-    ``key`` gives every vertex its living row: its own, or for a vertex of
-    a dead-end branch, the row of the vertex the branch hangs on.
-    ``half`` masks the half-edges between living vertices in the half-edge
-    table; ``source`` and ``target`` are their ends as living rows, in
-    table order, and ``rows`` and ``cols`` the entries of a vertex system
-    over the living vertices, as in HalfEdgeTable.  ``sites`` and
-    ``exits`` mask the living rows.  A graph with nothing to strip is its
-    own kernel: ``key`` and ``half`` are then slice(None), so reading
-    through them copies nothing, and the rest are the graph's own arrays.
+    ``key`` is every vertex's row; a vertex of a dead-end branch has the row
+    of the vertex the branch hangs on.  ``half`` masks the half-edges whose
+    ends' rows differ in the half-edge table; ``source`` and ``target`` are
+    those rows, in table order, and ``rows`` and ``cols`` the entries of a
+    system over the rows: the half-edges, then (r, r) for each row r in row
+    order, where flux_system puts its diagonal.
     """
 
-    key: np.ndarray | slice
-    half: np.ndarray | slice
+    key: np.ndarray
+    half: np.ndarray
     source: np.ndarray
     target: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    sites: np.ndarray
-    exits: np.ndarray
+    m: int
+    order: int  # the number of rows
 
 
 @dataclass(frozen=True)
@@ -198,36 +196,25 @@ class MetricGraph:
         )
 
     @_cached
-    def dead_ends(self) -> np.ndarray:
-        """Read-only: the vertex row each vertex hangs on (_dead_ends);
-        needs a valid graph."""
-        return frozen(_dead_ends(self))
-
-    @_cached
     def kernel(self) -> Kernel:
         """The living vertices and the half-edges between them; needs a
         valid graph."""
-        t, hang = self.half_edge_table, self.dead_ends
-        n = len(hang)
-        living = hang == np.arange(n)
-        count = np.count_nonzero(living)
-        if count == n:
-            every = slice(None)
-            return Kernel(every, every, t.source, t.target, t.rows, t.cols,
-                          self.site_mask, self.exit_mask)
-        key = np.empty(n, dtype=np.intp)
-        key[living] = np.arange(count)
+        t, hang = self.half_edge_table, _dead_ends(self)
+        sites, exits = self.site_mask, self.exit_mask
+        inner = (hang == np.arange(len(hang))) & ~(sites | exits)
+        m, k = np.count_nonzero(sites), np.count_nonzero(inner)
+        key = np.empty(len(hang), dtype=np.intp)
+        key[sites], key[exits], key[inner] = np.arange(m), m, np.arange(m + 1, m + 1 + k)
         key = key[hang]
-        # a dead-end branch and the vertex it hangs on share a key, so a
-        # half-edge joins two living vertices where its ends' keys differ;
-        # the entries of a living vertex's own row, (v, v), come last
-        rows, cols = key[t.rows], key[t.cols]
-        half = rows[: len(t.source)] != cols[: len(t.source)]
-        entries = np.concatenate((half, living))
-        rows, cols = frozen(rows[entries]), frozen(cols[entries])
-        h = len(rows) - count
-        return Kernel(frozen(key), frozen(half), rows[:h], cols[:h], rows, cols,
-                      frozen(self.site_mask[living]), frozen(self.exit_mask[living]))
+        # a dead-end branch shares the row of the vertex it hangs on, and the
+        # exits share one: a half-edge stays where its ends' rows differ
+        source, target = key[t.source], key[t.target]
+        half = source != target
+        every = np.arange(m + 1 + k)
+        rows = frozen(np.concatenate((source[half], every)))
+        cols = frozen(np.concatenate((target[half], every)))
+        h = len(rows) - len(every)
+        return Kernel(frozen(key), frozen(half), rows[:h], cols[:h], rows, cols, m, m + 1 + k)
 
     @_cached
     def solved(self) -> dict:

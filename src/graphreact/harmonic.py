@@ -10,24 +10,21 @@ flux_coefficients gives every p_v(e)/l_e, in the order of the graph's
 cached half-edge table, and flux_system turns them into the Triplets of
 a vertex system, which algebra factors densely or with SuperLU by size:
 over every vertex from the half-edge table, as diffuse's zone solve is,
-or over the graph's kernel, as feynman_kac's survival solve is.
+or over the graph's kernel, as the sites' network and feynman_kac are.
 
 The harmonic measures H: H[v, j] is the probability that the walk from
 v reaches active[j] first among the m active sites and the exits, and a
-start's split is its row of H.  The sites and exits keep their identity
-rows.  The walk reflects at an inert end, so a branch with no site and
-no exit changes no hitting probability: it leaves the branch where it
-came in.  The graph strips such branches once, without arithmetic or
-weights (MetricGraph.dead_ends), and each of their vertices takes the
-row of the living vertex it hangs on.  The kernel left
-(MetricGraph.kernel), the living vertices and the half-edges between
-them, is what both kac and feynman_kac solve on.  One solve, over the k
-inert vertices of the kernel, gives their rows: its matrix is the flux
-system's block of their rows and columns, without the half-edges into
-dead ends, and their coefficients to the sites and exits make the right
-side.  On a chain nothing is left to solve, and no elimination meets an
-edge into a dead end, however short.  Watched on the sites, the walk is
-a network, the Kron reduction of the flux system, with rates
+start's split is its row of H.  The walk reflects at an inert end, so a
+branch with no site and no exit changes no hitting probability, and its
+vertices take the row of the vertex it hangs on.  The graph's kernel
+(MetricGraph.kernel) is what is left, and it numbers its rows as H
+stacks them: the m sites and one row for every exit, with identity rows,
+then the k inner vertices.  One solve gives the inner rows: its matrix
+is the inner block of the flux system with the sites and exits fixed,
+and their coefficients to the sites and exits make the right side.  On
+a chain nothing is left to solve, and no elimination meets an edge into
+a dead end, however short.  Watched on the sites, the walk is a
+network, the Kron reduction of the flux system, with rates
 
     R[i, j] = sum over half-edges e out of active[i] of p(e)/l_e * H[t(e), j],
 
@@ -39,14 +36,10 @@ G[A, A]^-1; every rate is a sum of nonnegative terms, as in GTH state
 reduction, so L needs no subtraction.
 
 site_network is memoized per (g, w) by ``g.memo`` under "sites", and
-flux_coefficients under "flux".  The start is not in the key: a new
-start costs no solve.  Only the solved rows of H are kept while w lives,
-(m + 1 + k)-by-(m + 1) floats, with each vertex's place among them; a
-vertex outside them reads the row of its root.  The arrays returned and
-w.p are read-only.  feynman_kac shares only the flux coefficients and
-the kernel, which do no arithmetic on a system, so its elimination stays
-independent of kac's; every route shares the coefficients as its one
-check of the weights.
+flux_coefficients under "flux", every route's one check of the weights.
+The start is not in the key: a new start costs no solve.  Only the
+solved rows of H are kept while w lives, (m + 1 + k)-by-(m + 1) floats,
+with the kernel's key.  The arrays returned and w.p are read-only.
 """
 
 from __future__ import annotations
@@ -101,8 +94,8 @@ class GreenMatrix:
 class SiteNetwork:
     """The walk watched on the active sites: L, its exit rates R[:, m] = L 1,
     the rows [I; H_I] of H over the sites, the exits and the inner vertices,
-    with the exits' column last, the row ``key[v]`` of each vertex v in them,
-    and the split of every start asked."""
+    with the exits' column last, the row ``key[v]`` of each vertex v in them
+    (the kernel's own key), and the split of every start asked."""
 
     active: tuple[str, ...]
     laplacian: np.ndarray
@@ -196,34 +189,24 @@ def site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
 
 def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     active, kern = g.active_vertices, g.kernel
-    m = len(active)
-    sites, exits = kern.sites, kern.exits
-    inner = ~(sites | exits)
-    k = int(np.count_nonzero(inner))
-    # each living vertex's row of H stacked as [I; H over the inner vertices]:
-    # its site number, m at an exit, m + 1 + its place among the inner vertices
-    row = np.empty(len(inner), dtype=np.intp)
-    row[sites], row[exits], row[inner] = np.arange(m), m, np.arange(m + 1, m + 1 + k)
+    m, n = kern.m, kern.order
     coeff = flux_coefficients(g, w)[kern.half]
-    src, dst = row[kern.source], row[kern.target]
+    src, dst = kern.source, kern.target
     # F[i, j]: the coefficients from row i to the site j or, at j = m, to the
-    # exits.  Its first m rows are the sites' direct rates, its last k the
-    # inner vertices' right side.  The kernel has no half-edge into a dead
+    # exits.  Its first m rows are the sites' direct rates, its last n - m - 1
+    # the inner vertices' right side.  The kernel has no half-edge into a dead
     # end: that one comes back, which is no move.  An exit's own half-edge
     # lands in the exits' row, which is never read: its weight never enters.
     to_fixed = dst <= m
     f = np.bincount(src[to_fixed] * (m + 1) + dst[to_fixed], coeff[to_fixed],
-                    (m + 1 + k) * (m + 1)).reshape(-1, m + 1)
+                    n * (m + 1)).reshape(-1, m + 1)
     r, h = f[:m], np.eye(m + 1)
-    if k:
-        # the inner vertices' block: the half-edges between them, then each
-        # row's diagonal, minus its coefficients in the kernel
-        out = src > m
-        inside, every = out & (dst > m), np.arange(k)
-        diag = -np.bincount(src[out], coeff[out], m + 1 + k)[m + 1:]
-        a = algebra.Triplets(np.concatenate((src[inside] - (m + 1), every)),
-                             np.concatenate((dst[inside] - (m + 1), every)),
-                             np.concatenate((coeff[inside], diag)), k)
+    if n > m + 1:
+        # the inner vertices' block of the flux system with the sites and exits fixed
+        a = flux_system(kern, coeff, np.arange(n) <= m)
+        inner = (a.rows > m) & (a.cols > m)
+        a = algebra.Triplets(a.rows[inner] - (m + 1), a.cols[inner] - (m + 1),
+                             a.vals[inner], n - m - 1)
         hi = algebra.solve_many(a, -f[m + 1:])
         np.maximum(hi, 0.0, out=hi)  # LU roundoff can leave -1e-16 where a probability is 0
         h = np.concatenate((h, hi))
@@ -233,9 +216,8 @@ def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     r.flat[:: m + 2] = 0.0  # a return to the site left is no move
     lap = -r[:, :m]
     lap.flat[:: m + 1] = r.sum(axis=1)
-    # a copy: a view of R's column would keep F, (m + 1 + k)-by-(m + 1), alive
-    return SiteNetwork(active, frozen(lap), frozen(r[:, m].copy()), frozen(h),
-                       frozen(row[kern.key]))
+    # a copy: a view of R's column would keep F, n-by-(m + 1), alive
+    return SiteNetwork(active, frozen(lap), frozen(r[:, m].copy()), frozen(h), kern.key)
 
 
 def hitting_split(g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str) -> HittingSplit:

@@ -39,6 +39,19 @@ def test_solve_residual_contract():
         assert resid <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
 
+def test_lu_solve_of_many_columns_is_dgetrs_to_the_bit():
+    # two or more columns leave out dgetrs's threaded row swaps, not its arithmetic
+    from scipy.linalg.lapack import dgetrs
+
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(2, 8))
+        # every other matrix diagonally dominant, which pivots no row
+        lu, piv = algebra._factor(rng.standard_normal((n, n)) + trial % 2 * n * np.eye(n))
+        b = rng.standard_normal((n, k))
+        assert np.array_equal(algebra._lu_solve(lu, piv, b), dgetrs(lu, piv, b)[0])
+
+
 def test_singular_names_pivot():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystemError, match="pivot column"):

@@ -19,8 +19,11 @@ from graphreact import (
     build_grid,
     conversion,
     derive_weights,
+    fixture_suite,
     green_matrix,
     hitting_split,
+    parse_document,
+    prepare,
     rational_form,
     simulate,
     solve_diffuse,
@@ -331,12 +334,46 @@ def test_a_start_in_a_dead_end_gets_the_split_of_its_root(g, w):
             assert np.allclose(got.p, want.p, rtol=1e-15, atol=0.0)
 
 
+def _layout_cases():
+    """(graph, weights): every fixture, then the dead-end cases."""
+    fixtures = [pytest.param(*prepare(parse_document(f.document))[:2], id=f.name)
+                for f in fixture_suite()]
+    return fixtures + _DEAD_END_CASES
+
+
+@pytest.mark.parametrize("g, w", _layout_cases())
+def test_the_kernel_numbers_the_sites_then_one_exit_row_then_the_inner_vertices(g, w):
+    kern, index, key = g.kernel, g.vertex_index, g.kernel.key
+    m, n = kern.m, kern.order
+    assert [key[index[v]] for v in g.active_vertices] == list(range(m))
+    assert [key[index[v]] for v in g.exit_vertices] == [m] * len(g.exit_vertices)
+    hang = graph._dead_ends(g)
+    inner = np.flatnonzero((hang == np.arange(len(hang))) & ~(g.site_mask | g.exit_mask))
+    assert key[inner].tolist() == list(range(m + 1, n))
+    assert site_network(g, w).key is key
+    # the kernel's system is the vertex system folded through key, without
+    # the half-edges whose ends share a row, with the same diagonal
+    t, coeff = g.half_edge_table, flux_coefficients(g, w)
+    kill = np.zeros(n)
+    kill[:m] = np.random.default_rng(n).uniform(0.1, 10.0, m)
+    fixed = np.arange(n) == m
+    src, dst = key[t.source], key[t.target]
+    keep = src != dst
+    want = np.zeros((n, n))
+    np.add.at(want, (src[keep], dst[keep]), coeff[keep])
+    np.add.at(want, (src[keep], src[keep]), -coeff[keep])
+    want[np.diag_indices(n)] -= kill
+    want[fixed] = 0.0
+    want[fixed, fixed] = 1.0
+    assert np.array_equal(flux_system(kern, coeff[kern.half], fixed, kill).dense(), want)
+
+
 def test_a_dead_end_deeper_than_the_rounds_keeps_its_root_end():
     # a path of rounds + 8 inert vertices hangs on c1: the rounds strip its
     # far end, and the 8 vertices nearest c1 stay unknowns of the solve
     g, path = dead_end_path(graph._DEAD_END_ROUNDS + 8)
     w = derive_weights(g)
-    hang = g.dead_ends
+    hang = graph._dead_ends(g)
     kept = [g.vertex_ids[v] for v in np.flatnonzero(hang == np.arange(len(hang)))]
     assert [v for v in kept if v.startswith("b")] == list(path[:8])
     _assert_rates_match_the_schur_complement(g, w)
