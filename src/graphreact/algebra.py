@@ -91,15 +91,19 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """dgetrs on the columns of b.  On two or more, its own steps to the bit:
-    the row swaps, then dtrsm with L and with U.  Threaded OpenBLAS runs the
-    swaps of two or more columns on its threads, which took ~8 ms a call on
-    a shared 2-vCPU host; numpy swaps them here, in dlaswp's order."""
+    """dgetrs on the columns of b: the row swaps, then L, then U.  OpenBLAS's
+    dgetrs solves one column with dtrsv, which dtrsm matches neither in its
+    last bits nor in speed (3-17 us slower), and two or more with dtrsm.
+    Threaded OpenBLAS runs the swaps of two or more columns on its threads,
+    which stalled ~7 ms a call on a shared 2-vCPU host.  So one column goes
+    to dgetrs, and two or more take their rows in dlaswp's order (dlaswp on
+    one column is not threaded), where LU swapped any, and go to dtrsm, to
+    dgetrs's bits."""
     _, dgetrs, dlaswp, dtrsm = _lapack()
     if b.shape[1] < 2:
         return dgetrs(lu, piv, b)[0]
-    if piv.tolist() != list(range(len(piv))):  # dlaswp on one column is not threaded
-        b = b[dlaswp(np.arange(len(piv), dtype=float)[:, None], piv)[:, 0].astype(np.intp)]
+    if piv.tolist() != list(range(len(piv))):
+        b = b.take(dlaswp(np.arange(len(piv), dtype=float), piv).astype(np.intp), axis=0)
     return dtrsm(1.0, lu, dtrsm(1.0, lu, b, lower=1, diag=1), overwrite_b=1)
 
 

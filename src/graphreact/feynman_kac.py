@@ -46,13 +46,13 @@ SURVIVAL_SLACK = 1e-12
 @dataclass(frozen=True, eq=False)
 class SurvivalField:
     """Survival probabilities at the vertices, extended affinely on edges:
-    ``values`` psi as solved and, from the solves, ``converted``, 1 - psi at
-    the vertex rows (graph.vertex_ids), read-only.
+    ``values`` psi as solved and ``converted``, 1 - psi at the vertex rows
+    (graph.vertex_ids), read-only.
     """
 
     graph: MetricGraph
     values: dict[str, float]
-    converted: np.ndarray | None = None
+    converted: np.ndarray
 
     def __getitem__(self, vertex_id: str) -> float:
         return self.values[vertex_id]
@@ -122,10 +122,7 @@ def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:
 
 
 def conversion_at(field: SurvivalField, x: PointOnGraph | str) -> float:
-    """1 - psi at a point, interpolating along edges: from the field's
-    conversions, or without them from its survivals."""
-    if field.converted is None:
-        return 1.0 - evaluate_at(field, x)
+    """1 - psi at a point, interpolating along edges."""
     index = field.graph.vertex_index
     return float(_interpolate(field.graph, lambda v: field.converted[index[v]], x))
 

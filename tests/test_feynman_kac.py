@@ -17,7 +17,7 @@ from graphreact import (
     hitting_split,
     solve_survival,
 )
-from graphreact.feynman_kac import survival_curve
+from graphreact.feynman_kac import conversion_at, survival_curve
 from helpers import (
     chain_graph,
     dead_end_graphs,
@@ -99,8 +99,9 @@ def test_evaluate_matches_midpoint_example():
         (Vertex("u"), Vertex("a", "exit")),
         (Edge(("u", "a"), 2.0),),
     )
-    f = SurvivalField(g, {"u": 0.2, "a": 0.6})
+    f = SurvivalField(g, {"u": 0.2, "a": 0.6}, np.array([0.8, 0.4]))
     assert evaluate_at(f, PointOnGraph.on_edge(0, 1.0)) == pytest.approx(0.4, abs=1e-15)
+    assert conversion_at(f, PointOnGraph.on_edge(0, 1.0)) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_split_then_solve_matches_interpolation():
