@@ -44,7 +44,7 @@ import numpy as np
 from . import algebra
 from .errors import PreconditionError
 from .feynman_kac import evaluate_at, solve_survival
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, locate, require_valid
+from .graph import EdgeWeights, MetricGraph, PointOnGraph, frozen, locate, require_valid
 from .harmonic import flux_coefficients, flux_system
 from .kac import KappaSpec
 
@@ -152,49 +152,53 @@ class Segment:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseSolution:
-    """Solved survival with diffuse zones: the vertex values, and each
-    edge's segments, derived from them on first use."""
+    """Solved survival with diffuse zones: ``values``, the solve's vector
+    over the vertex rows (graph.vertex_ids), read-only, with ``sol[v]``
+    the value at the vertex v, and each edge's segments, derived from them
+    on first use."""
 
     graph: MetricGraph
     zone: ActiveZoneSpec
-    vertex_values: dict[str, float]
+    values: np.ndarray
     # per row of graph.half_edge_table: whether a zone sits at its source, and
     # the value at that zone's inner end is (cz u(source) + fc u(target)) / s2,
     # with cz the zone's coupling; None when no zone is laid
     inner: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
+    def __getitem__(self, vertex_id: str) -> float:
+        return float(self.values[self.graph.vertex_index[vertex_id]])
+
     @cached_property
     def segments(self) -> dict[int, tuple[Segment, ...]]:
         """Each edge's pieces in offset order: a zone at each active end
         and the plain part between."""
-        g, values = self.graph, self.vertex_values
+        g, u = self.graph, self.values
         a, x = self.zone.zone_width, self.zone.mu_width
         ends = {}  # (edge, end vertex): the value at the inner end of the zone there
         if self.inner is not None:
             t = g.half_edge_table
             near, fc, s2 = self.inner
-            u = np.array([values[v] for v in g.vertex_ids])
             j = (_zone_port(x, a, self.zone.mu)[0] * u[t.source] + fc * u[t.target]) / s2
             for i in np.flatnonzero(near).tolist():
                 ends[int(t.edge[i]), g.vertex_ids[t.source[i]]] = float(j[i])
         out = {}
         for k, e in enumerate(g.edges):
             first, last = e.endpoints
+            v0, v1 = self[first], self[last]
             u0, u1 = ends.get((k, first)), ends.get((k, last))
-            segs = [Segment(0.0, a, True, values[first], u0, x)] if u0 is not None else []
+            segs = [Segment(0.0, a, True, v0, u0, x)] if u0 is not None else []
             plain = e.length - a * ((u0 is not None) + (u1 is not None))
             segs.append(Segment(a if segs else 0.0, plain, False,
-                                values[first] if u0 is None else u0,
-                                values[last] if u1 is None else u1))
+                                v0 if u0 is None else u0, v1 if u1 is None else u1))
             if u1 is not None:
-                segs.append(Segment(e.length - a, a, True, u1, values[last], x))
+                segs.append(Segment(e.length - a, a, True, u1, v1, x))
             out[k] = tuple(segs)
         return out
 
     def evaluate(self, x: PointOnGraph | str) -> float:
         x = locate(self.graph, x)
         if x.is_vertex:
-            return self.vertex_values[x.vertex]
+            return self[x.vertex]
         segs = self.segments[x.edge]
         for seg in segs:
             if x.offset <= seg.start + seg.length or seg is segs[-1]:
@@ -251,8 +255,7 @@ class _Zones:
             kill = np.bincount(t.source, self.p * half_kill, len(fixed))
             inner = (self.near, fc, s2)
         x = algebra.solve_many(flux_system(t, coeff, fixed, kill), g.exit_mask.astype(float))
-        values = dict(zip(g.vertex_ids, x.tolist()))
-        return PiecewiseSolution(g, zone, values, inner)
+        return PiecewiseSolution(g, zone, frozen(x), inner)
 
 
 def _zones(g: MetricGraph, w: EdgeWeights) -> _Zones:

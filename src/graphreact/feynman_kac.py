@@ -15,7 +15,9 @@ constant on it.  So the system is solved on the graph's kernel
 (MetricGraph.kernel) alone, in its rows: the sites, where kappa enters,
 one row for the exits, fixed at 1, and the inner vertices.  A vertex of
 a branch takes the value of the vertex the branch hangs on, and a term
-into a dead end has F(t) = F(v) and drops out.  The conversion 1 - F
+into a dead end has F(t) = F(v) and drops out.  A SurvivalField keeps
+the solved rows, and a point reads them through graph.locate_rows, as
+kac reads its first-hit split from the rows of H.  The conversion 1 - F
 solves the same matrix, so fk's alpha (conversion_at) keeps its digits
 at tiny kappa, as kac's does.  This route shares the flux coefficients
 and the kernel with kac, which do no arithmetic on the system; its
@@ -26,13 +28,13 @@ the two routes can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import algebra
 from .errors import SingularSystemError
-from .graph import EdgeWeights, MetricGraph, PointOnGraph, frozen, locate, require_valid
+from .graph import EdgeWeights, MetricGraph, PointOnGraph, frozen, locate_rows, require_valid
 from .harmonic import flux_coefficients, flux_system
 from .kac import KappaSpec, strengths
 
@@ -46,16 +48,19 @@ SURVIVAL_SLACK = 1e-12
 @dataclass(frozen=True, eq=False)
 class SurvivalField:
     """Survival probabilities at the vertices, extended affinely on edges:
-    ``values`` psi as solved and ``converted``, 1 - psi at the vertex rows
-    (graph.vertex_ids), read-only.
+    ``survival`` psi as solved and ``converted``, 1 - psi, over the rows of
+    graph.kernel, read-only.  ``field[v]`` is psi at the vertex v, the
+    row key[vertex_index[v]]; evaluate_at and conversion_at read a point
+    through graph.locate_rows.
     """
 
     graph: MetricGraph
-    values: dict[str, float]
+    survival: np.ndarray
     converted: np.ndarray
 
     def __getitem__(self, vertex_id: str) -> float:
-        return self.values[vertex_id]
+        g = self.graph
+        return float(self.survival[g.kernel.key[g.vertex_index[vertex_id]]])
 
 
 def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalField:
@@ -69,8 +74,7 @@ def solve_survival(g: MetricGraph, w: EdgeWeights, ks: KappaSpec) -> SurvivalFie
     require_valid(g)
     kappa = np.zeros(g.kernel.order)
     kappa[: g.kernel.m] = ks.values(g.active_vertices)
-    psi, converted = _vertex_values(g, w, kappa)
-    return SurvivalField(g, dict(zip(g.vertex_ids, psi)), converted)
+    return SurvivalField(g, *_vertex_values(g, w, kappa))
 
 
 def survival_curve(
@@ -86,14 +90,16 @@ def survival_curve(
     kappa[:, : g.kernel.m] = strengths(specs, g.active_vertices)
     fields = []
     for block in algebra.blocks(*kappa.shape):
-        fields += [SurvivalField(g, dict(zip(g.vertex_ids, psi)), converted)
+        fields += [SurvivalField(g, psi, converted)
                    for psi, converted in zip(*_vertex_values(g, w, kappa[block]))]
     return fields
 
 
-def _vertex_values(g: MetricGraph, w: EdgeWeights, kappa: np.ndarray) -> tuple[list, np.ndarray]:
-    """The survivals, as a list, and the conversions, over the vertices, at
-    strengths kappa over the kernel's rows, (n,) or (K, n) for K points.
+def _vertex_values(
+    g: MetricGraph, w: EdgeWeights, kappa: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The survivals and the conversions over the kernel's rows, read-only,
+    at strengths kappa over those rows, (n,) or (K, n) for K points.
     Each system solves psi, with 1 at the exits' row on the right, and
     phi = 1 - psi, with -kappa_v at a site and 1 where kappa_v is infinite;
     a conversion is phi where phi < psi, else 1 - psi, as kac forms it.  A
@@ -104,33 +110,26 @@ def _vertex_values(g: MetricGraph, w: EdgeWeights, kappa: np.ndarray) -> tuple[l
     rhs[..., 1], rhs[..., kern.m, 0] = np.where(fixed, 1.0, -kappa), 1.0
     fixed[..., kern.m] = True  # the exits' row
     a = flux_system(kern, flux_coefficients(g, w)[kern.half], fixed, kappa)
-    x = algebra.solve_many(a, rhs)
+    x = frozen(algebra.solve_many(a, rhs))
     low, high = x.min(), x.max()
     if not -SURVIVAL_SLACK <= low <= high <= 1.0 + SURVIVAL_SLACK:  # NaN fails too
         raise SingularSystemError(
             f"survival {high if low >= 0.0 else low:.3e} outside [0, 1]: the vertex system "
             "is too ill-conditioned")
     psi, phi = x[..., 0], x[..., 1]
-    converted = np.where(phi < psi, phi, 1.0 - psi)
-    # the vertices' axis is last; x[..., key] costs twice as much
-    return psi.T[kern.key].T.tolist(), frozen(converted.T[kern.key].T)
+    return psi, frozen(np.where(phi < psi, phi, 1.0 - psi))
 
 
 def evaluate_at(field: SurvivalField, x: PointOnGraph | str) -> float:
     """Evaluate the field at a point, interpolating along edges."""
-    return _interpolate(field.graph, field.values.__getitem__, x)
+    return _interpolate(field.graph, field.survival, x)
 
 
 def conversion_at(field: SurvivalField, x: PointOnGraph | str) -> float:
     """1 - psi at a point, interpolating along edges."""
-    index = field.graph.vertex_index
-    return float(_interpolate(field.graph, lambda v: field.converted[index[v]], x))
+    return _interpolate(field.graph, field.converted, x)
 
 
-def _interpolate(g: MetricGraph, value: Callable[[str], float], x: PointOnGraph | str) -> float:
-    x = locate(g, x)
-    if x.is_vertex:
-        return value(x.vertex)
-    e = g.edges[x.edge]
-    u, v = map(value, e.endpoints)
-    return u + x.offset / e.length * (v - u)  # u itself where v == u, as on a dead end
+def _interpolate(g: MetricGraph, r: np.ndarray, x: PointOnGraph | str) -> float:
+    u, v, t = locate_rows(g, x)
+    return float(r[u] + t * (r[v] - r[u]))

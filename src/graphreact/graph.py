@@ -525,3 +525,19 @@ def locate(g: MetricGraph, x: PointOnGraph | str) -> PointOnGraph:
     if x.offset in (0.0, e.length):
         return PointOnGraph.at_vertex(e.endpoints[x.offset > 0.0])
     return x
+
+
+def locate_rows(g: MetricGraph, x: PointOnGraph | str) -> tuple[int, int, float]:
+    """Where x sits in the rows of g.kernel: the rows u and v of the ends of
+    its edge and its fraction t along it, (r, r, 0.0) at a vertex of row r.
+    A field solved over the rows reads r[u] + t * (r[v] - r[u]) at x: r[u]
+    itself where u == v, as on an edge into a dead end.  x is checked by
+    locate; the graph must be valid."""
+    x = locate(g, x)
+    key, index = g.kernel.key, g.vertex_index
+    if x.is_vertex:
+        r = int(key[index[x.vertex]])
+        return r, r, 0.0
+    e = g.edges[x.edge]
+    u, v = (int(key[index[end]]) for end in e.endpoints)
+    return u, v, x.offset / e.length

@@ -14,7 +14,8 @@ or over the graph's kernel, as the sites' network and feynman_kac are.
 
 The harmonic measures H: H[v, j] is the probability that the walk from
 v reaches active[j] first among the m active sites and the exits, and a
-start's split is its row of H.  The walk reflects at an inert end, so a
+start's split is its row of H, read through graph.locate_rows as fk reads
+its fields.  The walk reflects at an inert end, so a
 branch with no site and no exit changes no hitting probability, and its
 vertices take the row of the vertex it hangs on.  The graph's kernel
 (MetricGraph.kernel) is what is left, and it numbers its rows as H
@@ -38,8 +39,9 @@ reduction, so L needs no subtraction.
 site_network is memoized per (g, w) by ``g.memo`` under "sites", and
 flux_coefficients under "flux", every route's one check of the weights.
 The start is not in the key: a new start costs no solve.  Only the
-solved rows of H are kept while w lives, (m + 1 + k)-by-(m + 1) floats,
-with the kernel's key.  The arrays returned and w.p are read-only.
+solved rows of H are kept while w lives, (m + 1 + k)-by-(m + 1) floats;
+the kernel's key, on the graph, maps a vertex to its row.  The arrays
+returned and w.p are read-only.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .graph import (
     MetricGraph,
     PointOnGraph,
     frozen,
-    locate,
+    locate_rows,
     require_valid,
 )
 from . import algebra
@@ -93,33 +95,29 @@ class GreenMatrix:
 @dataclass(frozen=True, eq=False)
 class SiteNetwork:
     """The walk watched on the active sites: L, its exit rates R[:, m] = L 1,
-    the rows [I; H_I] of H over the sites, the exits and the inner vertices,
-    with the exits' column last, the row ``key[v]`` of each vertex v in them
-    (the kernel's own key), and the split of every start asked."""
+    the rows [I; H_I] of H over the rows of the graph's kernel (the sites,
+    the exits and the inner vertices) with the exits' column last, and the
+    split of every start asked."""
 
     active: tuple[str, ...]
     laplacian: np.ndarray
     exit_rates: np.ndarray
     rows: np.ndarray
-    key: np.ndarray
     splits: dict = field(default_factory=dict)
 
     def split(self, g: MetricGraph, x: PointOnGraph | str) -> HittingSplit:
-        """The first-hit split from x; at t = a/l along an edge (u, v), from
-        the row (1 - t) H[u] + t H[v]."""
-        x = locate(g, x)
-        if x not in self.splits:
-            if x.is_vertex:
-                h = self.rows[self.key[g.vertex_index[x.vertex]], :-1]
-            else:
-                e, t = g.edges[x.edge], x.offset / g.edges[x.edge].length
-                u, v = self.rows[self.key[[g.vertex_index[end] for end in e.endpoints]], :-1]
-                h = (1.0 - t) * u + t * v
+        """The first-hit split from x; at t along an edge whose ends have the
+        rows u and v (locate_rows), from the row H[u] + t (H[v] - H[u])."""
+        at = locate_rows(g, x)
+        if at not in self.splits:
+            u, v, t = at
+            hu = self.rows[u, :-1]
+            h = hu + t * (self.rows[v, :-1] - hu)
             total = float(h.sum())
             p = h / total if total > 0.0 else np.zeros(len(h))
             # roundoff can lift the sum of a row of H an ulp above 1
-            self.splits[x] = HittingSplit(min(total, 1.0), frozen(p), self.active)
-        return self.splits[x]
+            self.splits[at] = HittingSplit(min(total, 1.0), frozen(p), self.active)
+        return self.splits[at]
 
 
 def flux_coefficients(g: MetricGraph, w: EdgeWeights) -> np.ndarray:
@@ -217,7 +215,7 @@ def _site_network(g: MetricGraph, w: EdgeWeights) -> SiteNetwork:
     lap = -r[:, :m]
     lap.flat[:: m + 1] = r.sum(axis=1)
     # a copy: a view of R's column would keep F, n-by-(m + 1), alive
-    return SiteNetwork(active, frozen(lap), frozen(r[:, m].copy()), frozen(h), kern.key)
+    return SiteNetwork(active, frozen(lap), frozen(r[:, m].copy()), frozen(h))
 
 
 def hitting_split(g: MetricGraph, w: EdgeWeights, x: PointOnGraph | str) -> HittingSplit:

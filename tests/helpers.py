@@ -232,3 +232,11 @@ def graph_document(g: MetricGraph, w: EdgeWeights) -> dict:
         "weights": rows,
         "dimension": g.dimension,
     }
+
+
+def assert_same_field(got, want) -> None:
+    """Two survival fields hold the same survival and converted rows, bit
+    for bit."""
+    for name in ("survival", "converted"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

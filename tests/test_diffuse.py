@@ -116,15 +116,15 @@ def _matching_residuals(sol):
     worst = 0.0
     for k, segs in sol.segments.items():
         u, v = g.edges[k].endpoints
-        worst = max(worst, abs(segs[0].u0 - sol.vertex_values[u]))
+        worst = max(worst, abs(segs[0].u0 - sol[u]))
         for s in range(len(segs) - 1):
             worst = max(worst, abs(segs[s].u1 - segs[s + 1].u0))
             worst = max(worst, abs(segs[s].end_slope - segs[s + 1].slope))
-        worst = max(worst, abs(segs[-1].u1 - sol.vertex_values[v]))
+        worst = max(worst, abs(segs[-1].u1 - sol[v]))
     exits = set(g.exit_vertices)
     for vid in g.vertex_ids:
         if vid in exits:
-            worst = max(worst, abs(sol.vertex_values[vid] - 1.0))
+            worst = max(worst, abs(sol[vid] - 1.0))
             continue
         flux = 0.0
         for k, e in enumerate(g.edges):
@@ -257,7 +257,7 @@ def test_two_solves_on_one_graph_build_the_zones_once(monkeypatch):
         zone = ActiveZoneSpec(rate=2.0, delta=0.5, diffusion=1.0, h=h)
         first = solve_diffuse(g, w, zone)
         g2, _ = star_graph(3)
-        assert first.vertex_values == solve_diffuse(g2, derive_weights(g2), zone).vertex_values
+        assert np.array_equal(first.values, solve_diffuse(g2, derive_weights(g2), zone).values)
     # one build on g, and one on each fresh graph
     assert len(built) == 1 + 2
 
@@ -265,7 +265,7 @@ def test_two_solves_on_one_graph_build_the_zones_once(monkeypatch):
 def test_zones_of_weights_made_anew_do_not_grow_the_memo():
     g, _ = star_graph(3)
     zone = ActiveZoneSpec(rate=2.0, delta=0.5, diffusion=1.0, h=0.1)
-    want = solve_diffuse(g, derive_weights(g), zone).vertex_values
+    want = solve_diffuse(g, derive_weights(g), zone).values
     for _ in range(20):
-        assert solve_diffuse(g, derive_weights(g), zone).vertex_values == want
+        assert np.array_equal(solve_diffuse(g, derive_weights(g), zone).values, want)
     assert len(g.solved) <= 2  # the flux and zones entries of the last weights

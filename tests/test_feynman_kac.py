@@ -19,6 +19,7 @@ from graphreact import (
 )
 from graphreact.feynman_kac import conversion_at, survival_curve
 from helpers import (
+    assert_same_field,
     chain_graph,
     dead_end_graphs,
     dead_end_path,
@@ -92,14 +93,17 @@ def test_evaluate_at_interpolation():
 
 
 def test_evaluate_matches_midpoint_example():
-    # affine interpolation between endpoint values 0.2 and 0.6
+    # affine interpolation between endpoint values 0.2 and 0.6, over the
+    # kernel's rows: the site u, then the exit a
     from graphreact import MetricGraph, SurvivalField, Edge, Vertex
 
     g = MetricGraph(
-        (Vertex("u"), Vertex("a", "exit")),
+        (Vertex("u", "active"), Vertex("a", "exit")),
         (Edge(("u", "a"), 2.0),),
     )
-    f = SurvivalField(g, {"u": 0.2, "a": 0.6}, np.array([0.8, 0.4]))
+    assert g.kernel.key.tolist() == [0, 1]
+    f = SurvivalField(g, np.array([0.2, 0.6]), np.array([0.8, 0.4]))
+    assert (f["u"], f["a"]) == (0.2, 0.6)
     assert evaluate_at(f, PointOnGraph.on_edge(0, 1.0)) == pytest.approx(0.4, abs=1e-15)
     assert conversion_at(f, PointOnGraph.on_edge(0, 1.0)) == pytest.approx(0.6, abs=1e-15)
 
@@ -220,7 +224,7 @@ def test_fk_with_dead_ends_matches_the_exact_and_reference_solves(g, w):
     # the stacked sweep gives the same fields
     specs = [KappaSpec.constant(k) for k in (0.0, 0.7, 30.0)]
     for ks, field in zip(specs, survival_curve(g, w, specs)):
-        assert field.values == solve_survival(g, w, ks).values
+        assert_same_field(field, solve_survival(g, w, ks))
 
 
 def test_fk_with_a_dead_end_path_longer_than_the_rounds():

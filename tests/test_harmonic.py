@@ -19,6 +19,7 @@ from graphreact import (
     build_grid,
     conversion,
     derive_weights,
+    evaluate_at,
     fixture_suite,
     green_matrix,
     hitting_split,
@@ -32,8 +33,10 @@ from graphreact import (
     PointOnGraph,
 )
 from graphreact import algebra, graph, harmonic
+from graphreact.feynman_kac import survival_curve
 from graphreact.harmonic import flux_coefficients, flux_system, site_network
 from helpers import (
+    assert_same_field,
     chain_graph,
     dead_end_graphs,
     dead_end_path,
@@ -285,7 +288,7 @@ def test_site_rates_with_dead_ends_match_the_dense_schur_complement(g, w):
 @pytest.mark.parametrize("g, w", _DEAD_END_CASES)
 def test_harmonic_measures_with_dead_ends_are_harmonic(g, w):
     net = site_network(g, w)
-    h = net.rows[net.key, :len(net.active)]
+    h = net.rows[g.kernel.key, :len(net.active)]
     fixed = g.site_mask | g.exit_mask
     assert np.array_equal(h[g.site_mask], np.eye(len(net.active)))
     assert not h[g.exit_mask].any()
@@ -306,7 +309,7 @@ def test_the_network_keeps_the_solved_rows_only(g, w):
     n, m = len(g.vertex_ids), len(net.active)
     k = n - m - len(g.exit_vertices) - len(dead_end_parents(g))
     assert net.rows.shape == (m + 1 + k, m + 1)
-    assert net.key.shape == (n,) and net.key.dtype == np.intp
+    assert g.kernel.key.shape == (n,) and g.kernel.key.dtype == np.intp
     for a in vars(net).values():
         if isinstance(a, np.ndarray) and a.dtype == float:
             assert len(a) < n, a.shape
@@ -330,8 +333,7 @@ def test_a_start_in_a_dead_end_gets_the_split_of_its_root(g, w):
             (anchor,) = {root(v) for v in e.endpoints}
             want = hitting_split(g, w, anchor)
             got = hitting_split(g, w, PointOnGraph.on_edge(k, 0.3 * e.length))
-            assert got.alpha_inf == pytest.approx(want.alpha_inf, rel=1e-15, abs=0.0)
-            assert np.allclose(got.p, want.p, rtol=1e-15, atol=0.0)
+            assert got.alpha_inf == want.alpha_inf and np.array_equal(got.p, want.p)
 
 
 def _layout_cases():
@@ -350,7 +352,7 @@ def test_the_kernel_numbers_the_sites_then_one_exit_row_then_the_inner_vertices(
     hang = graph._dead_ends(g)
     inner = np.flatnonzero((hang == np.arange(len(hang))) & ~(g.site_mask | g.exit_mask))
     assert key[inner].tolist() == list(range(m + 1, n))
-    assert site_network(g, w).key is key
+    assert site_network(g, w).rows.shape == (n, m + 1)
     # the kernel's system is the vertex system folded through key, without
     # the half-edges whose ends share a row, with the same diagonal
     t, coeff = g.half_edge_table, flux_coefficients(g, w)
@@ -366,6 +368,32 @@ def test_the_kernel_numbers_the_sites_then_one_exit_row_then_the_inner_vertices(
     want[fixed] = 0.0
     want[fixed, fixed] = 1.0
     assert np.array_equal(flux_system(kern, coeff[kern.half], fixed, kill).dense(), want)
+
+
+@pytest.mark.parametrize("g, w", _layout_cases())
+def test_every_field_keeps_its_solve_s_own_rows(g, w):
+    # fk's fields hold the kernel's rows, read through its key, as the
+    # network does; diffuse keeps a row per vertex, as it solves every vertex
+    kern, index = g.kernel, g.vertex_index
+    specs = [KappaSpec.constant(k) for k in (0.0, 1.3, math.inf)]
+    fields, curve = [solve_survival(g, w, ks) for ks in specs], survival_curve(g, w, specs)
+    for field in fields + curve:
+        held = [a for a in vars(field).values() if a is not g]
+        assert len(held) == 2
+        for a in held:
+            assert isinstance(a, np.ndarray) and a.shape == (kern.order,)
+            assert not a.flags.writeable
+    for field in fields:
+        for v in g.vertex_ids:
+            want = field.survival[kern.key[index[v]]]
+            assert field[v] == want and evaluate_at(field, v) == want
+    for field, point in zip(fields, curve):
+        assert_same_field(point, field)
+    h = 0.25 * min(e.length for e in g.edges)
+    sol = solve_diffuse(g, w, ActiveZoneSpec(rate=2.0, delta=1.0, diffusion=1.0, h=h))
+    assert sol.values.shape == (len(g.vertex_ids),) and not sol.values.flags.writeable
+    for v in g.vertex_ids:
+        assert sol[v] == sol.evaluate(v) == sol.values[index[v]]
 
 
 def test_a_dead_end_deeper_than_the_rounds_keeps_its_root_end():
@@ -425,7 +453,7 @@ def test_memoized_conversions_match_fresh_problems_bit_for_bit():
             g2 = _fresh(g)
             w2 = derive_weights(g2)
             assert conversion(g, w, start, ks) == conversion(g2, w2, start, ks)
-            assert solve_survival(g, w, ks).values == solve_survival(g2, w2, ks).values
+            assert_same_field(solve_survival(g, w, ks), solve_survival(g2, w2, ks))
 
 
 def test_two_weight_objects_on_one_graph_keep_their_own_solves():
@@ -515,7 +543,7 @@ def test_memoized_arrays_and_weights_reject_writes():
     g, start, _ = chain_graph((1.0, 0.5, 0.8))
     w = derive_weights(g)
     net = site_network(g, w)
-    for a in (green_matrix(g, w).entries, net.laplacian, net.exit_rates, net.rows, net.key):
+    for a in (green_matrix(g, w).entries, net.laplacian, net.exit_rates, net.rows, g.kernel.key):
         with pytest.raises(ValueError):
             a[0] = 1.0
     for x in (start, "c2", PointOnGraph.on_edge(1, 0.2)):
@@ -557,7 +585,7 @@ def test_an_exit_weight_never_enters():
     odd = EdgeWeights({**w.p, ("a", 1): math.nan})
     ks = KappaSpec.constant(1.0)
     assert conversion(g, odd, start, ks) == conversion(g, w, start, ks)
-    assert solve_survival(g, odd, ks).values == solve_survival(g, w, ks).values
+    assert_same_field(solve_survival(g, odd, ks), solve_survival(g, w, ks))
 
 
 def test_a_solved_graph_pickles_without_its_memo():

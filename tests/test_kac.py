@@ -45,8 +45,7 @@ def _gm(entries, sites=None):
 def _net(gm):
     """The sites' network whose Green matrix is gm: L = inv(G), exit rates L 1."""
     lap = np.linalg.inv(gm.entries)
-    return SiteNetwork(gm.active, lap, lap.sum(axis=1), np.eye(len(lap) + 1),
-                       np.arange(len(lap)))
+    return SiteNetwork(gm.active, lap, lap.sum(axis=1), np.eye(len(lap) + 1))
 
 
 def _survival(net, ks):

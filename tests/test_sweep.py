@@ -29,7 +29,7 @@ from graphreact.cli import _fmt, main
 from graphreact.feynman_kac import conversion_at, survival_curve
 from graphreact.harmonic import SiteNetwork
 from graphreact.kac import conversion_curve, survival_on_active
-from helpers import branchy_tree, random_graph
+from helpers import assert_same_field, branchy_tree, random_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
@@ -71,7 +71,7 @@ def _assert_curves_match(g, w, start, kappas) -> None:
     for ks, res, field in zip(specs, conversion_curve(g, w, start, specs),
                               survival_curve(g, w, specs)):
         assert res == conversion(g, w, start, ks), ks
-        assert field.values == solve_survival(g, w, ks).values, ks
+        assert_same_field(field, solve_survival(g, w, ks))
 
 
 @pytest.mark.parametrize("kmin, kmax, spacing", GRIDS)
@@ -135,20 +135,21 @@ def test_curves_with_infinite_and_per_site_strengths():
     for ks, res, field in zip(specs, conversion_curve(g, w, "n0", specs),
                               survival_curve(g, w, specs)):
         assert res == conversion(g, w, "n0", ks)
-        assert field.values == solve_survival(g, w, ks).values
+        assert_same_field(field, solve_survival(g, w, ks))
 
 
-def _singular_at_one(g) -> SiteNetwork:
+def _singular_at_one() -> SiteNetwork:
     """A made-up one-site network: L = [[-1]] makes L S + diag(min(kappa, 1))
-    exactly 0 at kappa = 1."""
-    return SiteNetwork(("c",), np.array([[-1.0]]), np.array([0.0]), np.array([[1.0, 0.0]]),
-                       np.zeros(len(g.vertex_ids), dtype=np.intp))
+    exactly 0 at kappa = 1.  Its rows are those of path_site's kernel, the
+    site c and the exits' row, where the start v0 reads c's."""
+    return SiteNetwork(("c",), np.array([[-1.0]]), np.array([0.0]), np.eye(2))
 
 
 def test_a_singular_point_raises_as_the_one_point_call(monkeypatch, capsys):
     path = str(FIXTURES / "path_site.json")
     g, w, start = prepare(parse_document(load_document(path)))
-    net = _singular_at_one(g)
+    assert g.kernel.key[g.vertex_index[start]] == 0
+    net = _singular_at_one()
     with pytest.raises(SingularSystemError) as alone:
         survival_on_active(net, np.array([[1.0]]))
     assert str(alone.value) == "matrix is singular to working precision at pivot column 0"
